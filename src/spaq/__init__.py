@@ -8,7 +8,6 @@ effects, all with finite-sample confidence guarantees.
 """
 
 from .errors import (
-    CalibrationFailedError,
     ClockError,
     CycleError,
     DuplicateIdError,

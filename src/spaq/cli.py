@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from statistics import fmean
 
@@ -42,12 +42,14 @@ from .experiments import (
     Exp1Config,
     Exp2Config,
     Exp3Config,
+    matrix_rows,
     pairwise_cofailure_scan,
     run_batch,
     run_delayed_checks_experiment,
     run_hidden_dependency_experiment,
     run_internode_experiment,
     smc_result_to_dict,
+    write_matrix_csv,
     write_report,
 )
 from .graph import builtin_config_path, graph_hash, load_graph
@@ -56,8 +58,6 @@ from .extractors import evaluate_property
 from .sim import ADAPTIVE, BASELINE, HIGH_FREQUENCY, availability
 from .smc import DOES_NOT_HOLD, HOLDS, INSUFFICIENT_DATA, LOWER, TWO_SIDED, UPPER
 from .trace import load_dataset, write_trace
-
-SUBCOMMANDS = ("simulate", "check", "scan", "exp1", "exp2", "exp3", "report")
 
 _BUILTINS = ("xgate", "internode", "hidden")
 
@@ -69,32 +69,15 @@ _REPRO_SOURCE = {
 }
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    """Normalized invocation: what was asked for, before dispatch."""
-
-    subcommand: str
-    config: str | None = None
-    traces: tuple[str, ...] = ()
-    property_text: str | None = None
-    outdir: str | None = None
-    seed: int | None = None
-    overrides: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.subcommand not in SUBCOMMANDS:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
-
-
 # --- shared helpers ---
 
 
-def _resolve_seed(seed: int | None, default: int = 0) -> int:
+def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get("SPAQ_SEED")
     if env is None:
-        return default
+        return 0
     try:
         return int(env)
     except ValueError:
@@ -122,14 +105,16 @@ def _trace_files(paths) -> list[Path]:
     return files
 
 
-def _apply_overrides(cfg, overrides: dict[str, str]):
-    """Apply key=value overrides to an experiment config, typed per field."""
-    if not overrides:
-        return cfg
-    types = {f.name: f.type for f in fields(cfg)}
+def _apply_overrides(cfg, pairs):
+    """Apply ``--set key=value`` overrides to an experiment config, typed per field."""
+    names = {f.name for f in fields(cfg)}
     kwargs = {}
-    for key, raw in overrides.items():
-        if key not in types:
+    for item in pairs or ():
+        if "=" not in item:
+            raise ValueError(f"--set expects key=value, got {item!r}")
+        key, _, raw = item.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in names:
             raise ValueError(f"unknown config field {key!r} for {type(cfg).__name__}")
         current = getattr(cfg, key)
         if isinstance(current, bool):
@@ -145,14 +130,11 @@ def _apply_overrides(cfg, overrides: dict[str, str]):
     return replace(cfg, **kwargs)
 
 
-def _parse_overrides(pairs) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for item in pairs or ():
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+def _experiment_cfg(cls, ns, **own):
+    """Experiment config from the shared run flags, the command's own
+    flags and its ``--set`` overrides."""
+    cfg = cls(total_cycles=ns.cycles, n_runs=ns.runs, seed=_resolve_seed(ns.seed), jobs=ns.jobs, **own)
+    return _apply_overrides(cfg, ns.overrides)
 
 
 def _emit_json(record: dict) -> None:
@@ -172,9 +154,9 @@ def _verdict_exit(verdict: str | None) -> int:
 # --- simulate ---
 
 
-def cmd_simulate(inv: CliInvocation, ns) -> int:
-    graph = _load_graph_arg(inv.config, ns.builtin)
-    seed = _resolve_seed(inv.seed)
+def cmd_simulate(ns) -> int:
+    graph = _load_graph_arg(ns.config, ns.builtin)
+    seed = _resolve_seed(ns.seed)
     seeds = range(seed, seed + ns.runs)
     ds = run_batch(
         graph,
@@ -185,7 +167,7 @@ def cmd_simulate(inv: CliInvocation, ns) -> int:
         oracle=not ns.no_oracle,
         jobs=ns.jobs,
     )
-    outdir = Path(inv.outdir)
+    outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for run in ds.runs:
@@ -224,11 +206,11 @@ def cmd_simulate(inv: CliInvocation, ns) -> int:
 # --- check ---
 
 
-def cmd_check(inv: CliInvocation, ns) -> int:
-    text = inv.property_text
+def cmd_check(ns) -> int:
+    text = ns.property_text
     if ns.property_file is not None:
         text = Path(ns.property_file).read_text().strip()
-    files = _trace_files(inv.traces)
+    files = _trace_files(ns.traces)
     dataset = load_dataset(files)
     ast = parse_property(text)
     try:
@@ -274,24 +256,13 @@ def cmd_check(inv: CliInvocation, ns) -> int:
 # --- scan ---
 
 
-def _write_matrix_csv(matrix, path: Path) -> None:
-    import csv
-
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["response", "trigger", "verdict", "n_used", "p_value"])
-        for (y, z), cell in matrix.cells.items():
-            p = cell.result.p_value
-            w.writerow([y, z, cell.verdict, cell.result.n_used, "" if p is None else f"{p:.6g}"])
-
-
-def cmd_scan(inv: CliInvocation, ns) -> int:
-    if inv.traces:
-        dataset = load_dataset(_trace_files(inv.traces))
-        source = {"traces": [str(p) for p in inv.traces]}
+def cmd_scan(ns) -> int:
+    if ns.traces:
+        dataset = load_dataset(_trace_files(ns.traces))
+        source = {"traces": [str(p) for p in ns.traces]}
     else:
-        graph = _load_graph_arg(inv.config, ns.builtin)
-        seed = _resolve_seed(inv.seed)
+        graph = _load_graph_arg(ns.config, ns.builtin)
+        seed = _resolve_seed(ns.seed)
         dataset = run_batch(
             graph, ns.cycles, range(seed, seed + ns.runs), jobs=ns.jobs
         )
@@ -309,9 +280,9 @@ def cmd_scan(inv: CliInvocation, ns) -> int:
         print("no ordered pair holds at the requested threshold")
     print(f"mutual pairs: {matrix.mutual_holds() or 'none'}")
 
-    outdir = Path(inv.outdir)
+    outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(matrix, outdir / "matrix.csv")
+    write_matrix_csv(matrix, outdir / "matrix.csv")
     record = {
         "command": "scan",
         "window": ns.window,
@@ -321,16 +292,7 @@ def cmd_scan(inv: CliInvocation, ns) -> int:
         "holds": holds,
         "mutual": [list(p) for p in matrix.mutual_holds()],
         "matrix_csv": str(outdir / "matrix.csv"),
-        "cells": [
-            {
-                "response": y,
-                "trigger": z,
-                "verdict": cell.verdict,
-                "property": cell.property_text,
-                "result": smc_result_to_dict(cell.result),
-            }
-            for (y, z), cell in sorted(matrix.cells.items())
-        ],
+        "cells": matrix_rows(matrix),
     }
     (outdir / "scan.json").write_text(json.dumps(record, indent=2) + "\n")
     _emit_json(record)
@@ -383,49 +345,25 @@ def _finish_experiment(report, outdir: str, command: str) -> int:
     return 0
 
 
-def cmd_exp1(inv: CliInvocation, ns) -> int:
-    graph = _load_graph_arg(inv.config, "xgate")
-    cfg = Exp1Config(
-        total_cycles=ns.cycles,
-        n_runs=ns.runs,
-        seed=_resolve_seed(inv.seed),
-        jobs=ns.jobs,
-        hf_timeout=ns.hf_timeout,
-        confidence=ns.confidence,
+def cmd_exp1(ns) -> int:
+    graph = _load_graph_arg(ns.config, "xgate")
+    cfg = _experiment_cfg(Exp1Config, ns, hf_timeout=ns.hf_timeout, confidence=ns.confidence)
+    return _finish_experiment(run_delayed_checks_experiment(graph, cfg), ns.outdir, "exp1")
+
+
+def cmd_exp2(ns) -> int:
+    graph = load_graph(ns.config) if ns.config is not None else None
+    cfg = _experiment_cfg(
+        Exp2Config, ns,
+        rel_shift=ns.rel_shift, p0=ns.p0, confidence=ns.confidence, coupling=not ns.no_coupling,
     )
-    cfg = _apply_overrides(cfg, inv.overrides)
-    return _finish_experiment(run_delayed_checks_experiment(graph, cfg), inv.outdir, "exp1")
+    return _finish_experiment(run_internode_experiment(cfg, graph=graph), ns.outdir, "exp2")
 
 
-def cmd_exp2(inv: CliInvocation, ns) -> int:
-    graph = load_graph(inv.config) if inv.config is not None else None
-    cfg = Exp2Config(
-        total_cycles=ns.cycles,
-        n_runs=ns.runs,
-        seed=_resolve_seed(inv.seed),
-        jobs=ns.jobs,
-        rel_shift=ns.rel_shift,
-        p0=ns.p0,
-        confidence=ns.confidence,
-        coupling=not ns.no_coupling,
-    )
-    cfg = _apply_overrides(cfg, inv.overrides)
-    return _finish_experiment(run_internode_experiment(cfg, graph=graph), inv.outdir, "exp2")
-
-
-def cmd_exp3(inv: CliInvocation, ns) -> int:
-    graph = load_graph(inv.config) if inv.config is not None else None
-    cfg = Exp3Config(
-        total_cycles=ns.cycles,
-        n_runs=ns.runs,
-        seed=_resolve_seed(inv.seed),
-        jobs=ns.jobs,
-        window=ns.window,
-        p0=ns.p0,
-        confidence=ns.confidence,
-    )
-    cfg = _apply_overrides(cfg, inv.overrides)
-    return _finish_experiment(run_hidden_dependency_experiment(cfg, graph=graph), inv.outdir, "exp3")
+def cmd_exp3(ns) -> int:
+    graph = load_graph(ns.config) if ns.config is not None else None
+    cfg = _experiment_cfg(Exp3Config, ns, window=ns.window, p0=ns.p0, confidence=ns.confidence)
+    return _finish_experiment(run_hidden_dependency_experiment(cfg, graph=graph), ns.outdir, "exp3")
 
 
 # --- report ---
@@ -503,7 +441,7 @@ def _reproduce(doc: dict, root: Path) -> list[str]:
     return mismatches
 
 
-def cmd_report(inv: CliInvocation, ns) -> int:
+def cmd_report(ns) -> int:
     doc, root = _load_report(Path(ns.path))
     print(f"scenario: {doc.get('scenario')}")
     print(
@@ -637,16 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        inv = CliInvocation(
-            subcommand=ns.subcommand,
-            config=getattr(ns, "config", None),
-            traces=tuple(getattr(ns, "traces", ()) or ()),
-            property_text=getattr(ns, "property_text", None),
-            outdir=getattr(ns, "outdir", None),
-            seed=getattr(ns, "seed", None),
-            overrides=_parse_overrides(getattr(ns, "overrides", None)),
-        )
-        return _HANDLERS[ns.subcommand](inv, ns)
+        return _HANDLERS[ns.subcommand](ns)
     except PropertySyntaxError as exc:
         print(exc.caret_diagnostic(), file=sys.stderr)
         return 2

@@ -11,15 +11,18 @@ operations:
   limit below the anchor value this is a decay; with the limit above it
   is the mirrored rising mode.
 
-The closed-form expressions for two-level transition probability and
-gate fidelity connect parameter errors to the observables that
-check_data experiments measure.
+:func:`transfer_probability` is the closed-form physics of the
+transition and gate observables that check_data experiments measure:
+two-level population transfer under detuning and pulse-time errors, and
+pi-rotation fidelity with an extra phase error. It works elementwise on
+arrays, so the simulator evaluates one formula both for single readings
+and for whole drift paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,43 +147,24 @@ def exponential_decay_value(cycles_since_cal, cfg: ExponentialDriftCfg, v0: floa
     return float(out) if out.ndim == 0 else out
 
 
-def rabi_transition_probability(omega: float, detuning: float, t: float) -> float:
-    """Two-level transition probability under constant drive.
+def transfer_probability(omega: float, t_nominal: float | None, detuning, time_err, phase_err=None):
+    """Population transfer of a nominal pi pulse with control errors.
 
-    P = (omega^2 / (omega^2 + detuning^2)) * sin^2(sqrt(omega^2 + detuning^2) * t / 2).
-    Always in [0, 1]; equals 1 at zero detuning and t = pi / omega.
+    P = (omega^2 / g^2) * sin^2(g * (t_nominal + time_err) / 2), with
+    g^2 = omega^2 + detuning^2, clipped to [0, 1]; ``t_nominal=None``
+    means pi / omega, so P = 1 with zero errors. With ``phase_err`` the
+    result is the fidelity of a pi-rotation gate: a phase error rotates
+    the target axis and contributes a factor cos^2(phase_err / 2).
+    The error arguments may be floats or equal-length arrays.
     """
-    if omega == 0.0:
-        return 0.0
+    t_nom = t_nominal if t_nominal is not None else math.pi / omega
     w2 = omega * omega
     g2 = w2 + detuning * detuning
-    p = (w2 / g2) * math.sin(math.sqrt(g2) * t / 2.0) ** 2
-    return min(1.0, max(0.0, p))
-
-
-@dataclass(frozen=True)
-class GateCfg:
-    """Nominal drive for a pi-rotation gate. t_nominal defaults to pi/omega."""
-
-    omega: float = math.pi
-    t_nominal: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.t_nominal == 0.0:
-            object.__setattr__(self, "t_nominal", math.pi / self.omega)
-
-
-def x_gate_fidelity(phase_err: float, detuning: float, time_err: float, cfg: GateCfg) -> float:
-    """Fidelity of a pi-rotation with the given control errors.
-
-    The population-transfer factor uses the nominal pulse perturbed by
-    ``time_err`` and ``detuning``; a phase error rotates the target
-    axis, contributing cos^2(phase_err / 2). Equals 1 with zero errors.
-    """
-    p = rabi_transition_probability(cfg.omega, detuning, cfg.t_nominal + time_err)
-    return p * math.cos(phase_err / 2.0) ** 2
+    p = (w2 / g2) * np.sin(np.sqrt(g2) * (t_nom + time_err) / 2.0) ** 2
+    p = np.clip(p, 0.0, 1.0)
+    if phase_err is not None:
+        p = p * np.cos(phase_err / 2.0) ** 2
+    return p
 
 
 @dataclass

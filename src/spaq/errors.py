@@ -81,12 +81,3 @@ class NoSamplesError(SpaqError):
 
 class UnknownParamError(SpaqError):
     """A referenced parameter never appears in the dataset."""
-
-
-# --- simulation ---
-
-class CalibrationFailedError(SpaqError):
-    """Calibration did not converge within max_retries attempts.
-
-    Recorded in the trace and logged; the simulator does not raise it.
-    """

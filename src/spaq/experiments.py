@@ -30,15 +30,15 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
 
 from .errors import CycleError, NoSamplesError
-from .extractors import _condition_samples, _matches, evaluate_property
-from .extractors import rel_shift as _relative_shift
+from .extractors import _condition_samples, _matches, calibration_shift, evaluate_property
 from .graph import (
     GraphSpec,
+    NodeSpec,
     add_edge,
     builtin_config_path,
     load_graph,
@@ -72,7 +72,7 @@ def _check_common(cfg) -> None:
     _require(cfg.total_cycles >= 1, f"total_cycles must be >= 1, got {cfg.total_cycles}")
     _require(cfg.n_runs >= 1, f"n_runs must be >= 1, got {cfg.n_runs}")
     _require(cfg.jobs >= 1, f"jobs must be >= 1, got {cfg.jobs}")
-    _require(0.0 < cfg.confidence < 1.0, f"confidence must be in (0,1), got {cfg.confidence}")
+    _require(0.5 < cfg.confidence < 1.0, f"confidence must be in (0.5, 1), got {cfg.confidence}")
 
 
 @dataclass(frozen=True)
@@ -294,16 +294,9 @@ class ExperimentReport:
 # --- delay recommendation (experiment 1) ---
 
 
-@dataclass(frozen=True)
-class DelayRecommendation:
-    node: str
-    delay: int
-    property_text: str
-    result: SmcResult
-
-
-def recommend_delay_details(dataset: Dataset, C: float) -> tuple[DelayRecommendation, ...]:
-    """Per-node delay plus the bound (or insufficient-data note) behind it."""
+def recommend_delay_details(dataset: Dataset, C: float) -> tuple[Recommendation, ...]:
+    """Per-node delay recommendation plus the bound (or insufficient-data
+    note) behind it; ``payload["delay"]`` is the delay in cycles."""
     out = []
     for node in dataset.nodes():
         text = f"ci ttf({node}, anchor=calibration) @ F={RECOMMEND_F:g} C={C:g}"
@@ -314,7 +307,11 @@ def recommend_delay_details(dataset: Dataset, C: float) -> tuple[DelayRecommenda
         delay = 0
         if result.verdict is None and result.bound is not None:
             delay = max(int(result.bound), 0)
-        out.append(DelayRecommendation(node=node, delay=delay, property_text=text, result=result))
+        out.append(
+            Recommendation(
+                kind="delay", target=node, payload={"delay": delay}, property_text=text, result=result
+            )
+        )
     return tuple(out)
 
 
@@ -322,7 +319,7 @@ def recommend_delays(dataset: Dataset, C: float) -> dict[str, int]:
     """Post-calibration delay per node: the lower confidence bound on
     the 5th-percentile time to failure anchored at calibrations, floored
     to whole cycles; 0 where the bound cannot be formed."""
-    return {r.node: r.delay for r in recommend_delay_details(dataset, C)}
+    return {r.target: r.payload["delay"] for r in recommend_delay_details(dataset, C)}
 
 
 def run_delayed_checks_experiment(graph: GraphSpec, cfg: Exp1Config) -> ExperimentReport:
@@ -337,8 +334,8 @@ def run_delayed_checks_experiment(graph: GraphSpec, cfg: Exp1Config) -> Experime
         graph, cfg.total_cycles, seeds,
         mode=HIGH_FREQUENCY, hf_timeout=cfg.hf_timeout, run_prefix="hf", jobs=cfg.jobs,
     )
-    details = recommend_delay_details(hf, cfg.confidence)
-    delayed_graph = with_delays(graph, {d.node: d.delay for d in details})
+    recs = recommend_delay_details(hf, cfg.confidence)
+    delayed_graph = with_delays(graph, {r.target: r.payload["delay"] for r in recs})
 
     base = run_batch(graph, cfg.total_cycles, seeds, run_prefix="baseline", jobs=cfg.jobs)
     adaptive = run_batch(
@@ -350,16 +347,6 @@ def run_delayed_checks_experiment(graph: GraphSpec, cfg: Exp1Config) -> Experime
     hf_avail, hf_cost = _availability_stats(hf, graph)
     adap_avail, adap_cost = _availability_stats(adaptive, delayed_graph)
 
-    recs = tuple(
-        Recommendation(
-            kind="delay",
-            target=d.node,
-            payload={"delay": d.delay},
-            property_text=d.property_text,
-            result=d.result,
-        )
-        for d in details
-    )
     return ExperimentReport(
         scenario=DELAYED_CHECKS,
         availability_before=fmean(base_avail),
@@ -416,13 +403,8 @@ def param_shift_failure_test(
     query = ast.body
 
     def small_shift(e) -> bool:
-        if e.node != node_a or e.op != CALIBRATE:
-            return False
-        before = dict(e.params_before or ())
-        after = dict(e.params_after or ())
-        if param not in before or param not in after:
-            return False
-        return _relative_shift(before[param], after[param]) <= rel_shift
+        shift = calibration_shift(e, param) if e.node == node_a else None
+        return shift is not None and shift <= rel_shift
 
     control_samples = _condition_samples(
         dataset, small_shift, node_b, lambda e: _matches(e, query.response), query.window
@@ -451,29 +433,12 @@ def strip_cross_node_terms(graph: GraphSpec) -> GraphSpec:
     configuration for coupling experiments.
     """
 
-    def keep(terms, nid):
-        return tuple(t for t in terms if t.node is None or t.node == nid)
+    def strip(node: NodeSpec) -> NodeSpec:
+        return node.map_terms(
+            lambda terms: tuple(t for t in terms if t.node is None or t.node == node.id)
+        )
 
-    new_nodes = []
-    for n in graph.nodes:
-        checks = []
-        for c in n.checks:
-            o = c.observable
-            checks.append(
-                replace(
-                    c,
-                    observable=replace(
-                        o,
-                        terms=keep(o.terms, n.id),
-                        detuning_terms=keep(o.detuning_terms, n.id),
-                        time_terms=keep(o.time_terms, n.id),
-                        phase_terms=keep(o.phase_terms, n.id),
-                        background_terms=keep(o.background_terms, n.id),
-                    ),
-                )
-            )
-        new_nodes.append(replace(n, checks=tuple(checks)))
-    out = GraphSpec(nodes=tuple(new_nodes), disturbances=graph.disturbances)
+    out = GraphSpec(nodes=tuple(strip(n) for n in graph.nodes), disturbances=graph.disturbances)
     validate_graph(out)
     return out
 
@@ -644,6 +609,30 @@ def _dataset_to_meta(ds: Dataset, paths: dict[str, str] | None) -> list[dict]:
     return out
 
 
+def matrix_rows(matrix: VerdictMatrix) -> list[dict]:
+    """One JSON record per ordered pair, sorted by (response, trigger)."""
+    return [
+        {
+            "response": y,
+            "trigger": z,
+            "verdict": cell.verdict,
+            "property": cell.property_text,
+            "result": smc_result_to_dict(cell.result),
+        }
+        for (y, z), cell in sorted(matrix.cells.items())
+    ]
+
+
+def write_matrix_csv(matrix: VerdictMatrix, path: Path) -> None:
+    """Plot-ready verdict table, one row per ordered pair, sorted."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["response", "trigger", "verdict", "n_used", "p_value"])
+        for (y, z), cell in sorted(matrix.cells.items()):
+            p = cell.result.p_value
+            w.writerow([y, z, cell.verdict, cell.result.n_used, "" if p is None else f"{p:.6g}"])
+
+
 def report_to_dict(report: ExperimentReport, trace_paths: dict[str, dict[str, str]] | None = None) -> dict:
     out: dict = {
         "scenario": report.scenario,
@@ -667,16 +656,7 @@ def report_to_dict(report: ExperimentReport, trace_paths: dict[str, dict[str, st
         },
     }
     if report.matrix is not None:
-        out["matrix"] = [
-            {
-                "response": y,
-                "trigger": z,
-                "verdict": cell.verdict,
-                "property": cell.property_text,
-                "result": smc_result_to_dict(cell.result),
-            }
-            for (y, z), cell in report.matrix.cells.items()
-        ]
+        out["matrix"] = matrix_rows(report.matrix)
     if report.shift_test is not None:
         out["shift_test"] = smc_result_to_dict(report.shift_test)
     return out
@@ -727,12 +707,6 @@ def write_report(report: ExperimentReport, outdir: str | Path) -> dict[str, Path
     paths["node_costs"] = cost_path
 
     if report.matrix is not None:
-        matrix_path = outdir / "matrix.csv"
-        with matrix_path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["response", "trigger", "verdict", "n_used", "p_value"])
-            for (y, z), cell in report.matrix.cells.items():
-                p = cell.result.p_value
-                w.writerow([y, z, cell.verdict, cell.result.n_used, "" if p is None else f"{p:.6g}"])
-        paths["matrix"] = matrix_path
+        paths["matrix"] = outdir / "matrix.csv"
+        write_matrix_csv(report.matrix, paths["matrix"])
     return paths

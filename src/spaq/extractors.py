@@ -75,12 +75,20 @@ def rel_shift(before: float, after: float) -> float:
     return abs(after - before) / max(abs(before), REL_SHIFT_EPS)
 
 
-def _known_nodes(dataset: Dataset) -> set[str]:
-    return {e.node for r in dataset.runs for e in r.events}
+def calibration_shift(event: TraceEvent, param: str) -> float | None:
+    """Relative change of ``param`` in a calibrate event; None for other
+    events and for calibrations that do not record the parameter."""
+    if event.op != CALIBRATE:
+        return None
+    before = dict(event.params_before or ())
+    after = dict(event.params_after or ())
+    if param not in before or param not in after:
+        return None
+    return rel_shift(before[param], after[param])
 
 
 def _require_node(dataset: Dataset, node: str) -> None:
-    if node not in _known_nodes(dataset):
+    if node not in dataset.nodes():
         raise UnknownNodeError(f"node {node!r} never appears in the dataset")
 
 
@@ -92,14 +100,8 @@ def _matches(event: TraceEvent, pattern: EventPattern) -> bool:
     if pattern.kind == CALIBRATE_EVENT:
         return event.op == CALIBRATE
     if pattern.kind == SHIFT_EVENT:
-        if event.op != CALIBRATE:
-            return False
-        param = str(pattern.arg("param"))
-        before = dict(event.params_before or ())
-        after = dict(event.params_after or ())
-        if param not in before or param not in after:
-            return False
-        return rel_shift(before[param], after[param]) > float(pattern.arg("by"))
+        shift = calibration_shift(event, str(pattern.arg("param")))
+        return shift is not None and shift > float(pattern.arg("by"))
     raise ValueError(f"unknown event pattern kind {pattern.kind!r}")
 
 

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .drift import DriftCfg, LogisticDriftCfg, drift_cfg_from_dict, drift_cfg_to_dict
@@ -92,12 +93,22 @@ class Rule:
         if self.op not in _OPS:
             raise ValueError(f"rule op must be one of {_OPS}, got {self.op!r}")
 
-    def in_spec(self, obs: float) -> bool:
+    def in_spec(self, obs: float | np.ndarray) -> bool | np.ndarray:
+        """Whether ``obs`` passes the rule; elementwise for an array.
+
+        The same operators serve both cases (``abs`` of an ndarray is
+        ``np.abs``), so a check and the ground-truth tracking over a
+        drift path apply one predicate.
+        """
         if self.op == GE:
             return obs >= self.bound
         if self.op == LE:
             return obs <= self.bound
         return abs(obs - self.center) <= self.bound
+
+
+# every field of ObservableSpec that holds a tuple of terms
+_TERM_FIELDS = ("terms", "detuning_terms", "time_terms", "phase_terms", "background_terms")
 
 
 @dataclass(frozen=True)
@@ -139,13 +150,11 @@ class ObservableSpec:
             raise ValueError(f"omega must be > 0, got {self.omega}")
 
     def all_terms(self) -> tuple[Term, ...]:
-        return (
-            self.terms
-            + self.detuning_terms
-            + self.time_terms
-            + self.phase_terms
-            + self.background_terms
-        )
+        return tuple(t for name in _TERM_FIELDS for t in getattr(self, name))
+
+    def map_terms(self, fn) -> ObservableSpec:
+        """Copy with each term tuple ``terms`` replaced by ``fn(terms)``."""
+        return replace(self, **{name: fn(getattr(self, name)) for name in _TERM_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -182,6 +191,12 @@ class NodeSpec:
     @property
     def param_map(self) -> dict[str, ParamSpec]:
         return dict(self.params)
+
+    def map_terms(self, fn) -> NodeSpec:
+        """Copy with ``ObservableSpec.map_terms(fn)`` applied to every check."""
+        return replace(
+            self, checks=tuple(replace(c, observable=c.observable.map_terms(fn)) for c in self.checks)
+        )
 
 
 @dataclass(frozen=True)
@@ -299,24 +314,9 @@ def topological_order(graph: GraphSpec) -> list[str]:
 
 def _remap_terms(node: NodeSpec, mapping: dict[str, str]) -> NodeSpec:
     def fix(terms: tuple[Term, ...]) -> tuple[Term, ...]:
-        return tuple(
-            replace(t, node=mapping.get(t.node, t.node)) if t.node in mapping else t
-            for t in terms
-        )
+        return tuple(replace(t, node=mapping[t.node]) if t.node in mapping else t for t in terms)
 
-    new_checks = []
-    for check in node.checks:
-        obs = check.observable
-        new_obs = replace(
-            obs,
-            terms=fix(obs.terms),
-            detuning_terms=fix(obs.detuning_terms),
-            time_terms=fix(obs.time_terms),
-            phase_terms=fix(obs.phase_terms),
-            background_terms=fix(obs.background_terms),
-        )
-        new_checks.append(CheckSpec(observable=new_obs, rule=check.rule))
-    return replace(node, checks=tuple(new_checks))
+    return node.map_terms(fix)
 
 
 def merge_nodes(graph: GraphSpec, a_id: str, b_id: str, merged: NodeSpec) -> GraphSpec:
@@ -330,11 +330,9 @@ def merge_nodes(graph: GraphSpec, a_id: str, b_id: str, merged: NodeSpec) -> Gra
     """
     if a_id == b_id:
         raise ValueError("cannot merge a node with itself")
-    graph.node(a_id)
-    graph.node(b_id)
+    a, b = graph.node(a_id), graph.node(b_id)
     if merged.id in {n.id for n in graph.nodes} - {a_id, b_id}:
         raise DuplicateIdError(f"merged id {merged.id!r} collides with an existing node")
-    a, b = graph.node(a_id), graph.node(b_id)
     mapping = {a_id: merged.id, b_id: merged.id}
 
     union_deps = sorted({*a.dependencies, *b.dependencies} - {a_id, b_id})
@@ -476,15 +474,11 @@ def _observable_from_dict(raw: dict) -> ObservableSpec:
     return ObservableSpec(
         kind=kind,
         offset=float(raw.get("offset", 0.0)),
-        terms=terms("terms"),
         noise=float(raw.get("noise", 0.0)),
         compensate=raw.get("compensate"),
         omega=float(raw.get("omega", math.pi)),
         t_nominal=raw.get("t_nominal"),
-        detuning_terms=terms("detuning_terms"),
-        time_terms=terms("time_terms"),
-        phase_terms=terms("phase_terms"),
-        background_terms=terms("background_terms"),
+        **{name: terms(name) for name in _TERM_FIELDS},
     )
 
 
@@ -615,12 +609,3 @@ def graph_hash(graph: GraphSpec) -> str:
     """Content hash of the canonical serialisation, for trace headers."""
     canon = json.dumps(graph_to_dict(graph), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def builtin_config_path(name: str) -> Path:
-    """Path of a packaged graph config (name without extension)."""
-    p = Path(__file__).parent / "configs" / f"{name}.yaml"
-    if not p.exists():
-        available = sorted(q.stem for q in p.parent.glob("*.yaml"))
-        raise FileNotFoundError(f"no builtin config {name!r}; available: {available}")
-    return p

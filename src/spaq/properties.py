@@ -13,6 +13,9 @@ Grammar::
     params    := ("F=" float)? "C=" float
     cmp       := ">" | "<"
 
+``F`` must lie in (0, 1) and ``C`` in (0.5, 1); a value outside its
+range raises PropertyRangeError at parse time.
+
 In ``ci`` mode the comparator and number are omitted (the bound is what
 gets computed). A body of the form ``metric cmp number -> metric cmp
 number`` (run-level implication) parses into an AST but its evaluation
@@ -67,30 +70,30 @@ ArgValue = str | float | int
 Args = tuple[tuple[str, ArgValue], ...]
 
 
+class _ArgLookup:
+    """Keyword-argument lookup shared by metric and event references."""
+
+    args: Args
+
+    def arg(self, key: str, default: ArgValue | None = None) -> ArgValue | None:
+        for k, v in self.args:
+            if k == key:
+                return v
+        return default
+
+
 @dataclass(frozen=True)
-class MetricRef:
+class MetricRef(_ArgLookup):
     name: str
     node: str
     args: Args = ()
 
-    def arg(self, key: str, default: ArgValue | None = None) -> ArgValue | None:
-        for k, v in self.args:
-            if k == key:
-                return v
-        return default
-
 
 @dataclass(frozen=True)
-class EventPattern:
+class EventPattern(_ArgLookup):
     kind: str
     node: str
     args: Args = ()
-
-    def arg(self, key: str, default: ArgValue | None = None) -> ArgValue | None:
-        for k, v in self.args:
-            if k == key:
-                return v
-        return default
 
 
 @dataclass(frozen=True)
@@ -327,8 +330,8 @@ class _Parser:
             key = self.expect_ident("C")
         self.expect_punct("=")
         C = self.expect_number()
-        if not 0.0 < C < 1.0:
-            raise PropertyRangeError(f"C must be in (0, 1), got {C}")
+        if not 0.5 < C < 1.0:
+            raise PropertyRangeError(f"C must be in (0.5, 1), got {C}")
         return F, C
 
 

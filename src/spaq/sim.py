@@ -20,6 +20,13 @@ between scheduling modes are then paired comparisons, not resampling
 noise. Checks measure the state at the cycle they start; their cost is
 paid afterwards.
 
+One formula and one predicate serve a single reading and a whole drift
+path: an observable is its term deviations fed to
+:func:`spaq.drift.transfer_probability` (or summed, for linear kinds),
+and ``Rule.in_spec`` decides pass or fail elementwise. Ground-truth
+tracking over k advanced cycles therefore applies exactly what a check
+applies at one cycle.
+
 The run loop jumps the clock directly between maintenance due times in
 one batch per idle stretch; ``run_stepwise`` executes literal one-cycle
 steps and produces the identical trace (asserted in tests), so the
@@ -29,12 +36,11 @@ batching is an optimization, not a semantic choice.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import DriftState, LogisticDriftCfg, logistic_drift_path, exponential_decay_value
+from .drift import DriftState, LogisticDriftCfg, exponential_decay_value, logistic_drift_path, transfer_probability
 from .errors import SchemaError, UnknownNodeError
 from .graph import (
     GATE,
@@ -108,14 +114,6 @@ def _substream(seed: int, *labels: str) -> np.random.Generator:
     digest = hashlib.sha256("/".join(labels).encode()).digest()
     words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _U64, *words])))
-
-
-def _rule_ok(rule, obs):
-    if rule.op == "ge":
-        return obs >= rule.bound
-    if rule.op == "le":
-        return obs <= rule.bound
-    return np.abs(obs - rule.center) <= rule.bound
 
 
 class Simulator:
@@ -236,15 +234,13 @@ class Simulator:
         external = dist(nid)
         if o.kind == LINEAR:
             return o.offset + self._term_sum(nid, o.terms, get) + external
-        det = self._term_sum(nid, o.detuning_terms, get)
-        terr = self._term_sum(nid, o.time_terms, get)
-        t_nom = o.t_nominal if o.t_nominal is not None else math.pi / o.omega
-        w2 = o.omega * o.omega
-        g2 = w2 + det * det
-        p = (w2 / g2) * np.sin(np.sqrt(g2) * (t_nom + terr) / 2.0) ** 2
-        p = np.clip(p, 0.0, 1.0)
-        if o.kind == GATE:
-            p = p * np.cos(self._term_sum(nid, o.phase_terms, get) / 2.0) ** 2
+        p = transfer_probability(
+            o.omega,
+            o.t_nominal,
+            self._term_sum(nid, o.detuning_terms, get),
+            self._term_sum(nid, o.time_terms, get),
+            self._term_sum(nid, o.phase_terms, get) if o.kind == GATE else None,
+        )
         return p - self._term_sum(nid, o.background_terms, get) + external
 
     def _ground_truth_in_spec(self, nid: str) -> bool:
@@ -304,7 +300,7 @@ class Simulator:
                 )
                 if i == 0:
                     first_obs = obs
-                ok &= _rule_ok(check.rule, obs)
+                ok &= check.rule.in_spec(obs)
             prev = np.concatenate(([self._in_spec[n.id]], ok[:-1]))
             if self.cfg.oracle_ttf:
                 for j in np.flatnonzero(~ok & prev):
@@ -440,23 +436,21 @@ class Simulator:
 
     # --- public stepping API ---
 
-    def maintain(self, node_id: str) -> str:
-        """One demand-triggered maintenance episode rooted at ``node_id``."""
+    def _episode(self, work, node_id: str):
         self._node(node_id)
         self._ep_pending = True
         try:
-            return self._maintain(node_id, set())
+            return work(node_id, set())
         finally:
             self._ep_pending = False
 
+    def maintain(self, node_id: str) -> str:
+        """One demand-triggered maintenance episode rooted at ``node_id``."""
+        return self._episode(self._maintain, node_id)
+
     def diagnose(self, node_id: str) -> list[str]:
         """Dependency diagnosis alone; returns ids in calibration order."""
-        self._node(node_id)
-        self._ep_pending = True
-        try:
-            return self._diagnose(node_id, set())
-        finally:
-            self._ep_pending = False
+        return self._episode(self._diagnose, node_id)
 
     def initial_calibration(self) -> None:
         """Calibrate every node once, dependencies first (episode 0)."""

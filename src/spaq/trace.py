@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,9 +112,6 @@ class Run:
     meta: RunMeta
     events: tuple[TraceEvent, ...]
 
-    def node_events(self, node: str, op: str | None = None) -> list[TraceEvent]:
-        return [e for e in self.events if e.node == node and (op is None or e.op == op)]
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -124,11 +122,7 @@ class Dataset:
         return tuple(r.meta.run_id for r in self.runs)
 
     def nodes(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for r in self.runs:
-            for e in r.events:
-                seen.setdefault(e.node, None)
-        return tuple(sorted(seen))
+        return tuple(sorted({e.node for r in self.runs for e in r.events}))
 
 
 def _event_to_line(e: TraceEvent) -> str:
@@ -143,21 +137,52 @@ def _event_to_line(e: TraceEvent) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _event_from_obj(obj: dict, run_id: str) -> TraceEvent:
+# the exact JSON types of every field a trace may carry; converting
+# instead would accept true as 1 and truncate 1.7 to 1
+_HEADER_TYPES = {
+    "schema": (str,), "run_id": (str,), "seed": (int,), "graph_hash": (str,), "mode": (str,),
+    "total_cycles": (int,),
+}
+_EVENT_TYPES = {
+    "t": (int,), "node": (str,), "op": (str,), "outcome": (str,), "dur": (int,), "ep": (int,),
+    "value": (int, float), "before": (dict,), "after": (dict,),
+}
+
+
+def _check_fields(obj, types: dict, what: str) -> None:
+    if type(obj) is not dict or not obj.keys() <= types.keys():
+        raise SchemaError(f"malformed {what}: {obj!r}")
+    for key, value in obj.items():
+        if type(value) not in types[key]:
+            raise SchemaError(f"malformed {what}: {key!r} cannot be {value!r}")
+
+
+def _number(raw) -> float:
+    """A finite JSON number as a float; raises TypeError/ValueError/OverflowError."""
+    if type(raw) is not float and type(raw) is not int:
+        raise TypeError(f"expected a number, got {raw!r}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _event_from_obj(obj, run_id: str) -> TraceEvent:
+    _check_fields(obj, _EVENT_TYPES, "event line")
     try:
         ev = TraceEvent(
             run_id=run_id,
-            time=int(obj["t"]),
-            node=str(obj["node"]),
-            op=str(obj["op"]),
-            outcome=str(obj["outcome"]),
-            duration=int(obj.get("dur", 0)),
-            ep=int(obj.get("ep", 0)),
-            value=obj.get("value"),
-            params_before=tuple(sorted(obj["before"].items())) if "before" in obj else None,
-            params_after=tuple(sorted(obj["after"].items())) if "after" in obj else None,
+            time=obj["t"],
+            node=obj["node"],
+            op=obj["op"],
+            outcome=obj["outcome"],
+            duration=obj.get("dur", 0),
+            ep=obj.get("ep", 0),
+            value=_number(obj["value"]) if "value" in obj else None,
+            params_before=tuple((k, _number(v)) for k, v in obj["before"].items()) if "before" in obj else None,
+            params_after=tuple((k, _number(v)) for k, v in obj["after"].items()) if "after" in obj else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed event line: {obj!r}") from exc
     ev.validate()
     return ev
@@ -202,6 +227,13 @@ class TraceWriter:
 
 def read_trace(path: str | Path) -> Run:
     """Parse and validate one run. Raises SchemaError / ClockError."""
+    try:
+        return _read_trace(path)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def _read_trace(path: str | Path) -> Run:
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line.strip():
@@ -210,13 +242,14 @@ def read_trace(path: str | Path) -> Run:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: malformed header: {exc}") from exc
+        _check_fields(header, _HEADER_TYPES, f"{path}: header")
         meta = RunMeta(
-            run_id=str(header.get("run_id", "")),
-            seed=int(header.get("seed", 0)),
-            graph_hash=str(header.get("graph_hash", "")),
-            mode=str(header.get("mode", "baseline")),
-            total_cycles=int(header.get("total_cycles", 0)),
-            schema=str(header.get("schema", "")),
+            run_id=header.get("run_id", ""),
+            seed=header.get("seed", 0),
+            graph_hash=header.get("graph_hash", ""),
+            mode=header.get("mode", "baseline"),
+            total_cycles=header.get("total_cycles", 0),
+            schema=header.get("schema", ""),
         )
         meta.validate()
         events: list[TraceEvent] = []

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spaq.cli import CliInvocation, main
+from spaq.cli import main
 from spaq.trace import read_trace
 
 
@@ -49,9 +49,10 @@ def exp2_dir(tmp_path_factory):
 
 
 class TestInvocation:
-    def test_subcommand_validated(self):
-        with pytest.raises(ValueError):
-            CliInvocation(subcommand="frobnicate")
+    def test_subcommand_validated(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["frobnicate"])
+        assert err.value.code == 2
 
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit) as err:

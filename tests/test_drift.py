@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from spaq.drift import (
     DriftState,
     ExponentialDriftCfg,
-    GateCfg,
     LogisticDriftCfg,
     drift_cfg_from_dict,
     drift_cfg_to_dict,
@@ -16,8 +15,7 @@ from spaq.drift import (
     logistic_drift_path,
     logistic_drift_step,
     logistic_rate,
-    rabi_transition_probability,
-    x_gate_fidelity,
+    transfer_probability,
 )
 
 
@@ -98,7 +96,7 @@ class TestExponential:
 class TestRabi:
     def test_resonant_pi_pulse(self):
         omega = 2.0
-        assert rabi_transition_probability(omega, 0.0, math.pi / omega) == pytest.approx(1.0)
+        assert transfer_probability(omega, math.pi / omega, 0.0, 0.0) == pytest.approx(1.0)
 
     @given(
         st.floats(0.1, 10.0),
@@ -107,33 +105,38 @@ class TestRabi:
     )
     @settings(max_examples=200, deadline=None)
     def test_bounded(self, omega, detuning, t):
-        p = rabi_transition_probability(omega, detuning, t)
+        p = transfer_probability(omega, t, detuning, 0.0)
         assert 0.0 <= p <= 1.0
 
     def test_detuning_reduces_peak(self):
         omega = 1.0
-        on = rabi_transition_probability(omega, 0.0, math.pi)
-        off = rabi_transition_probability(omega, 0.5, math.pi)
+        on = transfer_probability(omega, math.pi, 0.0, 0.0)
+        off = transfer_probability(omega, math.pi, 0.5, 0.0)
         assert off < on
+
+    def test_arrays_match_elementwise_scalars(self):
+        rng = np.random.default_rng(3)
+        det, terr, phase = rng.normal(0.0, 0.3, size=(3, 50))
+        for phase_err in (None, phase):
+            vec = transfer_probability(1.7, None, det, terr, phase_err)
+            for j in range(50):
+                one = transfer_probability(1.7, None, det[j], terr[j], None if phase_err is None else phase[j])
+                assert vec[j] == pytest.approx(one, rel=1e-12, abs=1e-15)
 
 
 class TestGateFidelity:
     def test_perfect_gate(self):
-        cfg = GateCfg(omega=1.5)
-        assert x_gate_fidelity(0.0, 0.0, 0.0, cfg) == pytest.approx(1.0)
+        assert transfer_probability(1.5, None, 0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_default_t_nominal_is_pi_pulse(self):
-        cfg = GateCfg(omega=2.5)
-        assert cfg.t_nominal == pytest.approx(math.pi / 2.5)
+        assert transfer_probability(2.5, None, 0.3, 0.1) == transfer_probability(2.5, math.pi / 2.5, 0.3, 0.1)
 
     @pytest.mark.parametrize("phase", [0.1, 0.5, 1.0])
     def test_phase_error_decreases_fidelity(self, phase):
-        cfg = GateCfg(omega=1.0)
-        assert x_gate_fidelity(phase, 0.0, 0.0, cfg) == pytest.approx(math.cos(phase / 2) ** 2)
+        assert transfer_probability(1.0, None, 0.0, 0.0, phase) == pytest.approx(math.cos(phase / 2) ** 2)
 
     def test_time_error_decreases_fidelity(self):
-        cfg = GateCfg(omega=1.0)
-        assert x_gate_fidelity(0.0, 0.0, 0.5, cfg) < 1.0
+        assert transfer_probability(1.0, None, 0.0, 0.5, 0.0) < 1.0
 
 
 class TestCfgSerialisation:

@@ -52,6 +52,15 @@ def small_pair_ds():
     return graph, run_batch(graph, 2_000, range(4), run_prefix="t")
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("cls", [Exp1Config, Exp2Config, Exp3Config])
+    @pytest.mark.parametrize("confidence", [0.3, 0.5, 1.0])
+    def test_confidence_outside_range_rejected(self, cls, confidence):
+        # C <= 0.5 cannot be tested: the statistics need C in (0.5, 1)
+        with pytest.raises(ValueError, match="confidence"):
+            cls(confidence=confidence)
+
+
 class TestRunBatch:
     def test_run_ids_and_seeds(self):
         g = make_graph(make_node("a", sigma=0.0, timeout=50))
@@ -76,21 +85,21 @@ class TestRunBatch:
 class TestDelayRecommendation:
     def test_delay_matches_direct_bound(self, small_pair_ds):
         graph, ds = small_pair_ds
-        details = {d.node: d for d in recommend_delay_details(ds, 0.95)}
+        details = {d.target: d for d in recommend_delay_details(ds, 0.95)}
         samples = extract_metric(
             ds, MetricRef(name="ttf", node="A", args=(("anchor", "calibration"),))
         )
         direct = quantile_confidence_bound(list(samples.values), 0.05, 0.95, side=LOWER)
         if direct.verdict is None:
-            assert details["A"].delay == int(direct.bound)
+            assert details["A"].payload == {"delay": int(direct.bound)}
         else:
-            assert details["A"].delay == 0
+            assert details["A"].payload == {"delay": 0}
 
     def test_insufficient_data_gives_zero_delay(self):
         g = make_graph(make_node("a", sigma=0.0, timeout=30))  # never fails
         ds = run_batch(g, 400, range(2))
         details = recommend_delay_details(ds, 0.95)
-        assert [d.delay for d in details] == [0]
+        assert [(d.kind, d.target, d.payload) for d in details] == [("delay", "a", {"delay": 0})]
         assert details[0].result.verdict == INSUFFICIENT_DATA
         assert recommend_delays(ds, 0.95) == {"a": 0}
 

@@ -135,6 +135,8 @@ class TestParseErrors:
         [
             "test ttf(a) > 1 @ F=1.5 C=0.9",
             "test ttf(a) > 1 @ C=1.0",
+            "test ttf(a) > 1 @ C=0.3",
+            "test ttf(a) > 1 @ C=0.5",
             "test prob[fail(a) -> fail(b) within 0] > 0.2 @ C=0.9",
             "test prob[fail(a) -> fail(b) within 5] > 1.2 @ C=0.9",
             "test prob[shift(a, param=p, by=0) -> fail(b) within 5] > 0.2 @ C=0.9",

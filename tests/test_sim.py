@@ -407,18 +407,22 @@ class TestDeterminism:
 
     def test_fuzzed_graphs_hold_all_invariants(self, tmp_path):
         rng = random.Random(20260814)
+        # ground-truth tracking evaluates the observables over whole drift
+        # paths, so stepwise == batched must hold with it on as well
+        tracking = ({}, {"oracle_ttf": True}, {"drift_sample_every": 7})
         for i in range(25):
             graph = random_graph(rng)
-            cfg = SimConfig(total_cycles=400, seed=1000 + i)
-            run1 = run_simulation(graph, cfg)
-            run2 = run_simulation(graph, cfg)
-            assert run1 == run2
-            stepwise = Simulator(graph, cfg).run_stepwise()
-            assert stepwise == run1
-            check_all(run1, graph)
-            rep = availability(run1, graph=graph)
-            assert 0.0 <= rep.availability <= 1.0
-            assert set(rep.per_node_cost) == set(graph.node_ids)
+            for extra in tracking:
+                cfg = SimConfig(total_cycles=400, seed=1000 + i, **extra)
+                run1 = run_simulation(graph, cfg)
+                run2 = run_simulation(graph, cfg)
+                assert run1 == run2
+                stepwise = Simulator(graph, cfg).run_stepwise()
+                assert stepwise == run1
+                check_all(run1, graph)
+                rep = availability(run1, graph=graph)
+                assert 0.0 <= rep.availability <= 1.0
+                assert set(rep.per_node_cost) == set(graph.node_ids)
 
 
 class TestAvailability:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spaq.errors import ClockError, SchemaError
 from spaq.trace import (
@@ -144,6 +146,126 @@ class TestFileRoundTrip:
         p = tmp_path / "empty.trace"
         write_trace(p, run)
         assert read_trace(p) == run
+
+
+HEADER = '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","mode":"baseline","total_cycles":5}'
+
+
+class TestStrictReader:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":1.7,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0}',
+            '{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":true,"ep":0}',
+            '{"t":1,"node":7,"op":"check_data","outcome":"pass","dur":1,"ep":0}',
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":"oops"}',
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":NaN}',
+            '{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0,"color":"red"}',
+            '{"t":1,"node":"a","op":"calibrate","outcome":"success","dur":1,"ep":0,'
+            '"before":{"p":true},"after":{"p":0.0}}',
+            '[1, 2]',
+        ],
+    )
+    def test_rejects_loose_event_fields(self, tmp_path, line):
+        p = tmp_path / "bad"
+        p.write_text(HEADER + "\n" + line + "\n")
+        with pytest.raises(SchemaError):
+            read_trace(p)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":"x","graph_hash":"h"}',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","total_cycles":2.5}',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","owner":"me"}',
+            '["spaq-trace-1"]',
+        ],
+    )
+    def test_rejects_bad_header_fields(self, tmp_path, header):
+        p = tmp_path / "bad"
+        p.write_text(header + "\n")
+        with pytest.raises(SchemaError):
+            read_trace(p)
+
+    def test_rejects_invalid_utf8(self, tmp_path):
+        p = tmp_path / "bad"
+        p.write_bytes(HEADER.encode() + b'\n{"t":1,"node":"\xff","op":"check_data","outcome":"pass"}\n')
+        with pytest.raises(SchemaError):
+            read_trace(p)
+
+
+# valid documents, loose ones and corrupted ones, so that the fuzz both
+# round-trips real events and reaches every field check
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2**70), st.floats(), st.text(max_size=3)
+)
+_NUM = st.floats(-1, 1)
+_PARAMS = st.dictionaries(st.sampled_from(["p", "q"]), _NUM, min_size=1, max_size=2)
+_BASE = {"t": st.integers(0, 20), "node": st.sampled_from(["a", "b"]), "dur": st.integers(0, 3), "ep": st.integers(0, 3)}
+_VALID_EVENT = st.one_of(
+    st.fixed_dictionaries({**_BASE, "op": st.just(CHECK_DATA), "outcome": st.sampled_from([PASS, FAIL])}),
+    st.fixed_dictionaries({**_BASE, "op": st.just(DRIFT_SAMPLE), "outcome": st.just(PASS), "value": _NUM}),
+    st.fixed_dictionaries(
+        {**_BASE, "op": st.just(CALIBRATE), "outcome": st.just(SUCCESS), "before": _PARAMS, "after": _PARAMS}
+    ),
+)
+_LOOSE_EVENT = st.fixed_dictionaries(
+    {
+        "t": st.one_of(st.integers(0, 20), _SCALARS),
+        "node": st.one_of(st.sampled_from(["a", "b"]), _SCALARS),
+        "op": st.one_of(st.sampled_from([CHECK_DATA, CALIBRATE, DRIFT_SAMPLE, ORACLE_OUT_OF_SPEC]), _SCALARS),
+        "outcome": st.one_of(st.sampled_from([PASS, FAIL, SUCCESS]), _SCALARS),
+    },
+    optional={
+        "dur": st.one_of(st.integers(0, 3), _SCALARS),
+        "ep": st.one_of(st.integers(0, 3), _SCALARS),
+        "value": st.one_of(_NUM, _SCALARS),
+        "before": st.dictionaries(st.sampled_from(["p", "q"]), st.one_of(_NUM, _SCALARS), max_size=2),
+        "after": st.dictionaries(st.sampled_from(["p", "q"]), st.one_of(_NUM, _SCALARS), max_size=2),
+        "extra": _SCALARS,
+    },
+)
+_HEADER = st.fixed_dictionaries(
+    {"schema": st.just("spaq-trace-1"), "run_id": st.sampled_from(["r0", ""])},
+    optional={
+        "seed": st.one_of(st.integers(-5, 2**70), _SCALARS),
+        "graph_hash": st.one_of(st.just("h"), _SCALARS),
+        "mode": st.one_of(st.just("baseline"), _SCALARS),
+        "total_cycles": st.one_of(st.integers(-1, 30), _SCALARS),
+    },
+)
+_DOCUMENT = st.builds(
+    lambda header, events: "\n".join(json.dumps(o) for o in [header, *events]).encode() + b"\n",
+    st.one_of(st.just(json.loads(HEADER)), _HEADER),
+    st.one_of(
+        st.lists(_VALID_EVENT, max_size=6).map(lambda evs: sorted(evs, key=lambda o: o["t"])),
+        st.lists(st.one_of(_VALID_EVENT, _LOOSE_EVENT), max_size=5),
+    ),
+)
+_CORRUPTED = st.builds(
+    lambda doc, at, junk: doc[: at % (len(doc) + 1)] + junk + doc[at % (len(doc) + 1):],
+    _DOCUMENT,
+    st.integers(0, 10_000),
+    st.binary(min_size=1, max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(raw=st.one_of(_DOCUMENT, _CORRUPTED, st.binary(max_size=64)))
+@settings(max_examples=400, deadline=None)
+def test_any_bytes_round_trip_or_raise_typed_error(fuzz_dir, raw):
+    src, out = fuzz_dir / "in.jsonl", fuzz_dir / "out.jsonl"
+    src.write_bytes(raw)
+    try:
+        run = read_trace(src)
+    except (SchemaError, ClockError):
+        return
+    write_trace(out, run)
+    assert read_trace(out) == run
 
 
 class TestMergeRuns:
