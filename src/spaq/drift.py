@@ -120,26 +120,32 @@ def logistic_drift_step(value: float, cycles_since_cal: int, cfg: LogisticDriftC
     return value + z * cfg.sigma * rate
 
 
-def logistic_drift_path(value: float, cycles_since_cal: int, cfg: LogisticDriftCfg, zs: np.ndarray) -> np.ndarray:
+def logistic_drift_path(value, cycles_since_cal, cfg: LogisticDriftCfg, zs: np.ndarray) -> np.ndarray:
     """Values after each of ``len(zs)`` consecutive cycles, vectorised.
 
     Equivalent to iterating :func:`logistic_drift_step` over ``zs``.
+    ``zs`` holds one row per cycle. With ``zs`` of shape (k, n), the
+    other arguments (and the fields of ``cfg``) may be length-n arrays:
+    column i is then an independent walk with its own start and drift
+    parameters, computed by the same elementwise operations.
     """
-    n = len(zs)
-    if n == 0:
-        return np.empty(0, dtype=float)
-    taus = cycles_since_cal + np.arange(n, dtype=float)
-    increments = zs * cfg.sigma * logistic_rate(taus, cfg)
+    if len(zs) == 0:
+        return np.empty(np.shape(zs), dtype=float)
+    steps = np.arange(len(zs), dtype=float).reshape((-1,) + (1,) * (np.ndim(zs) - 1))
+    increments = zs * cfg.sigma * logistic_rate(cycles_since_cal + steps, cfg)
     # accumulate from the starting value so results are bit-identical to
     # the per-step recurrence regardless of how cycles are chunked
-    return np.cumsum(np.concatenate(([value], increments)))[1:]
+    increments[0] += value
+    return np.cumsum(increments, axis=0)
 
 
 def exponential_decay_value(cycles_since_cal, cfg: ExponentialDriftCfg, v0: float | None = None):
     """Value after ``cycles_since_cal`` cycles of relaxation. Accepts arrays.
 
     ``v0`` overrides the configured anchor value; the simulator passes
-    the value the parameter actually had at its last calibration.
+    the value the parameter actually had at its last calibration. The
+    value at each tau depends on tau alone, so the fields of ``cfg`` and
+    ``v0`` may also be arrays that broadcast against ``cycles_since_cal``.
     """
     anchor = cfg.v0 if v0 is None else v0
     tau = np.asarray(cycles_since_cal, dtype=float)
@@ -169,16 +175,44 @@ def transfer_probability(omega: float, t_nominal: float | None, detuning, time_e
 
 @dataclass
 class DriftState:
-    """Live state of one drifting parameter.
+    """State of one drifting parameter or disturbance, as of cycle ``at``.
 
     ``anchor`` is the value at the last calibration (tau = 0); the
     exponential model relaxes from it, the logistic model random-walks
-    from ``value``.
+    from ``value``. ``cycles_since_cal`` is tau at cycle ``at``. ``cfg``
+    is the drift model and ``rng`` the stream of per-cycle normals that
+    a logistic walk draws from.
+
+    The state is brought forward lazily: the simulator's clock may run
+    ahead of ``at``, and :meth:`catch_up` applies the elapsed cycles in
+    one :func:`logistic_drift_path` or :func:`exponential_decay_value`
+    call when someone reads the value. Neither call depends on how the
+    elapsed cycles are split: the random walk draws one normal per
+    cycle from its own stream and accumulates from the current value,
+    and the relaxation depends on tau alone. So a value read at cycle t
+    is the same bits whatever was read before, and two runs with one
+    seed see identical drift however differently they schedule reads.
     """
 
     value: float
     cycles_since_cal: int = 0
     anchor: float = 0.0
+    at: int = 0
+    cfg: DriftCfg | None = None
+    rng: np.random.Generator | None = None
+
+    def catch_up(self, t: int) -> None:
+        """Apply the cycles from ``at`` to ``t`` in one drift call."""
+        k = t - self.at
+        if k == 0:
+            return
+        if isinstance(self.cfg, LogisticDriftCfg):
+            zs = self.rng.standard_normal(k)
+            self.value = float(logistic_drift_path(self.value, self.cycles_since_cal, self.cfg, zs)[-1])
+        else:
+            self.value = exponential_decay_value(self.cycles_since_cal + k, self.cfg, v0=self.anchor)
+        self.cycles_since_cal += k
+        self.at = t
 
     def reset(self, value: float) -> None:
         self.value = value

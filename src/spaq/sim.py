@@ -1,6 +1,6 @@
 """Discrete-time maintenance scheduling over a calibration DAG.
 
-One run owns a single global clock. Parameters drift every cycle,
+One run owns a single global clock. Parameters drift with every cycle,
 including while checks and calibrations execute; operation costs advance
 the clock. Maintenance is demand-driven: each cycle, every sink node is
 asked to maintain itself, which first recursively maintains its
@@ -13,19 +13,29 @@ re-verification.
 Scheduling decisions never read ground-truth parameter values; they see
 only check outcomes (which carry measurement noise) and timestamps.
 
-Randomness is split into named substreams keyed by (purpose, node,
-parameter), so two runs with the same seed but different scheduling
-consume identical drift streams cycle for cycle: availability deltas
-between scheduling modes are then paired comparisons, not resampling
-noise. Checks measure the state at the cycle they start; their cost is
-paid afterwards.
+Drift is applied lazily. Advancing the clock moves only the clock; each
+parameter and disturbance remembers the cycle its value was last brought
+up to and catches up, in one drift-path call over all the elapsed
+cycles, when a check, a calibration or the ground truth reads it. A
+value read at cycle t does not depend on when it was read before (see
+``DriftState``), so the cost of a run follows its reads rather than its
+advances times its parameters.
 
-One formula and one predicate serve a single reading and a whole drift
-path: an observable is its term deviations fed to
-:func:`spaq.drift.transfer_probability` (or summed, for linear kinds),
-and ``Rule.in_spec`` decides pass or fail elementwise. Ground-truth
-tracking over k advanced cycles therefore applies exactly what a check
-applies at one cycle.
+Randomness is split into named substreams keyed by (purpose, node,
+parameter), and every drift substream draws exactly one normal per
+elapsed cycle whatever the read schedule, so two runs with the same seed
+but different scheduling see identical drift cycle for cycle:
+availability deltas between scheduling modes are then paired
+comparisons, not resampling noise. Checks measure the state at the cycle
+they start; their cost is paid afterwards.
+
+Ground-truth tracking (``oracle_ttf``, ``drift_sample_every``) needs
+every cycle of every path, so it stays eager: each advance catches all
+states up at once, stacked one column per state, and evaluates all
+checks on the stacked paths. One composition (``_observable``), one
+formula (:func:`spaq.drift.transfer_probability`) and one predicate
+(``Rule.in_spec``) serve a single reading and the stacked paths, so
+tracking applies exactly what a check applies at one cycle.
 
 The run loop jumps the clock directly between maintenance due times in
 one batch per idle stretch; ``run_stepwise`` executes literal one-cycle
@@ -36,7 +46,9 @@ batching is an optimization, not a semantic choice.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +60,7 @@ from .graph import (
     CheckSpec,
     GraphSpec,
     NodeSpec,
+    Rule,
     graph_hash,
     topological_order,
     validate_graph,
@@ -116,6 +129,26 @@ def _substream(seed: int, *labels: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _U64, *words])))
 
 
+def _observable(o, term_sum, external):
+    """Noiseless value of observable ``o`` from its term sums.
+
+    ``term_sum(name)`` is the weighted deviation sum over the term field
+    ``name`` of ``o``; ``external`` is the disturbance contribution. The
+    same code serves one reading (floats) and the stacked drift paths of
+    ground-truth tracking, where ``o``'s fields are per-column arrays.
+    """
+    if o.kind == LINEAR:
+        return o.offset + term_sum("terms") + external
+    p = transfer_probability(
+        o.omega,
+        o.t_nominal,
+        term_sum("detuning_terms"),
+        term_sum("time_terms"),
+        term_sum("phase_terms") if o.kind == GATE else None,
+    )
+    return p - term_sum("background_terms") + external
+
+
 class Simulator:
     """Mutable state of one run; produces an in-memory event trace."""
 
@@ -130,7 +163,6 @@ class Simulator:
         self._ep = 0
         self._ep_pending = False
         self._initialized = False
-        self._tracking = cfg.oracle_ttf or cfg.drift_sample_every > 0
 
         self._nodes: dict[str, NodeSpec] = {n.id: n for n in graph.nodes}
         self._sinks = graph.sink_ids()
@@ -138,10 +170,12 @@ class Simulator:
         self._far_past = -(1 << 60)
         self._last_cal_end = {n.id: self._far_past for n in graph.nodes}
         self._cooldown = {n.id: self._far_past for n in graph.nodes}
+        self._due: dict[str, int] = {}
+        for nid in self._nodes:
+            self._update_due(nid)
 
         self._param_spec = {}
         self._params: dict[tuple[str, str], DriftState] = {}
-        self._drift_rng = {}
         self._cal_rng = {}
         self._meas_rng = {}
         seed = cfg.seed
@@ -151,19 +185,15 @@ class Simulator:
                 key = (n.id, pname)
                 tag = pspec.stream_tag or f"{n.id}/{pname}"
                 self._param_spec[key] = pspec
-                self._params[key] = DriftState(
-                    value=pspec.optimal, cycles_since_cal=0, anchor=pspec.optimal
-                )
-                if isinstance(pspec.drift, LogisticDriftCfg):
-                    self._drift_rng[key] = _substream(seed, "drift", tag)
+                rng = _substream(seed, "drift", tag) if isinstance(pspec.drift, LogisticDriftCfg) else None
+                self._params[key] = DriftState(value=pspec.optimal, anchor=pspec.optimal, cfg=pspec.drift, rng=rng)
                 self._cal_rng[key] = _substream(seed, "cal", tag)
 
         self._dist = [
-            (d, DriftState(value=0.0, cycles_since_cal=0, anchor=0.0), _substream(seed, "dist", d.tag))
-            for d in graph.disturbances
+            (d, DriftState(value=0.0, cfg=d.drift, rng=_substream(seed, "dist", d.tag))) for d in graph.disturbances
         ]
         self._affecting: dict[str, list[int]] = {n.id: [] for n in graph.nodes}
-        for i, (dspec, _, _) in enumerate(self._dist):
+        for i, (dspec, _) in enumerate(self._dist):
             for nid in dspec.affected:
                 self._affecting[nid].append(i)
 
@@ -176,6 +206,8 @@ class Simulator:
                     self._observers[term.node or n.id].add(n.id)
 
         self._in_spec = {n.id: self._ground_truth_in_spec(n.id) for n in graph.nodes}
+        tracking = cfg.oracle_ttf or cfg.drift_sample_every > 0
+        self._tracker = _Tracker(self) if tracking else None
 
     # --- plumbing ---
 
@@ -190,10 +222,11 @@ class Simulator:
             return self.cfg.hf_timeout
         return node.timeout
 
-    def _due(self, nid: str) -> int:
-        """First cycle at which check_state stops skipping the node."""
+    def _update_due(self, nid: str) -> None:
+        """Recompute the first cycle at which check_state stops skipping the
+        node; called whenever one of its three inputs changes."""
         node = self._nodes[nid]
-        return max(
+        self._due[nid] = max(
             self._last_verified[nid] + self._timeout(node),
             self._last_cal_end[nid] + node.post_cal_delay,
             self._cooldown[nid],
@@ -214,113 +247,54 @@ class Simulator:
 
     # --- observables ---
 
+    def _param(self, owner: str, pname: str) -> DriftState:
+        """A parameter's state, caught up to the current cycle."""
+        st = self._params[(owner, pname)]
+        st.catch_up(self.t)
+        return st
+
     def _get_now(self, owner: str, pname: str):
-        return self._params[(owner, pname)].value
+        return self._param(owner, pname).value
+
+    def _dist_value(self, i: int) -> float:
+        dspec, st = self._dist[i]
+        st.catch_up(self.t)
+        return dspec.strength * st.value
 
     def _dist_now(self, nid: str):
-        return sum(self._dist[i][0].strength * self._dist[i][1].value for i in self._affecting[nid])
+        return sum(self._dist_value(i) for i in self._affecting[nid])
 
-    def _term_sum(self, nid: str, terms, get):
+    def _term_sum(self, nid: str, terms):
         total = 0.0
         for tm in terms:
             owner = tm.node or nid
             spec = self._param_spec[(owner, tm.param)]
-            total = total + tm.weight * (get(owner, tm.param) - spec.optimal)
+            total = total + tm.weight * (self._get_now(owner, tm.param) - spec.optimal)
         return total
 
-    def _obs_value(self, nid: str, check: CheckSpec, get, dist):
-        """Noiseless observable; float or per-cycle array, matching ``get``."""
+    def _obs_value(self, nid: str, check: CheckSpec) -> float:
+        """Noiseless observable now."""
         o = check.observable
-        external = dist(nid)
-        if o.kind == LINEAR:
-            return o.offset + self._term_sum(nid, o.terms, get) + external
-        p = transfer_probability(
-            o.omega,
-            o.t_nominal,
-            self._term_sum(nid, o.detuning_terms, get),
-            self._term_sum(nid, o.time_terms, get),
-            self._term_sum(nid, o.phase_terms, get) if o.kind == GATE else None,
-        )
-        return p - self._term_sum(nid, o.background_terms, get) + external
+        return float(_observable(o, lambda name: self._term_sum(nid, getattr(o, name)), self._dist_now(nid)))
 
     def _ground_truth_in_spec(self, nid: str) -> bool:
-        node = self._nodes[nid]
-        return all(
-            c.rule.in_spec(float(self._obs_value(nid, c, self._get_now, self._dist_now)))
-            for c in node.checks
-        )
+        return all(c.rule.in_spec(self._obs_value(nid, c)) for c in self._nodes[nid].checks)
 
     # --- drift advancement ---
 
     def _advance(self, k: int) -> None:
+        """Move the clock k cycles. Drift catches up when it is read, except
+        under ground-truth tracking, which reads every cycle of every path."""
         if k <= 0:
             return
         t0 = self.t
-        paths: dict[tuple[str, str], np.ndarray] = {}
-        for key, st in self._params.items():
-            cfg = self._param_spec[key].drift
-            if isinstance(cfg, LogisticDriftCfg):
-                zs = self._drift_rng[key].standard_normal(k)
-                path = logistic_drift_path(st.value, st.cycles_since_cal, cfg, zs)
-            else:
-                taus = st.cycles_since_cal + np.arange(1, k + 1, dtype=float)
-                path = exponential_decay_value(taus, cfg, v0=st.anchor)
-            st.value = float(path[-1])
-            st.cycles_since_cal += k
-            if self._tracking:
-                paths[key] = path
-        dist_paths: list[np.ndarray] = []
-        for dspec, st, rng in self._dist:
-            zs = rng.standard_normal(k)
-            path = logistic_drift_path(st.value, st.cycles_since_cal, dspec.drift, zs)
-            st.value = float(path[-1])
-            st.cycles_since_cal += k
-            if self._tracking:
-                dist_paths.append(path)
         self.t = t0 + k
-        if self._tracking:
-            self._track(t0, k, paths, dist_paths)
-
-    def _track(self, t0: int, k: int, paths, dist_paths) -> None:
-        """Ground-truth bookkeeping over the k cycles just advanced.
-
-        ``paths[key][j]`` is the value at time t0 + j + 1.
-        """
-        get = lambda owner, pname: paths[(owner, pname)]
-        dist = lambda nid: sum(
-            (self._dist[i][0].strength * dist_paths[i] for i in self._affecting[nid]), 0.0
-        )
-        every = self.cfg.drift_sample_every
-        for n in self.graph.nodes:
-            ok = np.ones(k, dtype=bool)
-            first_obs = None
-            for i, check in enumerate(n.checks):
-                obs = np.broadcast_to(
-                    np.asarray(self._obs_value(n.id, check, get, dist), dtype=float), (k,)
-                )
-                if i == 0:
-                    first_obs = obs
-                ok &= check.rule.in_spec(obs)
-            prev = np.concatenate(([self._in_spec[n.id]], ok[:-1]))
-            if self.cfg.oracle_ttf:
-                for j in np.flatnonzero(~ok & prev):
-                    self._emit(t0 + int(j) + 1, n.id, ORACLE_OUT_OF_SPEC, FAIL)
-                for j in np.flatnonzero(ok & ~prev):
-                    self._emit(
-                        t0 + int(j) + 1, n.id, DRIFT_SAMPLE, PASS, value=float(first_obs[j])
-                    )
-            if every:
-                start = (t0 // every + 1) * every
-                for c in range(start, t0 + k + 1, every):
-                    j = c - t0 - 1
-                    self._emit(
-                        c, n.id, DRIFT_SAMPLE, PASS if ok[j] else FAIL, value=float(first_obs[j])
-                    )
-            self._in_spec[n.id] = bool(ok[-1])
+        if self._tracker is not None:
+            self._tracker.advance(t0, k)
 
     def _flag_recheck(self, nid: str) -> None:
         """Emit ground-truth transition markers caused by a calibration."""
-        if not self._tracking:
+        if self._tracker is None:
             return
         for m in sorted(self._observers[nid]):
             cur = self._ground_truth_in_spec(m)
@@ -330,7 +304,7 @@ class Simulator:
             if self.cfg.oracle_ttf:
                 if cur:
                     node = self._nodes[m]
-                    val = float(self._obs_value(m, node.checks[0], self._get_now, self._dist_now))
+                    val = self._obs_value(m, node.checks[0])
                     self._emit(self.t, m, DRIFT_SAMPLE, PASS, value=val)
                 else:
                     self._emit(self.t, m, ORACLE_OUT_OF_SPEC, FAIL)
@@ -342,7 +316,7 @@ class Simulator:
         start = self.t
         ok = True
         for check in node.checks:
-            obs = float(self._obs_value(nid, check, self._get_now, self._dist_now))
+            obs = self._obs_value(nid, check)
             if check.observable.noise > 0.0:
                 obs += float(self._meas_rng[nid].standard_normal()) * check.observable.noise
             if not check.rule.in_spec(obs):
@@ -351,12 +325,13 @@ class Simulator:
         self._advance(node.check_cost)
         if ok:
             self._last_verified[nid] = self.t
+            self._update_due(nid)
         return ok
 
     def _reset_params(self, nid: str) -> None:
         node = self._nodes[nid]
         for pname, pspec in node.params:
-            st = self._params[(nid, pname)]
+            st = self._param(nid, pname)
             z = float(self._cal_rng[(nid, pname)].standard_normal())
             st.reset(pspec.optimal + z * pspec.effective_cal_noise)
         for check in node.checks:
@@ -386,11 +361,11 @@ class Simulator:
         node = self._nodes[nid]
         for _ in range(self.cfg.max_retries):
             start = self.t
-            before = {p: self._params[(nid, p)].value for p, _ in node.params}
+            before = {p: self._get_now(nid, p) for p, _ in node.params}
             self._advance(node.calibrate_cost)
             self._reset_params(nid)
             ok = self._ground_truth_in_spec(nid)
-            after = {p: self._params[(nid, p)].value for p, _ in node.params}
+            after = {p: self._get_now(nid, p) for p, _ in node.params}
             self._emit(
                 start, nid, CALIBRATE, SUCCESS if ok else FAILED,
                 dur=node.calibrate_cost, before=before, after=after,
@@ -399,9 +374,11 @@ class Simulator:
             if ok:
                 self._last_verified[nid] = self.t
                 self._last_cal_end[nid] = self.t
+                self._update_due(nid)
                 return True
         self.calibration_failures.append((self.t, nid))
         self._cooldown[nid] = self.t + self._timeout(node)
+        self._update_due(nid)
         return False
 
     def _maintain(self, nid: str, resolved: set[str]) -> str:
@@ -410,7 +387,7 @@ class Simulator:
         node = self._nodes[nid]
         for dep in sorted(node.dependencies):
             self._maintain(dep, resolved)
-        if self.t < self._due(nid):
+        if self.t < self._due[nid]:
             return SKIPPED
         if self._check_data(nid):
             resolved.add(nid)
@@ -473,8 +450,7 @@ class Simulator:
             # a demand pass at cycle s does work iff some node is due by s,
             # so jump straight to the first such cycle (strictly ahead:
             # a node turning due mid-pass waits for the next cycle)
-            dues = [self._due(nid) for nid in self._nodes]
-            target = max(self.t + 1, min(dues)) if dues else total
+            target = max(self.t + 1, min(self._due.values(), default=total))
             if target > total:
                 self._advance(total - self.t)
                 break
@@ -501,6 +477,181 @@ class Simulator:
             total_cycles=self.cfg.total_cycles,
         )
         return Run(meta=meta, events=tuple(events))
+
+
+def _columns(objs, names) -> SimpleNamespace:
+    """The named fields of ``objs`` as arrays with one entry per object."""
+    return SimpleNamespace(**{n: np.array([getattr(o, n) for o in objs], dtype=float) for n in names})
+
+
+def _slots(rows) -> list:
+    """Terms of several sums, regrouped by position.
+
+    ``rows[r]`` lists the (column, weight, optimal) terms of sum r;
+    ``optimal=None`` marks a disturbance, which enters undeviated. Slot j
+    holds the j-th term of every sum that has one, so that adding the
+    slots in order adds each sum's terms in its own order.
+    """
+    out = []
+    for j in range(max(map(len, rows), default=0)):
+        live = [r for r, terms in enumerate(rows) if len(terms) > j]
+        col, weight, optimal = zip(*(rows[r][j] for r in live))
+        out.append((
+            None if len(live) == len(rows) else np.array(live),
+            np.array(col),
+            np.array(weight, dtype=float),
+            None if optimal[0] is None else np.array(optimal, dtype=float),
+        ))
+    return out
+
+
+def _slot_sum(slots, paths: np.ndarray, width: int):
+    """Per-cycle sums over stacked paths, in the order of ``_term_sum``."""
+    total = 0.0
+    for live, col, weight, optimal in slots:
+        x = paths[:, col]
+        x = weight * (x if optimal is None else x - optimal)
+        if live is None:
+            total = total + x
+        else:
+            if np.ndim(total) == 0:
+                total = np.zeros((len(paths), width))
+            total[:, live] = total[:, live] + x
+    return total
+
+
+class _Tracker:
+    """Ground-truth bookkeeping over every advanced cycle.
+
+    Each advance catches all parameters and disturbances up at once (one
+    drift call per model, one column per state) and evaluates all checks
+    on the stacked paths, one array expression per observable family and
+    one predicate per rule op. Every element goes through the operations
+    a single reading applies, so the paths and verdicts are the ones the
+    lazy per-state reads produce.
+    """
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        # logistic states first, then exponential ones
+        states = [*sim._params.values(), *(st for _, st in sim._dist)]
+        self.states = sorted(states, key=lambda st: not isinstance(st.cfg, LogisticDriftCfg))
+        self.rngs = [st.rng for st in self.states if isinstance(st.cfg, LogisticDriftCfg)]
+        cfgs = [st.cfg for st in self.states]
+        self.logistic = _columns(cfgs[: len(self.rngs)], ("r_max", "tau_mid", "tau_scale", "sigma"))
+        self.exponential = _columns(cfgs[len(self.rngs) :], ("rate", "limit"))
+        column = {id(st): i for i, st in enumerate(self.states)}
+
+        def terms(nid: str, ts) -> list:
+            keys = [(tm.node or nid, tm.param) for tm in ts]
+            return [(column[id(sim._params[k])], tm.weight, sim._param_spec[k].optimal) for k, tm in zip(keys, ts)]
+
+        def disturbances(nid: str) -> list:
+            return [(column[id(sim._dist[i][1])], sim._dist[i][0].strength, None) for i in sim._affecting[nid]]
+
+        # one column per check, in node order; the transfer family is
+        # evaluated as gates, a transition being a gate whose phase error
+        # is zero (cos(0)^2 == 1.0 exactly)
+        checks = [(n.id, c) for n in sim.graph.nodes for c in n.checks]
+        self.families = []
+        for kind, fields in (
+            (LINEAR, ("terms",)),
+            (GATE, ("detuning_terms", "time_terms", "phase_terms", "background_terms")),
+        ):
+            idx = [i for i, (_, c) in enumerate(checks) if (c.observable.kind == LINEAR) == (kind == LINEAR)]
+            if not idx:
+                continue
+            rows = [(checks[i][0], checks[i][1].observable) for i in idx]
+            slots = {
+                name: _slots([
+                    terms(nid, getattr(o, name)) if name != "phase_terms" or o.kind == GATE else []
+                    for nid, o in rows
+                ])
+                for name in fields
+            }
+            o = SimpleNamespace(
+                kind=kind,
+                offset=np.array([o.offset for _, o in rows], dtype=float),
+                omega=np.array([o.omega for _, o in rows], dtype=float),
+                t_nominal=np.array(
+                    [math.pi / o.omega if o.t_nominal is None else o.t_nominal for _, o in rows], dtype=float
+                ),
+            )
+            self.families.append((np.array(idx), o, slots, _slots([disturbances(nid) for nid, _ in rows])))
+        self.rules = []
+        for op in sorted({c.rule.op for _, c in checks}):
+            idx = [i for i, (_, c) in enumerate(checks) if c.rule.op == op]
+            rules = [checks[i][1].rule for i in idx]
+            bound = np.array([r.bound for r in rules], dtype=float)
+            center = np.array([r.center for r in rules], dtype=float)
+            self.rules.append((np.array(idx), Rule(op=op, bound=bound, center=center)))
+        self.ids = [n.id for n in sim.graph.nodes]
+        # each node's first check column; a node is in spec iff all its checks pass
+        self.first = np.cumsum([0] + [len(n.checks) for n in sim.graph.nodes])[:-1]
+        self.n_checks = len(checks)
+
+    def _paths(self, k: int) -> np.ndarray:
+        """Catch every state up over the k cycles just advanced; column i
+        holds the values of ``states[i]`` at each of those cycles."""
+        n_log = len(self.rngs)
+        blocks = [np.empty((k, 0))]
+        if n_log:
+            st = self.states[:n_log]
+            zs = np.stack([rng.standard_normal(k) for rng in self.rngs], axis=1)
+            csc = np.array([s.cycles_since_cal for s in st], dtype=float)
+            blocks.append(logistic_drift_path(np.array([s.value for s in st]), csc, self.logistic, zs))
+        if len(self.states) > n_log:
+            st = self.states[n_log:]
+            csc = np.array([s.cycles_since_cal for s in st], dtype=float)
+            taus = csc + np.arange(1, k + 1, dtype=float)[:, None]
+            blocks.append(exponential_decay_value(taus, self.exponential, v0=np.array([s.anchor for s in st])))
+        paths = blocks[1] if len(blocks) == 2 else np.concatenate(blocks, axis=1)
+        t = self.sim.t
+        for s, v in zip(self.states, paths[-1].tolist()):
+            s.value = v
+            s.cycles_since_cal += k
+            s.at = t
+        return paths
+
+    def advance(self, t0: int, k: int) -> None:
+        """Bookkeeping over cycles t0 + 1 .. t0 + k; row j is cycle t0 + j + 1."""
+        sim = self.sim
+        paths = self._paths(k)
+        obs = np.empty((k, self.n_checks))
+        for idx, o, slots, dist_slots in self.families:
+            width = len(idx)
+            obs[:, idx] = _observable(
+                o, lambda name: _slot_sum(slots[name], paths, width), _slot_sum(dist_slots, paths, width)
+            )
+        ok = np.empty((k, self.n_checks), dtype=bool)
+        for idx, rule in self.rules:
+            ok[:, idx] = rule.in_spec(obs[:, idx])
+        if self.n_checks > len(self.ids):
+            ok = np.logical_and.reduceat(ok, self.first, axis=1)
+        first_obs = obs[:, self.first]
+        prev = np.empty_like(ok)
+        prev[0] = [sim._in_spec[nid] for nid in self.ids]
+        prev[1:] = ok[:-1]
+
+        every = sim.cfg.drift_sample_every
+        grid = range((t0 // every + 1) * every, t0 + k + 1, every) if every else range(0)
+        nodes = range(len(self.ids)) if grid else ()
+        if sim.cfg.oracle_ttf:
+            onset, recovery = ~ok & prev, ok & ~prev
+            if not grid:
+                nodes = np.flatnonzero(onset.any(axis=0) | recovery.any(axis=0))
+        for n in nodes:
+            nid = self.ids[n]
+            if sim.cfg.oracle_ttf:
+                for j in np.flatnonzero(onset[:, n]):
+                    sim._emit(t0 + int(j) + 1, nid, ORACLE_OUT_OF_SPEC, FAIL)
+                for j in np.flatnonzero(recovery[:, n]):
+                    sim._emit(t0 + int(j) + 1, nid, DRIFT_SAMPLE, PASS, value=float(first_obs[j, n]))
+            for c in grid:
+                j = c - t0 - 1
+                sim._emit(c, nid, DRIFT_SAMPLE, PASS if ok[j, n] else FAIL, value=float(first_obs[j, n]))
+        for nid, now in zip(self.ids, ok[-1].tolist()):
+            sim._in_spec[nid] = now
 
 
 def run_simulation(graph: GraphSpec, cfg: SimConfig, run_id: str | None = None) -> Run:

@@ -135,14 +135,16 @@ def min_samples(F: float, C: float, side: str = LOWER) -> int:
     """
     cfg = SmcConfig(F=F, C=C, side=side)  # range validation
 
+    # the coverage itself decides, not its logarithm: at a boundary such
+    # as F=0.1, C=0.9 the rounded logs disagree with 1 - F^n >= C
     def lower_ok(n: int) -> bool:
-        return n * math.log1p(-cfg.F) <= math.log1p(-cfg.C)
+        return 1.0 - (1.0 - cfg.F) ** n >= cfg.C
 
     def upper_ok(n: int) -> bool:
-        return n * math.log(cfg.F) <= math.log1p(-cfg.C)
+        return 1.0 - cfg.F**n >= cfg.C
 
     def two_sided_ok(n: int) -> bool:
-        return cfg.F**n + (1.0 - cfg.F) ** n <= 1.0 - cfg.C
+        return 1.0 - cfg.F**n - (1.0 - cfg.F) ** n >= cfg.C
 
     ok = {LOWER: lower_ok, UPPER: upper_ok, TWO_SIDED: two_sided_ok}[side]
     if side == LOWER:

@@ -138,7 +138,8 @@ def _event_to_line(e: TraceEvent) -> str:
 
 
 # the exact JSON types of every field a trace may carry; converting
-# instead would accept true as 1 and truncate 1.7 to 1
+# instead would accept true as 1 and truncate 1.7 to 1. A header carries
+# every field of its table, as the writer writes them.
 _HEADER_TYPES = {
     "schema": (str,), "run_id": (str,), "seed": (int,), "graph_hash": (str,), "mode": (str,),
     "total_cycles": (int,),
@@ -243,14 +244,10 @@ def _read_trace(path: str | Path) -> Run:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: malformed header: {exc}") from exc
         _check_fields(header, _HEADER_TYPES, f"{path}: header")
-        meta = RunMeta(
-            run_id=header.get("run_id", ""),
-            seed=header.get("seed", 0),
-            graph_hash=header.get("graph_hash", ""),
-            mode=header.get("mode", "baseline"),
-            total_cycles=header.get("total_cycles", 0),
-            schema=header.get("schema", ""),
-        )
+        for key in _HEADER_TYPES:
+            if key not in header:
+                raise SchemaError(f"{path}: header lacks {key!r}")
+        meta = RunMeta(**header)
         meta.validate()
         events: list[TraceEvent] = []
         last_t = -1

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +60,38 @@ class TestLogistic:
         cfg = LogisticDriftCfg(sigma=0.1)
         assert logistic_drift_path(0.0, 0, cfg, np.empty(0)).size == 0
 
+    # the simulator catches a parameter up over however many cycles have
+    # passed since it was last read; the value at a cycle must not depend
+    # on how those cycles were split into calls
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 2000), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_chained_splits_equal_one_call_bit_for_bit(self, splits, tau0, seed):
+        cfg = LogisticDriftCfg(r_max=0.9, tau_mid=60.0, tau_scale=7.0, sigma=0.13)
+        zs = np.random.default_rng(seed).standard_normal(sum(splits))
+        whole = logistic_drift_path(0.37, tau0, cfg, zs)
+        value, tau, at, chained = 0.37, tau0, 0, []
+        for k in splits:
+            part = logistic_drift_path(value, tau, cfg, zs[at : at + k])
+            chained.extend(part.tolist())
+            value, tau, at = float(part[-1]), tau + k, at + k
+        assert chained == whole.tolist()
+
+    def test_stacked_columns_equal_separate_walks_bit_for_bit(self):
+        cfgs = [
+            LogisticDriftCfg(r_max=1.0, tau_mid=750, tau_scale=80, sigma=0.05),
+            LogisticDriftCfg(r_max=0.4, tau_mid=3.0, tau_scale=1.5, sigma=0.2),
+            LogisticDriftCfg(r_max=1.0, tau_mid=0.0, tau_scale=1.0, sigma=0.0),
+        ]
+        rng = np.random.default_rng(11)
+        zs = rng.standard_normal((57, 3))
+        values, taus = np.array([0.1, -0.4, 2.0]), np.array([0.0, 812.0, 5.0])
+        names = ("r_max", "tau_mid", "tau_scale", "sigma")
+        stacked_cfg = SimpleNamespace(**{f: np.array([getattr(c, f) for c in cfgs], dtype=float) for f in names})
+        stacked = logistic_drift_path(values, taus, stacked_cfg, zs)
+        for i, cfg in enumerate(cfgs):
+            alone = logistic_drift_path(float(values[i]), int(taus[i]), cfg, np.ascontiguousarray(zs[:, i]))
+            assert stacked[:, i].tolist() == alone.tolist()
+
     def test_bad_cfg_rejected(self):
         with pytest.raises(ValueError):
             LogisticDriftCfg(tau_scale=0.0)
@@ -91,6 +124,19 @@ class TestExponential:
     def test_anchor_override(self):
         cfg = ExponentialDriftCfg(rate=0.1, limit=0.0, v0=1.0)
         assert exponential_decay_value(0, cfg, v0=3.0) == pytest.approx(3.0)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 2000), st.floats(0.0, 0.2))
+    @settings(max_examples=150, deadline=None)
+    def test_end_tau_equals_path_end_bit_for_bit(self, splits, tau0, rate):
+        # a catch-up evaluates the end tau alone; tracking evaluates every
+        # tau of the stretch; both must give the same value at the end
+        cfg = ExponentialDriftCfg(rate=rate, limit=1.3)
+        k = sum(splits)
+        path = exponential_decay_value(tau0 + np.arange(1, k + 1, dtype=float), cfg, v0=-0.2)
+        tau = tau0
+        for step in splits:
+            tau += step
+            assert exponential_decay_value(tau, cfg, v0=-0.2) == path[tau - tau0 - 1]
 
 
 class TestRabi:

@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+import spaq.drift
+import spaq.sim
+from spaq import builtin_config_path, load_graph
 from spaq.drift import ExponentialDriftCfg, LogisticDriftCfg
 from spaq.errors import UnknownNodeError
 from spaq.graph import (
@@ -71,6 +75,15 @@ def simple_node(nid, deps=(), *, timeout=1000, check_cost=1, cal_cost=2, delay=0
     )
 
 
+def set_now(sim, nid, pname, value):
+    """Set a parameter's value as of the current cycle.
+
+    Drift is applied when a parameter is read, so the state is first
+    caught up; the poke then replaces the value now, not an older one.
+    """
+    sim._param(nid, pname).value = value
+
+
 def ops(run, since_ep=1):
     return [(e.op, e.node, e.outcome) for e in run.events if e.ep >= since_ep]
 
@@ -84,8 +97,8 @@ class TestEpisodeStructure:
         ))
         sim = Simulator(graph, SimConfig(total_cycles=100, seed=1))
         sim.initial_calibration()
-        sim._params[("a", "p")].value = 10.0
-        sim._params[("c", "p")].value = 10.0
+        set_now(sim, "a", "p", 10.0)
+        set_now(sim, "c", "p", 10.0)
         sim.step()
         evs = [e for e in sim._events if e.ep == 1]
         assert [(e.op, e.node, e.outcome) for e in evs] == [
@@ -109,7 +122,7 @@ class TestEpisodeStructure:
         sim = Simulator(graph, SimConfig(total_cycles=100, seed=1))
         sim.initial_calibration()
         for nid in "abcd":
-            sim._params[(nid, "p")].value = 10.0
+            set_now(sim, nid, "p", 10.0)
         sim.step()
         evs = [e for e in sim._events if e.ep == 1]
         cals = [e.node for e in evs if e.op == CALIBRATE]
@@ -155,7 +168,7 @@ class TestEpisodeStructure:
         sim._advance(1)
         assert sim.maintain("a") == VERIFIED
         sim._advance(1)
-        sim._params[("a", "p")].value = 10.0
+        set_now(sim, "a", "p", 10.0)
         assert sim.maintain("a") == RECALIBRATED
         assert sim.maintain("a") == SKIPPED
 
@@ -284,7 +297,7 @@ class TestCompensation:
         graph = GraphSpec(nodes=(a, d))
         sim = Simulator(graph, SimConfig(total_cycles=40, seed=1))
         sim.initial_calibration()
-        sim._params[("a", "p")].value = 0.4
+        set_now(sim, "a", "p", 0.4)
         run = sim.run()
         evs = [e for e in run.events if e.ep == 1]
         assert [(e.op, e.node, e.outcome) for e in evs] == [
@@ -406,12 +419,10 @@ class TestDeterminism:
         assert stepwise == batched
 
     def test_fuzzed_graphs_hold_all_invariants(self, tmp_path):
-        rng = random.Random(20260814)
         # ground-truth tracking evaluates the observables over whole drift
         # paths, so stepwise == batched must hold with it on as well
         tracking = ({}, {"oracle_ttf": True}, {"drift_sample_every": 7})
-        for i in range(25):
-            graph = random_graph(rng)
+        for i, graph in enumerate(fuzzed_graphs()):
             for extra in tracking:
                 cfg = SimConfig(total_cycles=400, seed=1000 + i, **extra)
                 run1 = run_simulation(graph, cfg)
@@ -423,6 +434,140 @@ class TestDeterminism:
                 rep = availability(run1, graph=graph)
                 assert 0.0 <= rep.availability <= 1.0
                 assert set(rep.per_node_cost) == set(graph.node_ids)
+
+
+TRACKING_OPS = (ORACLE_OUT_OF_SPEC, DRIFT_SAMPLE)
+
+
+def fuzzed_graphs():
+    """The random graphs of ``test_fuzzed_graphs_hold_all_invariants``."""
+    rng = random.Random(20260814)
+    return [random_graph(rng) for _ in range(25)]
+
+
+def untracked(run):
+    return Run(meta=run.meta, events=tuple(e for e in run.events if e.op not in TRACKING_OPS))
+
+
+def rich_graph():
+    """Both observable families, every rule op, two checks on one node,
+    background and phase terms on a transition, an exponential parameter
+    and a disturbance shared by two nodes."""
+    lg = LogisticDriftCfg(r_max=1.0, tau_mid=5.0, tau_scale=2.0, sigma=0.08)
+    a = NodeSpec(
+        id="a", check_cost=1, calibrate_cost=2, timeout=9,
+        params=(
+            ("f", ParamSpec(0.0, 0.5, lg, cal_noise=0.02)),
+            ("g", ParamSpec(0.1, 0.5, ExponentialDriftCfg(rate=0.02, limit=0.9), cal_noise=0.01)),
+        ),
+        checks=(
+            CheckSpec(
+                ObservableSpec(
+                    kind="transition", omega=2.0,
+                    detuning_terms=(Term(param="f"),),
+                    time_terms=(Term(param="g", weight=0.5),),
+                    phase_terms=(Term(param="f"),),
+                    background_terms=(Term(param="g", weight=0.05),),
+                ),
+                Rule(op="ge", bound=0.7),
+            ),
+            CheckSpec(
+                ObservableSpec(offset=0.1, terms=(Term(param="g"), Term(param="f", weight=-0.5))),
+                Rule(op="le", bound=0.6),
+            ),
+        ),
+    )
+    b = NodeSpec(
+        id="b", check_cost=2, calibrate_cost=3, timeout=14, dependencies=("a",),
+        params=(("phi", ParamSpec(0.0, 0.4, lg, cal_noise=0.02)),),
+        checks=(
+            CheckSpec(
+                ObservableSpec(
+                    kind="gate", omega=3.0, t_nominal=1.1,
+                    phase_terms=(Term(param="phi"),),
+                    detuning_terms=(Term(param="f", node="a", weight=0.3),),
+                ),
+                Rule(op="ge", bound=0.5),
+            ),
+            CheckSpec(ObservableSpec(terms=(Term(param="phi"),)), Rule(op="abs_le", bound=0.4, center=0.05)),
+        ),
+    )
+    dist = DisturbanceSpec(
+        tag="latent", affected=("a", "b"), strength=0.5,
+        drift=LogisticDriftCfg(r_max=1.0, tau_mid=10.0, tau_scale=3.0, sigma=0.05),
+    )
+    return GraphSpec(nodes=(a, b), disturbances=(dist,))
+
+
+class TestLazyDrift:
+    """Drift is applied when it is read; ground-truth tracking reads every
+    cycle. Neither may change what the schedule sees."""
+
+    @pytest.mark.parametrize("config", ["xgate", "internode", "hidden"])
+    def test_tracking_leaves_the_schedule_unchanged_on_packaged_configs(self, config):
+        graph = load_graph(builtin_config_path(config))
+        for seed in range(4):
+            lazy = run_simulation(graph, SimConfig(total_cycles=3000, seed=seed))
+            for extra in ({"oracle_ttf": True}, {"drift_sample_every": 37}):
+                tracked = run_simulation(graph, SimConfig(total_cycles=3000, seed=seed, **extra))
+                assert untracked(tracked) == lazy, (seed, extra)
+
+    def test_tracking_leaves_the_schedule_unchanged_on_fuzzed_graphs(self):
+        for i, graph in enumerate([*fuzzed_graphs(), rich_graph(), noisy_graph()]):
+            lazy = run_simulation(graph, SimConfig(total_cycles=400, seed=1000 + i))
+            for extra in ({"oracle_ttf": True}, {"drift_sample_every": 37}):
+                tracked = run_simulation(graph, SimConfig(total_cycles=400, seed=1000 + i, **extra))
+                assert untracked(tracked) == lazy, (i, extra)
+
+    def test_extra_reads_between_steps_leave_the_trace_unchanged(self):
+        rng = random.Random(5)
+        for i, graph in enumerate([rich_graph(), noisy_graph(), *fuzzed_graphs()[:10]]):
+            cfg = SimConfig(total_cycles=300, seed=i)
+            expected = run_simulation(graph, cfg)
+            sim = Simulator(graph, cfg)
+            sim.initial_calibration()
+            keys = list(sim._params)
+            while sim.t < cfg.total_cycles:
+                sim.step()
+                for owner, pname in rng.sample(keys, rng.randint(0, len(keys))):
+                    sim._get_now(owner, pname)
+                sim._dist_now(rng.choice(graph.node_ids))
+            assert sim.finish() == expected, i
+
+    def test_tracked_paths_equal_readings_at_every_cycle(self):
+        # the stacked evaluation over whole paths against one reading at a
+        # time, bit for bit, over resets and compensation. The reading goes
+        # through array arithmetic as tracking does: numpy squares a scalar
+        # and a one-element array differently in the last bit.
+        def reading(sim, nid, check):
+            o = check.observable
+            sums = lambda name: np.array([sim._term_sum(nid, getattr(o, name))])
+            return float(spaq.sim._observable(o, sums, sim._dist_now(nid))[0])
+
+        rng = random.Random(8)
+        for i, graph in enumerate([rich_graph(), noisy_graph(), *fuzzed_graphs()[:10]]):
+            sim = Simulator(graph, SimConfig(total_cycles=10_000, seed=i, drift_sample_every=1))
+            sim.initial_calibration()
+            for step in range(40):
+                sim._advance(rng.randint(1, 30))
+                now = {e.node: e for e in sim._events if e.op == DRIFT_SAMPLE and e.time == sim.t}
+                for n in graph.nodes:
+                    assert now[n.id].value == reading(sim, n.id, n.checks[0]), (i, step, n.id)
+                    in_spec = all(c.rule.in_spec(reading(sim, n.id, c)) for c in n.checks)
+                    assert (now[n.id].outcome == PASS) == in_spec, (i, step, n.id)
+                if step % 5 == 0:
+                    sim._calibrate(rng.choice(graph.node_ids))
+
+    def test_drift_calls_follow_reads_not_advances(self, monkeypatch):
+        # deterministic cost guard: a catch-up per parameter read, not a
+        # drift call per parameter per clock advance
+        real = spaq.drift.logistic_drift_path
+        calls = []
+        monkeypatch.setattr(spaq.drift, "logistic_drift_path", lambda *a: calls.append(1) or real(*a))
+        run = run_simulation(load_graph(builtin_config_path("xgate")), SimConfig(total_cycles=15_000, seed=0))
+        ops = sum(1 for e in run.events if e.op in (CHECK_DATA, CALIBRATE))
+        # three is the most parameters any xgate check reads
+        assert 0 < len(calls) <= 3 * ops
 
 
 class TestAvailability:

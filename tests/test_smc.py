@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -65,6 +65,7 @@ class TestMinSamples:
         side=st.sampled_from([LOWER, UPPER, TWO_SIDED]),
     )
     @settings(max_examples=200, deadline=None)
+    @example(F=0.1, C=0.9, side=UPPER)  # coverage exactly C at n = 1
     def test_is_minimal(self, F, C, side):
         n = min_samples(F, C, side)
 

@@ -118,7 +118,7 @@ class TestFileRoundTrip:
 
     def test_reader_rejects_bad_schema(self, tmp_path):
         p = tmp_path / "bad"
-        p.write_text('{"schema":"nope","run_id":"r0","seed":1,"graph_hash":"h"}\n')
+        p.write_text('{"schema":"nope","run_id":"r0","seed":1,"graph_hash":"h","mode":"baseline","total_cycles":5}\n')
         with pytest.raises(SchemaError):
             read_trace(p)
 
@@ -136,7 +136,7 @@ class TestFileRoundTrip:
 
     def test_reader_rejects_garbage_line(self, tmp_path):
         p = tmp_path / "bad"
-        header = '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h"}'
+        header = '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","mode":"baseline","total_cycles":5}'
         p.write_text(header + "\nnot json\n")
         with pytest.raises(SchemaError):
             read_trace(p)
@@ -175,9 +175,10 @@ class TestStrictReader:
     @pytest.mark.parametrize(
         "header",
         [
-            '{"schema":"spaq-trace-1","run_id":"r0","seed":"x","graph_hash":"h"}',
-            '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","total_cycles":2.5}',
-            '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","owner":"me"}',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":"x","graph_hash":"h","mode":"baseline","total_cycles":5}',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","mode":"baseline","total_cycles":2.5}',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","mode":"baseline","total_cycles":5,'
+            '"owner":"me"}',
             '["spaq-trace-1"]',
         ],
     )
@@ -185,6 +186,15 @@ class TestStrictReader:
         p = tmp_path / "bad"
         p.write_text(header + "\n")
         with pytest.raises(SchemaError):
+            read_trace(p)
+
+    @pytest.mark.parametrize("field", list(json.loads(HEADER)))
+    def test_rejects_header_missing_a_field(self, tmp_path, field):
+        header = json.loads(HEADER)
+        del header[field]
+        p = tmp_path / "bad"
+        p.write_text(json.dumps(header) + "\n")
+        with pytest.raises(SchemaError, match=repr(field)):
             read_trace(p)
 
     def test_rejects_invalid_utf8(self, tmp_path):
