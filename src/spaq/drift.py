@@ -166,10 +166,13 @@ def transfer_probability(omega: float, t_nominal: float | None, detuning, time_e
     t_nom = t_nominal if t_nominal is not None else math.pi / omega
     w2 = omega * omega
     g2 = w2 + detuning * detuning
-    p = (w2 / g2) * np.sin(np.sqrt(g2) * (t_nom + time_err) / 2.0) ** 2
-    p = np.clip(p, 0.0, 1.0)
+    # squares as x * x: numpy computes ``** 2`` on an array that way but
+    # not always on a scalar, and a reading must equal its tracked path
+    s = np.sin(np.sqrt(g2) * (t_nom + time_err) / 2.0)
+    p = np.clip((w2 / g2) * (s * s), 0.0, 1.0)
     if phase_err is not None:
-        p = p * np.cos(phase_err / 2.0) ** 2
+        c = np.cos(phase_err / 2.0)
+        p = p * (c * c)
     return p
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from statistics import fmean
 
 from .errors import CycleError, NoSamplesError
-from .extractors import _condition_samples, _matches, calibration_shift, evaluate_property
+from .extractors import _calibrations, _condition_samples, calibration_shift, evaluate_property
 from .graph import (
     GraphSpec,
     NodeSpec,
@@ -50,7 +50,7 @@ from .graph import (
 from .properties import parse_property
 from .sim import ADAPTIVE, BASELINE, HIGH_FREQUENCY, SimConfig, availability, run_simulation
 from .smc import HOLDS, INSUFFICIENT_DATA, LOWER, UPPER, SmcConfig, SmcResult, exact_binomial_test
-from .trace import CALIBRATE, Dataset, Run, merge_runs, write_trace
+from .trace import Dataset, Run, merge_runs, write_trace
 
 # the delay recommendation targets the 5th-percentile time to failure
 RECOMMEND_F = 0.05
@@ -389,10 +389,7 @@ def param_shift_failure_test(
     Raises NoSamplesError when the dataset has no calibrations of
     ``node_a`` at all.
     """
-    has_cals = any(
-        e.node == node_a and e.op == CALIBRATE for r in dataset.runs for e in r.events
-    )
-    if not has_cals:
+    if not any(_calibrations(dataset, node_a)):
         raise NoSamplesError(f"no calibrations of {node_a!r} in the dataset")
     text = (
         f"test prob[shift({node_a}, param={param}, by={rel_shift:g}) "
@@ -403,12 +400,10 @@ def param_shift_failure_test(
     query = ast.body
 
     def small_shift(e) -> bool:
-        shift = calibration_shift(e, param) if e.node == node_a else None
+        shift = calibration_shift(e, param)
         return shift is not None and shift <= rel_shift
 
-    control_samples = _condition_samples(
-        dataset, small_shift, node_b, lambda e: _matches(e, query.response), query.window
-    )
+    control_samples = _condition_samples(dataset, node_a, small_shift, query.response, query.window)
     control = exact_binomial_test(
         list(control_samples.values), SmcConfig(F=p0, C=C, side=UPPER)
     )

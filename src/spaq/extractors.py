@@ -31,6 +31,8 @@ change in ``p``, |after - before| / max(|before|, 1e-9), exceeds x.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -93,8 +95,7 @@ def _require_node(dataset: Dataset, node: str) -> None:
 
 
 def _matches(event: TraceEvent, pattern: EventPattern) -> bool:
-    if event.node != pattern.node:
-        return False
+    """Whether an event of the pattern's node matches the pattern."""
     if pattern.kind == FAIL_EVENT:
         return event.op == CHECK_DATA and event.outcome == FAIL
     if pattern.kind == CALIBRATE_EVENT:
@@ -105,17 +106,19 @@ def _matches(event: TraceEvent, pattern: EventPattern) -> bool:
     raise ValueError(f"unknown event pattern kind {pattern.kind!r}")
 
 
+def _calibrations(dataset: Dataset, node: str) -> Iterator[TraceEvent]:
+    """The node's calibrate events, run by run."""
+    return (e for run in dataset.runs for e in run.by_node.get(node, ()) if e.op == CALIBRATE)
+
+
 def _check_shift_param_known(dataset: Dataset, pattern: EventPattern) -> None:
     if pattern.kind != SHIFT_EVENT:
         return
     param = str(pattern.arg("param"))
-    for r in dataset.runs:
-        for e in r.events:
-            if e.node == pattern.node and e.op == CALIBRATE and param in dict(e.params_before or ()):
-                return
-    raise UnknownParamError(
-        f"parameter {param!r} never appears in calibrations of node {pattern.node!r}"
-    )
+    if not any(param in dict(e.params_before or ()) for e in _calibrations(dataset, pattern.node)):
+        raise UnknownParamError(
+            f"parameter {param!r} never appears in calibrations of node {pattern.node!r}"
+        )
 
 
 # --- metric extraction ---
@@ -127,75 +130,50 @@ def _ttf_samples(run: Run, metric: MetricRef) -> tuple[list[float], int]:
         raise ValueError(f"ttf anchor must be verification or calibration, got {anchor_mode!r}")
     oracle = str(metric.arg("oracle", "false")).lower() == "true"
     samples: list[float] = []
-    censored = 0
     anchor: float | None = None
-    for e in run.events:
-        if e.node != metric.node:
-            continue
-        is_verify = (e.op == CHECK_DATA and e.outcome == PASS) or (
-            e.op == CALIBRATE and e.outcome == SUCCESS
-        )
-        if anchor_mode == "calibration":
-            is_verify = e.op == CALIBRATE and e.outcome == SUCCESS
-        is_failure = (
-            (e.op == ORACLE_OUT_OF_SPEC)
-            if oracle
-            else (e.op == CHECK_DATA and e.outcome == FAIL)
-        )
-        if is_failure and anchor is not None:
+    for e in run.by_node.get(metric.node, ()):
+        failed = e.op == ORACLE_OUT_OF_SPEC if oracle else (e.op == CHECK_DATA and e.outcome == FAIL)
+        if failed and anchor is not None:
             samples.append(float(e.time) - anchor)
             anchor = None
-        if is_verify:
+        if (e.op == CALIBRATE and e.outcome == SUCCESS) or (
+            anchor_mode == "verification" and e.op == CHECK_DATA and e.outcome == PASS
+        ):
             anchor = float(e.time)
-    if anchor is not None:
-        censored += 1
-    return samples, censored
+    return samples, int(anchor is not None)
 
 
 def _failures_samples(run: Run, metric: MetricRef) -> list[float]:
     window = metric.arg("window")
     if not isinstance(window, int) or window < 1:
         raise ValueError(f"failures window must be a positive integer, got {window!r}")
-    total = run.meta.total_cycles
-    n_windows = total // window
-    counts = [0] * n_windows
-    for e in run.events:
-        if e.node == metric.node and e.op == CHECK_DATA and e.outcome == FAIL:
-            idx = e.time // window
-            if idx < n_windows:
-                counts[idx] += 1
+    counts = [0] * (run.meta.total_cycles // window)
+    for e in run.by_node.get(metric.node, ()):
+        if e.op == CHECK_DATA and e.outcome == FAIL and e.time // window < len(counts):
+            counts[e.time // window] += 1
     return [float(c) for c in counts]
 
 
-def _param_samples(run: Run, metric: MetricRef) -> tuple[list[float], bool]:
+def _param_samples(run: Run, metric: MetricRef) -> list[float]:
     name = str(metric.arg("name"))
     when = str(metric.arg("when", "after"))
     if when not in ("before", "after"):
         raise ValueError(f"param 'when' must be before or after, got {when!r}")
     out: list[float] = []
-    saw_calibrate = False
-    for e in run.events:
-        if e.node != metric.node or e.op != CALIBRATE:
-            continue
-        saw_calibrate = True
-        m = dict(e.params_before or ()) if when == "before" else dict(e.params_after or ())
-        if name in m:
-            out.append(m[name])
-    return out, saw_calibrate
+    for e in run.by_node.get(metric.node, ()):
+        if e.op == CALIBRATE:
+            m = dict((e.params_before if when == "before" else e.params_after) or ())
+            if name in m:
+                out.append(m[name])
+    return out
 
 
 def _time_between_samples(run: Run, metric: MetricRef) -> list[float]:
     which = str(metric.arg("event"))
-    if which == CALIBRATE_EVENT:
-        ts = [e.time for e in run.events if e.node == metric.node and e.op == CALIBRATE]
-    elif which == FAIL_EVENT:
-        ts = [
-            e.time
-            for e in run.events
-            if e.node == metric.node and e.op == CHECK_DATA and e.outcome == FAIL
-        ]
-    else:
+    if which not in (CALIBRATE_EVENT, FAIL_EVENT):
         raise ValueError(f"time_between event must be calibrate or fail, got {which!r}")
+    pattern = EventPattern(kind=which, node=metric.node)
+    ts = [e.time for e in run.by_node.get(metric.node, ()) if _matches(e, pattern)]
     return [float(b - a) for a, b in zip(ts, ts[1:])]
 
 
@@ -205,7 +183,7 @@ def _pct_time_samples(run: Run, metric: MetricRef) -> list[float]:
         raise ValueError(f"pct_time op must be check_data or calibrate, got {op!r}")
     if run.meta.total_cycles <= 0:
         return []
-    busy = sum(e.duration for e in run.events if e.node == metric.node and e.op == op)
+    busy = sum(e.duration for e in run.by_node.get(metric.node, ()) if e.op == op)
     return [busy / run.meta.total_cycles]
 
 
@@ -215,25 +193,22 @@ def extract_metric(dataset: Dataset, metric: MetricRef) -> ExtractedSamples:
     _require_node(dataset, metric.node)
     values: list[float] = []
     censored = 0
-    saw_calibrate = False
     for run in dataset.runs:
         if metric.name == TTF:
             vs, c = _ttf_samples(run, metric)
-            values.extend(vs)
             censored += c
         elif metric.name == FAILURES:
-            values.extend(_failures_samples(run, metric))
+            vs = _failures_samples(run, metric)
         elif metric.name == PARAM:
-            vs, saw = _param_samples(run, metric)
-            values.extend(vs)
-            saw_calibrate = saw_calibrate or saw
+            vs = _param_samples(run, metric)
         elif metric.name == TIME_BETWEEN:
-            values.extend(_time_between_samples(run, metric))
+            vs = _time_between_samples(run, metric)
         elif metric.name == PCT_TIME:
-            values.extend(_pct_time_samples(run, metric))
+            vs = _pct_time_samples(run, metric)
         else:
             raise ValueError(f"unknown metric {metric.name!r}")
-    if metric.name == PARAM and saw_calibrate and not values:
+        values.extend(vs)
+    if metric.name == PARAM and not values and any(_calibrations(dataset, metric.node)):
         raise UnknownParamError(
             f"parameter {metric.arg('name')!r} never appears in calibrations of {metric.node!r}"
         )
@@ -247,32 +222,31 @@ def extract_metric(dataset: Dataset, metric: MetricRef) -> ExtractedSamples:
 
 def _condition_samples(
     dataset: Dataset,
+    trigger_node: str,
     trigger_match,
-    response_node: str,
-    response_match,
+    response: EventPattern,
     window,
 ) -> ExtractedSamples:
     """Window logic shared by parsed prob queries and ad-hoc trigger
-    predicates: one boolean per trigger, true iff a matching response
-    lands in the half-open window after it."""
+    predicates over ``trigger_node``'s events: one boolean per trigger,
+    true iff a matching response lands in the half-open window after it."""
     out: list[bool] = []
     for run in dataset.runs:
-        triggers = [e for e in run.events if trigger_match(e)]
+        triggers = [e.time for e in run.by_node.get(trigger_node, ()) if trigger_match(e)]
         if not triggers:
             continue
-        responses = [e for e in run.events if response_match(e)]
-        response_checks = [
-            e.time for e in run.events if e.node == response_node and e.op == CHECK_DATA
-        ]
-        run_end = max(run.meta.total_cycles, run.events[-1].time if run.events else 0)
-        for trig in triggers:
-            t = trig.time
+        response_events = run.by_node.get(response.node, ())
+        hits = [e.time for e in response_events if _matches(e, response)]
+        checks = [e.time for e in response_events if e.op == CHECK_DATA]
+        run_end = max(run.meta.total_cycles, run.events[-1].time)
+        for t in triggers:
             if window == NEXT_CHECK:
-                later_checks = [ct for ct in response_checks if ct > t]
-                hi = later_checks[0] if later_checks else run_end
+                i = bisect_right(checks, t)
+                hi = checks[i] if i < len(checks) else run_end
             else:
                 hi = t + int(window)
-            out.append(any(t < e.time <= hi for e in responses))
+            j = bisect_right(hits, t)
+            out.append(j < len(hits) and hits[j] <= hi)
     return ExtractedSamples(values=tuple(out))
 
 
@@ -283,11 +257,7 @@ def extract_condition_samples(dataset: Dataset, query: CondQuery) -> ExtractedSa
     _check_shift_param_known(dataset, query.trigger)
     _check_shift_param_known(dataset, query.response)
     return _condition_samples(
-        dataset,
-        lambda e: _matches(e, query.trigger),
-        query.response.node,
-        lambda e: _matches(e, query.response),
-        query.window,
+        dataset, query.trigger.node, lambda e: _matches(e, query.trigger), query.response, query.window
     )
 
 

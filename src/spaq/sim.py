@@ -686,43 +686,31 @@ def availability(run: Run, graph: GraphSpec | None = None, ground_truth: bool | 
         ground_truth = any(e.op == ORACLE_OUT_OF_SPEC for e in run.events)
 
     busy = np.zeros(total, dtype=bool)
-    cost: dict[str, dict[str, int]] = {}
-    if graph is not None:
-        for n in graph.nodes:
-            cost[n.id] = {"check_cycles": 0, "calibrate_cycles": 0}
-    flips: dict[str, list[tuple[int, bool]]] = {}
-    for e in run.events:
-        if e.op in (CHECK_DATA, CALIBRATE):
-            row = cost.setdefault(e.node, {"check_cycles": 0, "calibrate_cycles": 0})
-            row["check_cycles" if e.op == CHECK_DATA else "calibrate_cycles"] += e.duration
-            lo, hi = max(e.time, 0), min(e.time + e.duration, total)
-            if lo < hi:
-                busy[lo:hi] = True
-        if ground_truth:
-            if e.op == ORACLE_OUT_OF_SPEC:
-                flips.setdefault(e.node, []).append((e.time, False))
-            elif e.op == DRIFT_SAMPLE:
-                flips.setdefault(e.node, []).append((e.time, e.outcome == PASS))
-        else:
-            if e.op == CHECK_DATA:
-                if e.outcome == FAIL:
-                    flips.setdefault(e.node, []).append((e.time, False))
-                else:
-                    flips.setdefault(e.node, []).append((e.time + e.duration, True))
-            elif e.op == CALIBRATE and e.outcome == SUCCESS:
-                flips.setdefault(e.node, []).append((e.time + e.duration, True))
-
     out = np.zeros(total, dtype=bool)
-    for node_flips in flips.values():
-        status = True
-        at = 0
-        for when, new_status in sorted(node_flips, key=lambda f: f[0]):
-            when = min(max(when, 0), total)
-            if not status and at < when:
+    cost = {n.id: {"check_cycles": 0, "calibrate_cycles": 0} for n in graph.nodes} if graph is not None else {}
+    for node, events in run.by_node.items():
+        flips: list[tuple[int, bool]] = []
+        for e in events:
+            if e.op in (CHECK_DATA, CALIBRATE):
+                row = cost.setdefault(node, {"check_cycles": 0, "calibrate_cycles": 0})
+                row["check_cycles" if e.op == CHECK_DATA else "calibrate_cycles"] += e.duration
+                busy[e.time:e.time + e.duration] = True
+            if ground_truth:
+                if e.op in (ORACLE_OUT_OF_SPEC, DRIFT_SAMPLE):
+                    flips.append((e.time, e.op == DRIFT_SAMPLE and e.outcome == PASS))
+            elif e.op == CHECK_DATA and e.outcome == FAIL:
+                flips.append((e.time, False))
+            elif (e.op, e.outcome) in ((CHECK_DATA, PASS), (CALIBRATE, SUCCESS)):
+                flips.append((e.time + e.duration, True))
+        # a node is in spec until its first flip; among flips at one cycle
+        # the last in trace order holds (times are >= 0, as validated)
+        status, at = True, 0
+        for when, new_status in sorted(flips, key=lambda f: f[0]):
+            if not status:
                 out[at:when] = True
             status, at = new_status, when
-        if not status and at < total:
-            out[at:total] = True
+        if not status:
+            out[at:] = True
 
     avail = float(np.mean(~busy & ~out))
     return AvailabilityReport(availability=avail, per_node_cost=cost)

@@ -25,6 +25,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -109,8 +110,23 @@ class RunMeta:
 
 @dataclass(frozen=True)
 class Run:
+    """One run's header and events.
+
+    Events are in non-decreasing time order, as ``read_trace`` and
+    ``Simulator.finish`` produce them. The analysis layer relies on that
+    order (per-node events are searched by bisection) and does not check it.
+    """
+
     meta: RunMeta
     events: tuple[TraceEvent, ...]
+
+    @cached_property
+    def by_node(self) -> dict[str, tuple[TraceEvent, ...]]:
+        """Each node's events in trace order, built on first use."""
+        out: dict[str, list[TraceEvent]] = {}
+        for e in self.events:
+            out.setdefault(e.node, []).append(e)
+        return {node: tuple(evs) for node, evs in out.items()}
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,7 @@ class Dataset:
         return tuple(r.meta.run_id for r in self.runs)
 
     def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted({e.node for r in self.runs for e in r.events}))
+        return tuple(sorted({node for r in self.runs for node in r.by_node}))
 
 
 def _event_to_line(e: TraceEvent) -> str:

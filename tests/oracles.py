@@ -161,3 +161,45 @@ def oracle_condition(dataset, trigger, response, window):
                     hit = True
             out.append(hit)
     return out
+
+
+def _availability_flips(run, ground_truth):
+    """(cycle, in_spec) status changes in event order."""
+    flips = []
+    for e in run.events:
+        if ground_truth:
+            if e.op == "oracle_out_of_spec":
+                flips.append((e.node, e.time, False))
+            elif e.op == "drift_sample":
+                flips.append((e.node, e.time, e.outcome == "pass"))
+        elif e.op == "check_data":
+            if e.outcome == "fail":
+                flips.append((e.node, e.time, False))
+            else:
+                flips.append((e.node, e.time + e.duration, True))
+        elif e.op == "calibrate" and e.outcome == "success":
+            flips.append((e.node, e.time + e.duration, True))
+    return flips
+
+
+def oracle_availability(run, ground_truth):
+    """Cycle by cycle: a cycle is lost if some check or calibration runs
+    in it or some node is out of spec. A node's status at a cycle is that
+    of its latest flip at or before the cycle; among flips at the same
+    cycle, the last in event order wins. Nodes start in spec."""
+    flips = _availability_flips(run, ground_truth)
+    total = run.meta.total_cycles
+    free = 0
+    for c in range(total):
+        busy = any(
+            e.op in ("check_data", "calibrate") and e.time <= c < e.time + e.duration
+            for e in run.events
+        )
+        latest = {}
+        for node, when, in_spec in flips:
+            if when <= c and (node not in latest or when >= latest[node][0]):
+                latest[node] = (when, in_spec)
+        out = any(not in_spec for _, in_spec in latest.values())
+        if not busy and not out:
+            free += 1
+    return free / total

@@ -26,6 +26,7 @@ from spaq import (
     run_hidden_dependency_experiment,
     run_internode_experiment,
     run_simulation,
+    with_delays,
     write_report,
     write_trace,
 )
@@ -33,6 +34,7 @@ from spaq.cli import main
 
 CYCLES = 3000
 SEEDS = (3, 11)
+DELAY = 50
 CONFIGS = ("xgate", "internode", "hidden")
 MODES = {
     "baseline": {},
@@ -53,8 +55,11 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def trace_digest(config: str, mode: str, seed: int, path: Path) -> str:
+def trace_digest(config: str, mode: str, seed: int, path: Path, delay: int = 0) -> str:
+    """``delay`` > 0 sets every node's post-calibration delay to it."""
     graph = load_graph(builtin_config_path(config))
+    if delay:
+        graph = with_delays(graph, {nid: delay for nid in graph.node_ids})
     write_trace(path, run_simulation(graph, SimConfig(total_cycles=CYCLES, seed=seed, **MODES[mode])))
     return _sha(path)
 
@@ -104,6 +109,13 @@ TRACES = {
     ("hidden", "drift_sample", 11): "39e6f03fcffc029cd4c90488cf55cfc16bbb02ad79063992b90ef26db991a1c3",
 }
 
+# xgate with every node's post-calibration delay at DELAY: the delay path
+# of the scheduler (372 and 366 events, against 375 and 373 undelayed)
+DELAYED_TRACES = {
+    3: "59385919feb5e2a1612b4575af4d87c289d8be40b2471bba96a3528bb23d074a",
+    11: "3e03a8f551085e467c877c0f32643157afe9a06f147c90edaf9dc6e8a952316f",
+}
+
 REPORTS = {
     ("exp1", "availability"): "03c639eb4a52e3755579337e70c557e57a33171d1f7a33ec0d3c51d379441d82",
     ("exp1", "node_costs"): "c25e820daf1d5f18396dd077c2da825202ad682dbf65d7bd54b859b3a4813ae8",
@@ -128,6 +140,11 @@ SCAN = {
 def test_trace_bytes(config, mode, tmp_path):
     for seed in SEEDS:
         assert trace_digest(config, mode, seed, tmp_path / "t.jsonl") == TRACES[(config, mode, seed)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_delayed_trace_bytes(seed, tmp_path):
+    assert trace_digest("xgate", "baseline", seed, tmp_path / "t.jsonl", delay=DELAY) == DELAYED_TRACES[seed]
 
 
 @pytest.mark.parametrize("exp", EXPERIMENTS)

@@ -5,11 +5,9 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 import spaq.drift
-import spaq.sim
 from spaq import builtin_config_path, load_graph
 from spaq.drift import ExponentialDriftCfg, LogisticDriftCfg
 from spaq.errors import UnknownNodeError
@@ -50,6 +48,8 @@ from spaq.trace import (
     write_trace,
 )
 
+from datagen import random_dataset
+from oracles import oracle_availability
 from trace_checks import (
     check_all,
     check_depth_first,
@@ -535,15 +535,8 @@ class TestLazyDrift:
             assert sim.finish() == expected, i
 
     def test_tracked_paths_equal_readings_at_every_cycle(self):
-        # the stacked evaluation over whole paths against one reading at a
-        # time, bit for bit, over resets and compensation. The reading goes
-        # through array arithmetic as tracking does: numpy squares a scalar
-        # and a one-element array differently in the last bit.
-        def reading(sim, nid, check):
-            o = check.observable
-            sums = lambda name: np.array([sim._term_sum(nid, getattr(o, name))])
-            return float(spaq.sim._observable(o, sums, sim._dist_now(nid))[0])
-
+        # the stacked evaluation over whole paths against the reading a real
+        # check takes, bit for bit, over resets and compensation
         rng = random.Random(8)
         for i, graph in enumerate([rich_graph(), noisy_graph(), *fuzzed_graphs()[:10]]):
             sim = Simulator(graph, SimConfig(total_cycles=10_000, seed=i, drift_sample_every=1))
@@ -552,8 +545,8 @@ class TestLazyDrift:
                 sim._advance(rng.randint(1, 30))
                 now = {e.node: e for e in sim._events if e.op == DRIFT_SAMPLE and e.time == sim.t}
                 for n in graph.nodes:
-                    assert now[n.id].value == reading(sim, n.id, n.checks[0]), (i, step, n.id)
-                    in_spec = all(c.rule.in_spec(reading(sim, n.id, c)) for c in n.checks)
+                    assert now[n.id].value == sim._obs_value(n.id, n.checks[0]), (i, step, n.id)
+                    in_spec = all(c.rule.in_spec(sim._obs_value(n.id, c)) for c in n.checks)
                     assert (now[n.id].outcome == PASS) == in_spec, (i, step, n.id)
                 if step % 5 == 0:
                     sim._calibrate(rng.choice(graph.node_ids))
@@ -626,6 +619,15 @@ class TestAvailability:
         # inferred: out from the failed check onward; truth: out from t=40 only
         assert inferred.availability == pytest.approx(10 / 100)
         assert truth.availability == pytest.approx((40 - 1) / 100)
+
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(2718)
+        for i in range(200):
+            ds, _, _ = random_dataset(rng)
+            for run in ds.runs:
+                for ground_truth in (False, True):
+                    got = availability(run, ground_truth=ground_truth).availability
+                    assert got == oracle_availability(run, ground_truth), (i, run.meta.run_id, ground_truth)
 
 
 class TestConfigValidation:
