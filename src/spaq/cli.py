@@ -57,7 +57,7 @@ from .properties import parse_property
 from .extractors import evaluate_property
 from .sim import ADAPTIVE, BASELINE, HIGH_FREQUENCY, availability
 from .smc import DOES_NOT_HOLD, HOLDS, INSUFFICIENT_DATA, LOWER, TWO_SIDED, UPPER
-from .trace import load_dataset, write_trace
+from .trace import atomic_write, load_dataset, write_trace
 
 _BUILTINS = ("xgate", "internode", "hidden")
 
@@ -198,7 +198,8 @@ def cmd_simulate(ns) -> int:
         "runs": rows,
         "availability_mean": mean,
     }
-    (outdir / "summary.json").write_text(json.dumps(record, indent=2) + "\n")
+    with atomic_write(outdir / "summary.json") as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
     _emit_json(record)
     return 0
 
@@ -294,7 +295,8 @@ def cmd_scan(ns) -> int:
         "matrix_csv": str(outdir / "matrix.csv"),
         "cells": matrix_rows(matrix),
     }
-    (outdir / "scan.json").write_text(json.dumps(record, indent=2) + "\n")
+    with atomic_write(outdir / "scan.json") as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
     _emit_json(record)
     return 0
 

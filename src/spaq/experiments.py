@@ -50,7 +50,7 @@ from .graph import (
 from .properties import parse_property
 from .sim import ADAPTIVE, BASELINE, HIGH_FREQUENCY, SimConfig, availability, run_simulation
 from .smc import HOLDS, INSUFFICIENT_DATA, LOWER, UPPER, SmcConfig, SmcResult, exact_binomial_test
-from .trace import Dataset, Run, merge_runs, write_trace
+from .trace import Dataset, Run, atomic_write, merge_runs, write_trace
 
 # the delay recommendation targets the 5th-percentile time to failure
 RECOMMEND_F = 0.05
@@ -620,7 +620,7 @@ def matrix_rows(matrix: VerdictMatrix) -> list[dict]:
 
 def write_matrix_csv(matrix: VerdictMatrix, path: Path) -> None:
     """Plot-ready verdict table, one row per ordered pair, sorted."""
-    with path.open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["response", "trigger", "verdict", "n_used", "p_value"])
         for (y, z), cell in sorted(matrix.cells.items()):
@@ -679,11 +679,12 @@ def write_report(report: ExperimentReport, outdir: str | Path) -> dict[str, Path
             trace_paths.setdefault(label, {})[run.meta.run_id] = str(p.relative_to(outdir))
 
     report_path = outdir / "report.json"
-    report_path.write_text(json.dumps(report_to_dict(report, trace_paths), indent=2) + "\n")
+    with atomic_write(report_path) as fh:
+        fh.write(json.dumps(report_to_dict(report, trace_paths), indent=2) + "\n")
     paths["report"] = report_path
 
     avail_path = outdir / "availability.csv"
-    with avail_path.open("w", newline="") as fh:
+    with atomic_write(avail_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["scenario", "run_id", "seed", "availability"])
         for label, values in report.availability_per_run.items():
@@ -693,7 +694,7 @@ def write_report(report: ExperimentReport, outdir: str | Path) -> dict[str, Path
     paths["availability"] = avail_path
 
     cost_path = outdir / "node_costs.csv"
-    with cost_path.open("w", newline="") as fh:
+    with atomic_write(cost_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["scenario", "node", "check_cycles", "calibrate_cycles"])
         for label, table in report.per_node_cost.items():

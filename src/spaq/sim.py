@@ -30,10 +30,15 @@ comparisons, not resampling noise. Checks measure the state at the cycle
 they start; their cost is paid afterwards.
 
 Ground-truth tracking (``oracle_ttf``, ``drift_sample_every``) needs
-every cycle of every path, so it stays eager: each advance catches all
-states up at once, stacked one column per state, and evaluates all
-checks on the stacked paths. One composition (``_observable``), one
-formula (:func:`spaq.drift.transfer_probability`) and one predicate
+every cycle of every path, so it works a block of cycles ahead of the
+clock: one rebuild computes all states' paths over the block, stacked
+one column per state, evaluates all checks on them and lists the
+block's ground-truth events; an advance then only emits the events it
+passes and reads the states off the block's row at the new clock. A
+calibration or the end of the block forces a rebuild, and the drift
+streams still draw one normal per cycle in cycle order (see
+``_Tracker``). One composition (``_observable``), one formula
+(:func:`spaq.drift.transfer_probability`) and one predicate
 (``Rule.in_spec``) serve a single reading and the stacked paths, so
 tracking applies exactly what a check applies at one cycle.
 
@@ -356,6 +361,8 @@ class Simulator:
             st = self._params[(nid, o.compensate)]
             st.value -= external / weight
             st.anchor = st.value
+        if self._tracker is not None:
+            self._tracker.stale = True
 
     def _calibrate(self, nid: str) -> bool:
         node = self._nodes[nid]
@@ -520,15 +527,24 @@ def _slot_sum(slots, paths: np.ndarray, width: int):
     return total
 
 
-class _Tracker:
-    """Ground-truth bookkeeping over every advanced cycle.
+# cycles of ground truth a tracker computes ahead of the clock per rebuild
+_BLOCK = 256
 
-    Each advance catches all parameters and disturbances up at once (one
-    drift call per model, one column per state) and evaluates all checks
-    on the stacked paths, one array expression per observable family and
-    one predicate per rule op. Every element goes through the operations
-    a single reading applies, so the paths and verdicts are the ones the
-    lazy per-state reads produce.
+
+class _Tracker:
+    """Ground-truth bookkeeping over every advanced cycle, a block ahead.
+
+    A rebuild at cycle t computes, for cycles t + 1 .. t + ``_BLOCK``,
+    the paths of all states (one drift call per model, one column per
+    state), every check's verdict (one array expression per observable
+    family, one predicate per rule op) and the block's onset, recovery
+    and grid events in trace order. Every element goes through the
+    operations a single reading applies. An advance emits the events it
+    passes and sets each state and verdict from the block's row at the
+    new clock. A calibration (``stale``) or the block's end forces a
+    rebuild; normals drawn but not yet consumed are kept, so each stream
+    draws one normal per cycle in cycle order, and blocks of any length
+    give the same bits.
     """
 
     def __init__(self, sim: Simulator):
@@ -589,69 +605,96 @@ class _Tracker:
         # each node's first check column; a node is in spec iff all its checks pass
         self.first = np.cumsum([0] + [len(n.checks) for n in sim.graph.nodes])[:-1]
         self.n_checks = len(checks)
+        # the block covers cycles start + 1 .. end; zs holds its normals
+        self.start = self.end = 0
+        self.zs = np.empty((0, len(self.rngs)))
+        self.stale = True
 
-    def _paths(self, k: int) -> np.ndarray:
-        """Catch every state up over the k cycles just advanced; column i
-        holds the values of ``states[i]`` at each of those cycles."""
+    def _paths(self, t: int, n: int) -> np.ndarray:
+        """Paths over cycles t + 1 .. t + n from the states as of cycle t;
+        column i holds the values of ``states[i]``."""
         n_log = len(self.rngs)
-        blocks = [np.empty((k, 0))]
+        blocks = [np.empty((n, 0))]
         if n_log:
             st = self.states[:n_log]
-            zs = np.stack([rng.standard_normal(k) for rng in self.rngs], axis=1)
-            csc = np.array([s.cycles_since_cal for s in st], dtype=float)
-            blocks.append(logistic_drift_path(np.array([s.value for s in st]), csc, self.logistic, zs))
+            kept = self.zs[t - self.start :]
+            fresh = np.stack([rng.standard_normal(n - len(kept)) for rng in self.rngs], axis=1)
+            self.zs = np.concatenate([kept, fresh])
+            csc = np.array(self.csc[:n_log], dtype=float)
+            blocks.append(logistic_drift_path(np.array([s.value for s in st]), csc, self.logistic, self.zs))
         if len(self.states) > n_log:
             st = self.states[n_log:]
-            csc = np.array([s.cycles_since_cal for s in st], dtype=float)
-            taus = csc + np.arange(1, k + 1, dtype=float)[:, None]
+            csc = np.array(self.csc[n_log:], dtype=float)
+            taus = csc + np.arange(1, n + 1, dtype=float)[:, None]
             blocks.append(exponential_decay_value(taus, self.exponential, v0=np.array([s.anchor for s in st])))
-        paths = blocks[1] if len(blocks) == 2 else np.concatenate(blocks, axis=1)
-        t = self.sim.t
-        for s, v in zip(self.states, paths[-1].tolist()):
-            s.value = v
-            s.cycles_since_cal += k
-            s.at = t
-        return paths
+        return blocks[1] if len(blocks) == 2 else np.concatenate(blocks, axis=1)
 
-    def advance(self, t0: int, k: int) -> None:
-        """Bookkeeping over cycles t0 + 1 .. t0 + k; row j is cycle t0 + j + 1."""
+    def _rebuild(self, t: int) -> None:
+        """Compute the block of cycles t + 1 .. t + ``_BLOCK``; row j is cycle t + j + 1."""
         sim = self.sim
-        paths = self._paths(k)
-        obs = np.empty((k, self.n_checks))
+        n = _BLOCK
+        # each state's cycles since calibration at cycle t
+        self.csc = [s.cycles_since_cal for s in self.states]
+        self.paths = paths = self._paths(t, n)
+        obs = np.empty((n, self.n_checks))
         for idx, o, slots, dist_slots in self.families:
             width = len(idx)
             obs[:, idx] = _observable(
                 o, lambda name: _slot_sum(slots[name], paths, width), _slot_sum(dist_slots, paths, width)
             )
-        ok = np.empty((k, self.n_checks), dtype=bool)
+        ok = np.empty((n, self.n_checks), dtype=bool)
         for idx, rule in self.rules:
             ok[:, idx] = rule.in_spec(obs[:, idx])
         if self.n_checks > len(self.ids):
             ok = np.logical_and.reduceat(ok, self.first, axis=1)
+        self.ok = ok
         first_obs = obs[:, self.first]
-        prev = np.empty_like(ok)
-        prev[0] = [sim._in_spec[nid] for nid in self.ids]
-        prev[1:] = ok[:-1]
 
-        every = sim.cfg.drift_sample_every
-        grid = range((t0 // every + 1) * every, t0 + k + 1, every) if every else range(0)
-        nodes = range(len(self.ids)) if grid else ()
+        # (row, node, 0) marks an onset or a recovery, (row, node, 1) a grid
+        # sample; sorted, they are in the order a trace lists them
+        marks = []
         if sim.cfg.oracle_ttf:
-            onset, recovery = ~ok & prev, ok & ~prev
-            if not grid:
-                nodes = np.flatnonzero(onset.any(axis=0) | recovery.any(axis=0))
-        for n in nodes:
-            nid = self.ids[n]
-            if sim.cfg.oracle_ttf:
-                for j in np.flatnonzero(onset[:, n]):
-                    sim._emit(t0 + int(j) + 1, nid, ORACLE_OUT_OF_SPEC, FAIL)
-                for j in np.flatnonzero(recovery[:, n]):
-                    sim._emit(t0 + int(j) + 1, nid, DRIFT_SAMPLE, PASS, value=float(first_obs[j, n]))
-            for c in grid:
-                j = c - t0 - 1
-                sim._emit(c, nid, DRIFT_SAMPLE, PASS if ok[j, n] else FAIL, value=float(first_obs[j, n]))
-        for nid, now in zip(self.ids, ok[-1].tolist()):
-            sim._in_spec[nid] = now
+            prev = np.empty_like(ok)
+            prev[0] = [sim._in_spec[nid] for nid in self.ids]
+            prev[1:] = ok[:-1]
+            rows, cols = np.nonzero(ok != prev)
+            marks = [(j, m, 0) for j, m in zip(rows.tolist(), cols.tolist())]
+        every = sim.cfg.drift_sample_every
+        if every:
+            grid = range((t // every + 1) * every - t - 1, n, every)
+            marks += [(j, m, 1) for j in grid for m in range(len(self.ids))]
+        self.events = []
+        for j, m, kind in sorted(marks):
+            if kind == 0 and not ok[j, m]:
+                self.events.append((t + j + 1, self.ids[m], ORACLE_OUT_OF_SPEC, FAIL, None))
+            else:
+                outcome = PASS if ok[j, m] else FAIL
+                self.events.append((t + j + 1, self.ids[m], DRIFT_SAMPLE, outcome, float(first_obs[j, m])))
+        self.next = 0
+        self.start, self.end = t, t + n
+        self.stale = False
+
+    def advance(self, t0: int, k: int) -> None:
+        """Bookkeeping over cycles t0 + 1 .. t0 + k."""
+        sim = self.sim
+        t = t0 + k
+        while t0 < t:
+            if self.stale or t0 >= self.end:
+                self._rebuild(t0)
+            t0 = min(t, self.end)
+            events = self.events
+            while self.next < len(events) and events[self.next][0] <= t0:
+                time, nid, op, outcome, value = events[self.next]
+                sim._emit(time, nid, op, outcome, value=value)
+                self.next += 1
+            # every state and verdict as of cycle t0, the block's row j
+            j = t0 - self.start - 1
+            for s, v, csc in zip(self.states, self.paths[j].tolist(), self.csc):
+                s.value = v
+                s.cycles_since_cal = csc + j + 1
+                s.at = t0
+            for nid, now in zip(self.ids, self.ok[j].tolist()):
+                sim._in_spec[nid] = now
 
 
 def run_simulation(graph: GraphSpec, cfg: SimConfig, run_id: str | None = None) -> Run:

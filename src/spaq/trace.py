@@ -24,6 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -205,14 +207,36 @@ def _event_from_obj(obj, run_id: str) -> TraceEvent:
     return ev
 
 
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None):
+    """Open ``path`` for writing text that appears there whole or not at all.
+
+    The text goes to a temporary file in the same directory, which
+    replaces ``path`` when the block exits normally and is removed when
+    it raises, so an interrupted writer leaves the old file (or none).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class TraceWriter:
-    """Append-only writer for a single run's trace file."""
+    """Append-only writer for a single run's trace file.
+
+    The file appears at ``path`` when the writer closes, or, used as a
+    context manager, when its block exits without an exception.
+    """
 
     def __init__(self, path: str | Path, meta: RunMeta):
         meta.validate()
         self.meta = meta
         self._last_time = -1
-        self._fh = open(path, "w", encoding="utf-8")
         header = {
             "schema": meta.schema,
             "run_id": meta.run_id,
@@ -221,7 +245,10 @@ class TraceWriter:
             "mode": meta.mode,
             "total_cycles": meta.total_cycles,
         }
-        self._fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        with ExitStack() as stack:
+            self._fh = stack.enter_context(atomic_write(path))
+            self._fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+            self._file = stack.pop_all()
 
     def append_event(self, event: TraceEvent) -> None:
         event.validate()
@@ -233,13 +260,13 @@ class TraceWriter:
         self._fh.write(_event_to_line(event) + "\n")
 
     def close(self) -> None:
-        self._fh.close()
+        self._file.close()
 
     def __enter__(self) -> "TraceWriter":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        self._file.__exit__(*exc)
 
 
 def read_trace(path: str | Path) -> Run:

@@ -76,6 +76,17 @@ class TestLogistic:
             value, tau, at = float(part[-1]), tau + k, at + k
         assert chained == whole.tolist()
 
+    # ground-truth tracking draws a block of normals ahead and draws only
+    # the shortfall when it rebuilds, so the draws of a stream must not
+    # depend on how they are chunked
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=8), st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_standard_normal_chunks_equal_one_draw_bit_for_bit(self, splits, seed):
+        whole = np.random.Generator(np.random.PCG64(seed)).standard_normal(sum(splits))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        chunked = np.concatenate([rng.standard_normal(k) for k in splits])
+        assert chunked.tobytes() == whole.tobytes()
+
     def test_stacked_columns_equal_separate_walks_bit_for_bit(self):
         cfgs = [
             LogisticDriftCfg(r_max=1.0, tau_mid=750, tau_scale=80, sigma=0.05),

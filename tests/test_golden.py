@@ -41,6 +41,9 @@ MODES = {
     "high_frequency": {"mode": HIGH_FREQUENCY, "hf_timeout": 4},
     "oracle_ttf": {"oracle_ttf": True},
     "drift_sample": {"drift_sample_every": 37},
+    # both kinds of ground-truth event at once, so that an onset or a
+    # recovery shares its cycle with every node's grid sample
+    "oracle_every_cycle": {"oracle_ttf": True, "drift_sample_every": 1},
 }
 EXPERIMENTS = {
     "exp1": lambda: run_delayed_checks_experiment(
@@ -107,6 +110,12 @@ TRACES = {
     ("hidden", "oracle_ttf", 11): "015d107853c45bad32fe3c2b385f79f0d9b884ff54ed3089b27a512d6b740e96",
     ("hidden", "drift_sample", 3): "2dd6ccb1110c63ff79f517086a908e5c68220775263ce08e05db14c5194f71de",
     ("hidden", "drift_sample", 11): "39e6f03fcffc029cd4c90488cf55cfc16bbb02ad79063992b90ef26db991a1c3",
+    ("xgate", "oracle_every_cycle", 3): "bede8e84ebb87cf35f74ef13cb00c1bd5df7905afa153f72e65746e6bcef7d28",
+    ("xgate", "oracle_every_cycle", 11): "b8583fdde70ae77c5bdc4c402b6f7efee48d2cdd2ad9ee419f7ce41425fc7d0b",
+    ("internode", "oracle_every_cycle", 3): "1dfb04aedf2a2b81841dfdf0d7cdb00386e29e9b5bf61911103c744d36f6e5a1",
+    ("internode", "oracle_every_cycle", 11): "c3d85e9c859a3c938cd6acce4c40686ca7cf12e70c44457a2bff3b58c49d0b9e",
+    ("hidden", "oracle_every_cycle", 3): "0d2b3be7bdc1a9ad877ab12a8742e93adb12e46f21ca52013c4da507029984d3",
+    ("hidden", "oracle_every_cycle", 11): "9e722d1e6953304851637f0184e810cc911054c83060ff16e307fc7fbc748de0",
 }
 
 # xgate with every node's post-calibration delay at DELAY: the delay path

@@ -3,11 +3,13 @@ bookkeeping, determinism, and availability accounting."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 import spaq.drift
+import spaq.sim
 from spaq import builtin_config_path, load_graph
 from spaq.drift import ExponentialDriftCfg, LogisticDriftCfg
 from spaq.errors import UnknownNodeError
@@ -561,6 +563,79 @@ class TestLazyDrift:
         ops = sum(1 for e in run.events if e.op in (CHECK_DATA, CALIBRATE))
         # three is the most parameters any xgate check reads
         assert 0 < len(calls) <= 3 * ops
+
+    def test_tracking_drift_calls_follow_blocks_not_advances(self, monkeypatch):
+        # deterministic cost guard: one stacked drift call per block of
+        # ground truth, rebuilt after each calibration or at the block's
+        # end, not one per clock advance
+        real = spaq.drift.logistic_drift_path
+        calls = []
+        count = lambda *a: calls.append(1) or real(*a)
+        monkeypatch.setattr(spaq.drift, "logistic_drift_path", count)
+        monkeypatch.setattr(spaq.sim, "logistic_drift_path", count)
+        total = 15_000
+        run = run_simulation(
+            load_graph(builtin_config_path("xgate")), SimConfig(total_cycles=total, seed=0, oracle_ttf=True)
+        )
+        cals = sum(1 for e in run.events if e.op == CALIBRATE)
+        assert 0 < len(calls) <= cals + math.ceil(total / spaq.sim._BLOCK) + 1
+
+
+TRACKING_MODES = (
+    {"oracle_ttf": True},
+    {"drift_sample_every": 37},
+    {"oracle_ttf": True, "drift_sample_every": 37},
+    {"oracle_ttf": True, "mode": HIGH_FREQUENCY, "hf_timeout": 40},
+)
+
+
+def with_block(monkeypatch, block, graph, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(spaq.sim, "_BLOCK", block)
+        return run_simulation(graph, cfg)
+
+
+class TestBlockLength:
+    """Ground truth is computed a block of cycles ahead of the clock; the
+    block's length may change the cost of a run, never its trace."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7, None])
+    @pytest.mark.parametrize("config", ["xgate", "internode", "hidden"])
+    def test_packaged_configs(self, monkeypatch, config, block):
+        graph = load_graph(builtin_config_path(config))
+        for seed in (0, 3):
+            for extra in TRACKING_MODES:
+                cfg = SimConfig(total_cycles=1000, seed=seed, **extra)
+                expected = run_simulation(graph, cfg)
+                got = with_block(monkeypatch, block or cfg.total_cycles + 3, graph, cfg)
+                assert got == expected, (seed, extra)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, None])
+    def test_fuzzed_graphs(self, monkeypatch, block):
+        for i, graph in enumerate([*fuzzed_graphs(), rich_graph(), noisy_graph()]):
+            cfg = SimConfig(total_cycles=400, seed=1000 + i, oracle_ttf=True, drift_sample_every=7)
+            expected = run_simulation(graph, cfg)
+            assert with_block(monkeypatch, block or cfg.total_cycles, graph, cfg) == expected, i
+
+    @pytest.mark.parametrize("block", [41, 42, 43])
+    def test_calibration_on_a_block_boundary(self, monkeypatch, block):
+        # calibrated at 0..1, the node is next checked at 41 (timeout 40),
+        # fails and is recalibrated over 42..43; the block built at cycle 1
+        # ends at 1 + 42 = 43, exactly where that calibration resets it
+        p = ParamSpec(0.0, 0.5, ExponentialDriftCfg(rate=0.01, limit=10.0), cal_noise=0.0)
+        graph = GraphSpec(nodes=(simple_node("n", timeout=40, check_cost=1, cal_cost=1, param=p),))
+        cfg = SimConfig(total_cycles=120, seed=1, oracle_ttf=True, drift_sample_every=1)
+        expected = run_simulation(graph, cfg)
+        resets = []
+        real = Simulator._reset_params
+
+        def spy(sim, nid):
+            resets.append((sim.t, sim._tracker.end))
+            real(sim, nid)
+
+        monkeypatch.setattr(Simulator, "_reset_params", spy)
+        assert with_block(monkeypatch, block, graph, cfg) == expected
+        assert ((43, 43) in resets) == (block == 42)
 
 
 class TestAvailability:

@@ -104,6 +104,19 @@ class TestFileRoundTrip:
         header = p.read_text().splitlines()[0]
         assert list(json.loads(header)) == ["schema", "run_id", "seed", "graph_hash", "mode", "total_cycles"]
 
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+        p = tmp_path / "run.trace"
+        write_trace(p, Run(meta=meta(), events=(ev(0), cal(1))))
+        old = p.read_bytes()
+        bad = Run(meta=meta(), events=(ev(3), ev(4, outcome=SUCCESS), ev(5)))
+        with pytest.raises(SchemaError):
+            write_trace(p, bad)
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["run.trace"]
+        with pytest.raises(SchemaError):
+            write_trace(tmp_path / "new.trace", bad)
+        assert [f.name for f in tmp_path.iterdir()] == ["run.trace"]
+
     def test_writer_rejects_time_regression(self, tmp_path):
         w = TraceWriter(tmp_path / "t", meta())
         w.append_event(ev(5))
