@@ -3,7 +3,17 @@
 Deliberately naive and structured differently from the package code
 (per-failure backward searches, nested scans) so agreement is a real
 cross-check and not a shared bug. Never imported by the package.
+``ReferenceSimulator`` does the same for the scheduler: literal
+cycle-by-cycle stepping against the batched, block-ahead simulator.
 """
+
+import hashlib
+
+import numpy as np
+
+from spaq.drift import LogisticDriftCfg, exponential_decay_value, logistic_drift_path, transfer_probability
+from spaq.graph import graph_hash, topological_order
+from spaq.trace import Run, RunMeta, TraceEvent
 
 EPS = 1e-9
 
@@ -203,3 +213,256 @@ def oracle_availability(run, ground_truth):
         if not busy and not out:
             free += 1
     return free / total
+
+
+# --- reference simulator ---
+
+
+def _stream(seed, *labels):
+    """The numpy generator of the keyed substream ``labels`` of ``seed``."""
+    digest = hashlib.sha256("/".join(labels).encode()).digest()
+    words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & ((1 << 64) - 1), *words])))
+
+
+class _State:
+    """One drifting quantity, stepped one cycle at a time."""
+
+    def __init__(self, value, cfg, rng):
+        self.value = self.anchor = value
+        self.tau = 0
+        self.cfg = cfg
+        self.rng = rng
+
+    def step(self):
+        if isinstance(self.cfg, LogisticDriftCfg):
+            z = self.rng.standard_normal(1)
+            self.value = float(logistic_drift_path(self.value, self.tau, self.cfg, z)[-1])
+        else:
+            self.value = exponential_decay_value(self.tau + 1, self.cfg, v0=self.anchor)
+        self.tau += 1
+
+
+class ReferenceSimulator:
+    """The scheduler of ``spaq.sim`` written out literally.
+
+    Every cycle is its own step: each parameter and disturbance drifts by
+    one ``logistic_drift_path`` or ``exponential_decay_value`` call, the
+    ground truth of every node is evaluated on scalars after every cycle,
+    and the staleness gate is tested from the three timestamps it depends
+    on. There are no blocks, no cached due times and no clock jumps, so
+    a trace equal to ``run()``'s shows that the batching changes nothing.
+    """
+
+    def __init__(self, graph, cfg, run_id=None):
+        self.graph, self.cfg = graph, cfg
+        self.run_id = run_id if run_id is not None else f"run-{cfg.seed}"
+        self.nodes = {n.id: n for n in graph.nodes}
+        self.t = 0
+        self.ep, self.ep_open = 0, False
+        self.events = []
+        self.calibration_failures = []
+        never = -(1 << 60)
+        self.verified = {nid: 0 for nid in self.nodes}
+        self.cal_end = {nid: never for nid in self.nodes}
+        self.cooldown = {nid: never for nid in self.nodes}
+        self.params, self.optimal, self.cal_rng = {}, {}, {}
+        self.meas_rng = {nid: _stream(cfg.seed, "meas", nid) for nid in self.nodes}
+        for n in graph.nodes:
+            for pname, spec in n.params:
+                tag = spec.stream_tag or f"{n.id}/{pname}"
+                rng = _stream(cfg.seed, "drift", tag) if isinstance(spec.drift, LogisticDriftCfg) else None
+                self.params[n.id, pname] = _State(spec.optimal, spec.drift, rng)
+                self.optimal[n.id, pname] = spec.optimal
+                self.cal_rng[n.id, pname] = _stream(cfg.seed, "cal", tag)
+        self.dists = [(d, _State(0.0, d.drift, _stream(cfg.seed, "dist", d.tag))) for d in graph.disturbances]
+        self.tracking = cfg.oracle_ttf or cfg.drift_sample_every > 0
+        self.status = {nid: self.in_spec(nid) for nid in self.nodes}
+
+    # ground truth
+
+    def deviation_sum(self, nid, terms):
+        total = 0.0
+        for tm in terms:
+            key = (tm.node or nid, tm.param)
+            total = total + tm.weight * (self.params[key].value - self.optimal[key])
+        return total
+
+    def disturbance(self, nid):
+        return sum(d.strength * st.value for d, st in self.dists for a in d.affected if a == nid)
+
+    def reading(self, nid, check):
+        o = check.observable
+        if o.kind == "linear":
+            return float(o.offset + self.deviation_sum(nid, o.terms) + self.disturbance(nid))
+        p = transfer_probability(
+            o.omega,
+            o.t_nominal,
+            self.deviation_sum(nid, o.detuning_terms),
+            self.deviation_sum(nid, o.time_terms),
+            self.deviation_sum(nid, o.phase_terms) if o.kind == "gate" else None,
+        )
+        return float(p - self.deviation_sum(nid, o.background_terms) + self.disturbance(nid))
+
+    def in_spec(self, nid):
+        return all(c.rule.in_spec(self.reading(nid, c)) for c in self.nodes[nid].checks)
+
+    # clock
+
+    def emit(self, time, nid, op, outcome, dur=0, value=None, before=None, after=None):
+        if self.ep_open:
+            self.ep, self.ep_open = self.ep + 1, False
+        self.events.append(TraceEvent(
+            self.run_id, time, nid, op, outcome, dur, ep=self.ep, value=value,
+            params_before=None if before is None else tuple(before.items()),
+            params_after=None if after is None else tuple(after.items()),
+        ))
+
+    def tick(self):
+        self.t += 1
+        for st in [*self.params.values(), *(st for _, st in self.dists)]:
+            st.step()
+        if not self.tracking:
+            return
+        every = self.cfg.drift_sample_every
+        for n in self.graph.nodes:
+            now = self.in_spec(n.id)
+            if self.cfg.oracle_ttf and now != self.status[n.id]:
+                if now:
+                    self.emit(self.t, n.id, "drift_sample", "pass", value=self.reading(n.id, n.checks[0]))
+                else:
+                    self.emit(self.t, n.id, "oracle_out_of_spec", "fail")
+            self.status[n.id] = now
+            if every and self.t % every == 0:
+                value = self.reading(n.id, n.checks[0])
+                self.emit(self.t, n.id, "drift_sample", "pass" if now else "fail", value=value)
+
+    def wait(self, cycles):
+        for _ in range(cycles):
+            self.tick()
+
+    # operations
+
+    def timeout(self, nid):
+        if self.cfg.mode == "high_frequency" and self.cfg.hf_timeout is not None:
+            return self.cfg.hf_timeout
+        return self.nodes[nid].timeout
+
+    def stale(self, nid):
+        return (
+            self.t >= self.verified[nid] + self.timeout(nid)
+            and self.t >= self.cal_end[nid] + self.nodes[nid].post_cal_delay
+            and self.t >= self.cooldown[nid]
+        )
+
+    def check(self, nid):
+        node, start, ok = self.nodes[nid], self.t, True
+        for c in node.checks:
+            obs = self.reading(nid, c)
+            if c.observable.noise > 0.0:
+                obs += float(self.meas_rng[nid].standard_normal()) * c.observable.noise
+            ok = bool(c.rule.in_spec(obs)) and ok
+        self.emit(start, nid, "check_data", "pass" if ok else "fail", dur=node.check_cost)
+        self.wait(node.check_cost)
+        if ok:
+            self.verified[nid] = self.t
+        return ok
+
+    def reset(self, nid):
+        node = self.nodes[nid]
+        for pname, spec in node.params:
+            z = float(self.cal_rng[nid, pname].standard_normal())
+            st = self.params[nid, pname]
+            st.value = st.anchor = spec.optimal + z * spec.effective_cal_noise
+            st.tau = 0
+        for c in node.checks:
+            o = c.observable
+            if o.kind != "linear" or o.compensate is None:
+                continue
+            own = [i for i, tm in enumerate(o.terms) if tm.param == o.compensate and (tm.node or nid) == nid]
+            external = self.disturbance(nid)
+            for i, tm in enumerate(o.terms):
+                if i != own[0]:
+                    key = (tm.node or nid, tm.param)
+                    external += tm.weight * (self.params[key].value - self.optimal[key])
+            st = self.params[nid, o.compensate]
+            st.value -= external / o.terms[own[0]].weight
+            st.anchor = st.value
+
+    def recheck(self, nid):
+        if not self.tracking:
+            return
+        for m in sorted(self.nodes):
+            reads = any((tm.node or m) == nid for c in self.nodes[m].checks for tm in c.observable.all_terms())
+            if m != nid and not reads:
+                continue
+            now = self.in_spec(m)
+            if now == self.status[m]:
+                continue
+            self.status[m] = now
+            if self.cfg.oracle_ttf:
+                if now:
+                    self.emit(self.t, m, "drift_sample", "pass", value=self.reading(m, self.nodes[m].checks[0]))
+                else:
+                    self.emit(self.t, m, "oracle_out_of_spec", "fail")
+
+    def calibrate(self, nid):
+        node = self.nodes[nid]
+        for _ in range(self.cfg.max_retries):
+            start = self.t
+            before = {p: self.params[nid, p].value for p, _ in node.params}
+            self.wait(node.calibrate_cost)
+            self.reset(nid)
+            ok = self.in_spec(nid)
+            after = {p: self.params[nid, p].value for p, _ in node.params}
+            self.emit(start, nid, "calibrate", "success" if ok else "failed",
+                      dur=node.calibrate_cost, before=before, after=after)
+            self.recheck(nid)
+            if ok:
+                self.verified[nid] = self.cal_end[nid] = self.t
+                return
+        self.calibration_failures.append((self.t, nid))
+        self.cooldown[nid] = self.t + self.timeout(nid)
+
+    def maintain(self, nid, resolved):
+        if nid in resolved:
+            return
+        for dep in sorted(self.nodes[nid].dependencies):
+            self.maintain(dep, resolved)
+        if not self.stale(nid):
+            return
+        if not self.check(nid):
+            self.diagnose(nid, resolved)
+            self.calibrate(nid)
+            self.check(nid)
+        resolved.add(nid)
+
+    def diagnose(self, nid, resolved):
+        for dep in sorted(self.nodes[nid].dependencies):
+            if dep in resolved:
+                continue
+            ok = self.check(dep)
+            self.diagnose(dep, resolved)
+            if not ok:
+                self.calibrate(dep)
+            resolved.add(dep)
+
+    def initial_calibration(self):
+        for nid in topological_order(self.graph):
+            self.calibrate(nid)
+
+    def run(self):
+        depends = {d for n in self.graph.nodes for d in n.dependencies}
+        sinks = sorted(nid for nid in self.nodes if nid not in depends)
+        self.initial_calibration()
+        while self.t < self.cfg.total_cycles:
+            self.tick()
+            for s in sinks:
+                self.ep_open = True
+                self.maintain(s, set())
+                self.ep_open = False
+        meta = RunMeta(
+            run_id=self.run_id, seed=self.cfg.seed, graph_hash=graph_hash(self.graph),
+            mode=self.cfg.mode, total_cycles=self.cfg.total_cycles,
+        )
+        return Run(meta=meta, events=tuple(sorted(self.events, key=lambda e: e.time)))

@@ -51,7 +51,7 @@ from spaq.trace import (
 )
 
 from datagen import random_dataset
-from oracles import oracle_availability
+from oracles import ReferenceSimulator, oracle_availability
 from trace_checks import (
     check_all,
     check_depth_first,
@@ -537,21 +537,27 @@ class TestLazyDrift:
             assert sim.finish() == expected, i
 
     def test_tracked_paths_equal_readings_at_every_cycle(self):
-        # the stacked evaluation over whole paths against the reading a real
-        # check takes, bit for bit, over resets and compensation
+        # the stacked evaluation over whole paths against the scalar reading
+        # of the literal reference model, bit for bit, over resets and
+        # compensation
         rng = random.Random(8)
         for i, graph in enumerate([rich_graph(), noisy_graph(), *fuzzed_graphs()[:10]]):
-            sim = Simulator(graph, SimConfig(total_cycles=10_000, seed=i, drift_sample_every=1))
+            cfg = SimConfig(total_cycles=10_000, seed=i, drift_sample_every=1)
+            sim, ref = Simulator(graph, cfg), ReferenceSimulator(graph, cfg)
             sim.initial_calibration()
+            ref.initial_calibration()
             for step in range(40):
-                sim._advance(rng.randint(1, 30))
+                k = rng.randint(1, 30)
+                sim._advance(k)
+                ref.wait(k)
                 now = {e.node: e for e in sim._events if e.op == DRIFT_SAMPLE and e.time == sim.t}
                 for n in graph.nodes:
-                    assert now[n.id].value == sim._obs_value(n.id, n.checks[0]), (i, step, n.id)
-                    in_spec = all(c.rule.in_spec(sim._obs_value(n.id, c)) for c in n.checks)
-                    assert (now[n.id].outcome == PASS) == in_spec, (i, step, n.id)
+                    assert now[n.id].value == ref.reading(n.id, n.checks[0]), (i, step, n.id)
+                    assert (now[n.id].outcome == PASS) == ref.in_spec(n.id), (i, step, n.id)
                 if step % 5 == 0:
-                    sim._calibrate(rng.choice(graph.node_ids))
+                    nid = rng.choice(graph.node_ids)
+                    sim._calibrate(nid)
+                    ref.calibrate(nid)
 
     def test_drift_calls_follow_reads_not_advances(self, monkeypatch):
         # deterministic cost guard: a catch-up per parameter read, not a
@@ -579,6 +585,29 @@ class TestLazyDrift:
         )
         cals = sum(1 for e in run.events if e.op == CALIBRATE)
         assert 0 < len(calls) <= cals + math.ceil(total / spaq.sim._BLOCK) + 1
+
+
+class TestReferenceSimulator:
+    """The batched run and the stepwise run against a literal model that
+    steps every cycle on scalars (``oracles.ReferenceSimulator``)."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"oracle_ttf": True}, {"drift_sample_every": 7}, {"oracle_ttf": True, "drift_sample_every": 7}],
+        ids=["untracked", "oracle_ttf", "drift_sample", "both"],
+    )
+    def test_runs_and_trace_bytes_equal_the_reference(self, tmp_path, extra):
+        for i, graph in enumerate([*fuzzed_graphs(), rich_graph(), noisy_graph()]):
+            cfg = SimConfig(total_cycles=400, seed=1000 + i, **extra)
+            ref = ReferenceSimulator(graph, cfg)
+            expected = ref.run()
+            sim = Simulator(graph, cfg)
+            assert sim.run() == expected, i
+            assert sim.calibration_failures == ref.calibration_failures, i
+            assert Simulator(graph, cfg).run_stepwise() == expected, i
+            write_trace(tmp_path / "ref.jsonl", expected)
+            write_trace(tmp_path / "sim.jsonl", sim.finish())
+            assert (tmp_path / "sim.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes(), i
 
 
 TRACKING_MODES = (
