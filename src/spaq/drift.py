@@ -178,44 +178,29 @@ def transfer_probability(omega: float, t_nominal: float | None, detuning, time_e
 
 @dataclass
 class DriftState:
-    """State of one drifting parameter or disturbance, as of cycle ``at``.
+    """State of one drifting parameter or disturbance.
 
     ``anchor`` is the value at the last calibration (tau = 0); the
     exponential model relaxes from it, the logistic model random-walks
-    from ``value``. ``cycles_since_cal`` is tau at cycle ``at``. ``cfg``
-    is the drift model and ``rng`` the stream of per-cycle normals that
-    a logistic walk draws from.
+    from ``value``. ``cycles_since_cal`` is tau. ``cfg`` is the drift
+    model and ``rng`` the stream of per-cycle normals that a logistic
+    walk draws from.
 
-    The state is brought forward lazily: the simulator's clock may run
-    ahead of ``at``, and :meth:`catch_up` applies the elapsed cycles in
+    The simulator moves the state forward over many cycles at once, in
     one :func:`logistic_drift_path` or :func:`exponential_decay_value`
-    call when someone reads the value. Neither call depends on how the
-    elapsed cycles are split: the random walk draws one normal per
-    cycle from its own stream and accumulates from the current value,
-    and the relaxation depends on tau alone. So a value read at cycle t
-    is the same bits whatever was read before, and two runs with one
-    seed see identical drift however differently they schedule reads.
+    call. Neither call depends on how the cycles are split: the random
+    walk draws one normal per cycle from its own stream and accumulates
+    from the current value, and the relaxation depends on tau alone. So
+    the value at cycle t is the same bits however the run is cut into
+    steps, and two runs with one seed see identical drift however
+    differently they schedule their reads.
     """
 
     value: float
     cycles_since_cal: int = 0
     anchor: float = 0.0
-    at: int = 0
     cfg: DriftCfg | None = None
     rng: np.random.Generator | None = None
-
-    def catch_up(self, t: int) -> None:
-        """Apply the cycles from ``at`` to ``t`` in one drift call."""
-        k = t - self.at
-        if k == 0:
-            return
-        if isinstance(self.cfg, LogisticDriftCfg):
-            zs = self.rng.standard_normal(k)
-            self.value = float(logistic_drift_path(self.value, self.cycles_since_cal, self.cfg, zs)[-1])
-        else:
-            self.value = exponential_decay_value(self.cycles_since_cal + k, self.cfg, v0=self.anchor)
-        self.cycles_since_cal += k
-        self.at = t
 
     def reset(self, value: float) -> None:
         self.value = value

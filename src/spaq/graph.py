@@ -27,6 +27,7 @@ import yaml
 
 from .drift import DriftCfg, LogisticDriftCfg, drift_cfg_from_dict, drift_cfg_to_dict
 from .errors import CycleError, DuplicateIdError, UnknownNodeError
+from .trace import atomic_write
 
 GRAPH_SCHEMA = "spaq-graph-1"
 
@@ -586,7 +587,8 @@ def graph_from_dict(raw: dict) -> GraphSpec:
 
 
 def save_graph(graph: GraphSpec, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(graph_to_dict(graph), sort_keys=False))
+    with atomic_write(path) as fh:
+        yaml.safe_dump(graph_to_dict(graph), fh, sort_keys=False)
 
 
 def load_graph(path: str | Path) -> GraphSpec:

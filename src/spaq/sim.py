@@ -13,39 +13,39 @@ re-verification.
 Scheduling decisions never read ground-truth parameter values; they see
 only check outcomes (which carry measurement noise) and timestamps.
 
-Drift is applied lazily. Advancing the clock moves only the clock; each
-parameter and disturbance remembers the cycle its value was last brought
-up to and catches up, in one drift-path call over all the elapsed
-cycles, when a check, a calibration or the ground truth reads it. A
-value read at cycle t does not depend on when it was read before (see
-``DriftState``), so the cost of a run follows its reads rather than its
-advances times its parameters.
+Drift is computed a block of cycles ahead of the clock (``_Tracker``).
+A block holds, for ``_BLOCK`` + 1 consecutive cycles, the values of all
+parameters and disturbances stacked one column per state, every check's
+noiseless reading and every node's ground-truth verdict. Advancing the
+clock only moves the clock (and, under ground-truth tracking, emits the
+block's events it passes); a check reads its row of the block, and a
+read past the block's end builds the next block. A calibration brings
+the states up to its cycle from that row, resets them, and has the rest
+of the block redone for its own parameters and the checks that read
+them only. So the cost of a run follows its blocks and calibrations,
+not its advances or its reads.
 
 Randomness is split into named substreams keyed by (purpose, node,
 parameter), and every drift substream draws exactly one normal per
-elapsed cycle whatever the read schedule, so two runs with the same seed
-but different scheduling see identical drift cycle for cycle:
-availability deltas between scheduling modes are then paired
-comparisons, not resampling noise. Checks measure the state at the cycle
-they start; their cost is paid afterwards.
+elapsed cycle, in cycle order, however the cycles fall into blocks, so
+two runs with the same seed but different scheduling see identical
+drift cycle for cycle: availability deltas between scheduling modes are
+then paired comparisons, not resampling noise. Checks measure the state
+at the cycle they start; their cost is paid afterwards.
 
-Ground-truth tracking (``oracle_ttf``, ``drift_sample_every``) needs
-every cycle of every path, so it works a block of cycles ahead of the
-clock: one rebuild computes all states' paths over the block, stacked
-one column per state, evaluates all checks on them and lists the
-block's ground-truth events; an advance then only emits the events it
-passes and reads the states off the block's row at the new clock. A
-calibration or the end of the block forces a rebuild, and the drift
-streams still draw one normal per cycle in cycle order (see
-``_Tracker``). One composition (``_observable``), one formula
+Ground-truth tracking (``oracle_ttf``, ``drift_sample_every``) lists
+each block's onset, recovery and grid events when it is built. One
+composition (``_observable``), one formula
 (:func:`spaq.drift.transfer_probability`) and one predicate
-(``Rule.in_spec``) serve a single reading and the stacked paths, so
-tracking applies exactly what a check applies at one cycle.
+(``Rule.in_spec``) serve every reading, so the verdicts a trace logs
+are exactly what a noiseless check would see.
 
 The run loop jumps the clock directly between maintenance due times in
-one batch per idle stretch; ``run_stepwise`` executes literal one-cycle
-steps and produces the identical trace (asserted in tests), so the
-batching is an optimization, not a semantic choice.
+one batch per idle stretch, and asks a sink to maintain itself only when
+it or one of its ancestors is due (an episode with nothing due emits
+nothing); ``run_stepwise`` executes literal one-cycle steps, asking every
+sink every cycle, and produces the identical trace (asserted in tests),
+so the batching is an optimization, not a semantic choice.
 """
 
 from __future__ import annotations
@@ -170,7 +170,18 @@ class Simulator:
         self._initialized = False
 
         self._nodes: dict[str, NodeSpec] = {n.id: n for n in graph.nodes}
+        self._deps = {n.id: tuple(sorted(n.dependencies)) for n in graph.nodes}
         self._sinks = graph.sink_ids()
+        # a sink's episode does work only if it or an ancestor is due
+        self._ancestry: dict[str, tuple[str, ...]] = {}
+        for s in self._sinks:
+            seen, todo = set(), [s]
+            while todo:
+                nid = todo.pop()
+                if nid not in seen:
+                    seen.add(nid)
+                    todo.extend(self._deps[nid])
+            self._ancestry[s] = tuple(seen)
         self._last_verified = {n.id: 0 for n in graph.nodes}
         self._far_past = -(1 << 60)
         self._last_cal_end = {n.id: self._far_past for n in graph.nodes}
@@ -204,15 +215,13 @@ class Simulator:
 
         # nodes whose observables read a given node's params; calibrating
         # that node can flip exactly these nodes' ground-truth status
-        self._observers: dict[str, set[str]] = {n.id: {n.id} for n in graph.nodes}
+        observers: dict[str, set[str]] = {n.id: {n.id} for n in graph.nodes}
         for n in graph.nodes:
             for check in n.checks:
                 for term in check.observable.all_terms():
-                    self._observers[term.node or n.id].add(n.id)
-
-        self._in_spec = {n.id: self._ground_truth_in_spec(n.id) for n in graph.nodes}
-        tracking = cfg.oracle_ttf or cfg.drift_sample_every > 0
-        self._tracker = _Tracker(self) if tracking else None
+                    observers[term.node or n.id].add(n.id)
+        self._observers = {nid: sorted(ms) for nid, ms in observers.items()}
+        self._tracker = _Tracker(self)
 
     # --- plumbing ---
 
@@ -250,78 +259,59 @@ class Simulator:
             )
         )
 
-    # --- observables ---
+    # --- ground truth ---
 
     def _param(self, owner: str, pname: str) -> DriftState:
-        """A parameter's state, caught up to the current cycle."""
-        st = self._params[(owner, pname)]
-        st.catch_up(self.t)
-        return st
+        """A parameter's state as of the current cycle, open to a write."""
+        return self._tracker.param((owner, pname))
 
-    def _get_now(self, owner: str, pname: str):
-        return self._param(owner, pname).value
-
-    def _dist_value(self, i: int) -> float:
-        dspec, st = self._dist[i]
-        st.catch_up(self.t)
-        return dspec.strength * st.value
+    def _get_now(self, owner: str, pname: str) -> float:
+        """A parameter's value at the current cycle."""
+        self._tracker.sync()
+        return self._params[(owner, pname)].value
 
     def _dist_now(self, nid: str):
-        return sum(self._dist_value(i) for i in self._affecting[nid])
-
-    def _term_sum(self, nid: str, terms):
-        total = 0.0
-        for tm in terms:
-            owner = tm.node or nid
-            spec = self._param_spec[(owner, tm.param)]
-            total = total + tm.weight * (self._get_now(owner, tm.param) - spec.optimal)
-        return total
-
-    def _obs_value(self, nid: str, check: CheckSpec) -> float:
-        """Noiseless observable now."""
-        o = check.observable
-        return float(_observable(o, lambda name: self._term_sum(nid, getattr(o, name)), self._dist_now(nid)))
+        """The disturbances' contribution to ``nid``'s observables now."""
+        self._tracker.sync()
+        return sum(self._dist[i][0].strength * self._dist[i][1].value for i in self._affecting[nid])
 
     def _ground_truth_in_spec(self, nid: str) -> bool:
-        return all(c.rule.in_spec(self._obs_value(nid, c)) for c in self._nodes[nid].checks)
-
-    # --- drift advancement ---
+        return bool(self._tracker.verdicts()[self._tracker.index[nid]])
 
     def _advance(self, k: int) -> None:
-        """Move the clock k cycles. Drift catches up when it is read, except
-        under ground-truth tracking, which reads every cycle of every path."""
+        """Move the clock k cycles; under ground-truth tracking, emit the
+        events of the cycles passed."""
         if k <= 0:
             return
-        t0 = self.t
-        self.t = t0 + k
-        if self._tracker is not None:
-            self._tracker.advance(t0, k)
+        self.t += k
+        if self._tracker.emits:
+            self._tracker.cover(self.t)
 
-    def _flag_recheck(self, nid: str) -> None:
-        """Emit ground-truth transition markers caused by a calibration."""
-        if self._tracker is None:
+    def _flag_recheck(self, nid: str, was) -> None:
+        """Emit the ground-truth transitions a calibration caused, from
+        every node's verdicts ``was`` just before its reset."""
+        if not self.cfg.oracle_ttf:
             return
-        for m in sorted(self._observers[nid]):
-            cur = self._ground_truth_in_spec(m)
-            if cur == self._in_spec[m]:
+        tr = self._tracker
+        now = tr.verdicts()
+        for m in self._observers[nid]:
+            i = tr.index[m]
+            if now[i] == was[i]:
                 continue
-            self._in_spec[m] = cur
-            if self.cfg.oracle_ttf:
-                if cur:
-                    node = self._nodes[m]
-                    val = self._obs_value(m, node.checks[0])
-                    self._emit(self.t, m, DRIFT_SAMPLE, PASS, value=val)
-                else:
-                    self._emit(self.t, m, ORACLE_OUT_OF_SPEC, FAIL)
+            if now[i]:
+                self._emit(self.t, m, DRIFT_SAMPLE, PASS, value=tr.first_reading(i))
+            else:
+                self._emit(self.t, m, ORACLE_OUT_OF_SPEC, FAIL)
 
     # --- operations ---
 
     def _check_data(self, nid: str) -> bool:
         node = self._nodes[nid]
         start = self.t
+        readings = self._tracker.readings()
         ok = True
-        for check in node.checks:
-            obs = self._obs_value(nid, check)
+        for col, check in self._tracker.checks_of[nid]:
+            obs = float(readings[col])
             if check.observable.noise > 0.0:
                 obs += float(self._meas_rng[nid].standard_normal()) * check.observable.noise
             if not check.rule.in_spec(obs):
@@ -358,11 +348,9 @@ class Simulator:
                     continue
                 spec = self._param_spec[(owner, tm.param)]
                 external += tm.weight * (self._get_now(owner, tm.param) - spec.optimal)
-            st = self._params[(nid, o.compensate)]
+            st = self._param(nid, o.compensate)
             st.value -= external / weight
             st.anchor = st.value
-        if self._tracker is not None:
-            self._tracker.stale = True
 
     def _calibrate(self, nid: str) -> bool:
         node = self._nodes[nid]
@@ -370,6 +358,7 @@ class Simulator:
             start = self.t
             before = {p: self._get_now(nid, p) for p, _ in node.params}
             self._advance(node.calibrate_cost)
+            was = self._tracker.verdicts().copy()
             self._reset_params(nid)
             ok = self._ground_truth_in_spec(nid)
             after = {p: self._get_now(nid, p) for p, _ in node.params}
@@ -377,7 +366,7 @@ class Simulator:
                 start, nid, CALIBRATE, SUCCESS if ok else FAILED,
                 dur=node.calibrate_cost, before=before, after=after,
             )
-            self._flag_recheck(nid)
+            self._flag_recheck(nid, was)
             if ok:
                 self._last_verified[nid] = self.t
                 self._last_cal_end[nid] = self.t
@@ -391,8 +380,7 @@ class Simulator:
     def _maintain(self, nid: str, resolved: set[str]) -> str:
         if nid in resolved:
             return SKIPPED
-        node = self._nodes[nid]
-        for dep in sorted(node.dependencies):
+        for dep in self._deps[nid]:
             self._maintain(dep, resolved)
         if self.t < self._due[nid]:
             return SKIPPED
@@ -407,7 +395,7 @@ class Simulator:
 
     def _diagnose(self, nid: str, resolved: set[str]) -> list[str]:
         calibrated: list[str] = []
-        for dep in sorted(self._nodes[nid].dependencies):
+        for dep in self._deps[nid]:
             if dep in resolved:
                 continue
             ok = self._check_data(dep)
@@ -463,7 +451,9 @@ class Simulator:
                 break
             self._advance(target - self.t)
             for s in self._sinks:
-                self.maintain(s)
+                # an episode in which nothing is due emits nothing
+                if min(map(self._due.__getitem__, self._ancestry[s])) <= self.t:
+                    self.maintain(s)
         return self.finish()
 
     def run_stepwise(self) -> Run:
@@ -491,6 +481,13 @@ def _columns(objs, names) -> SimpleNamespace:
     return SimpleNamespace(**{n: np.array([getattr(o, n) for o in objs], dtype=float) for n in names})
 
 
+def _index(cols: list[int]):
+    """``cols`` as an index: a slice (a view) when they are contiguous."""
+    if cols and cols == list(range(cols[0], cols[-1] + 1)):
+        return slice(cols[0], cols[-1] + 1)
+    return np.array(cols, dtype=int)
+
+
 def _slots(rows) -> list:
     """Terms of several sums, regrouped by position.
 
@@ -504,8 +501,8 @@ def _slots(rows) -> list:
         live = [r for r, terms in enumerate(rows) if len(terms) > j]
         col, weight, optimal = zip(*(rows[r][j] for r in live))
         out.append((
-            None if len(live) == len(rows) else np.array(live),
-            np.array(col),
+            None if len(live) == len(rows) else _index(live),
+            _index(list(col)),
             np.array(weight, dtype=float),
             None if optimal[0] is None else np.array(optimal, dtype=float),
         ))
@@ -513,7 +510,7 @@ def _slots(rows) -> list:
 
 
 def _slot_sum(slots, paths: np.ndarray, width: int):
-    """Per-cycle sums over stacked paths, in the order of ``_term_sum``."""
+    """Per-cycle sums over stacked paths, each sum's terms added in order."""
     total = 0.0
     for live, col, weight, optimal in slots:
         x = paths[:, col]
@@ -527,57 +524,96 @@ def _slot_sum(slots, paths: np.ndarray, width: int):
     return total
 
 
-# cycles of ground truth a tracker computes ahead of the clock per rebuild
+# cycles a block computes past the cycle it starts from
 _BLOCK = 256
 
 
 class _Tracker:
-    """Ground-truth bookkeeping over every advanced cycle, a block ahead.
+    """Drift, readings and ground truth of every state, a block ahead.
 
-    A rebuild at cycle t computes, for cycles t + 1 .. t + ``_BLOCK``,
-    the paths of all states (one drift call per model, one column per
-    state), every check's verdict (one array expression per observable
-    family, one predicate per rule op) and the block's onset, recovery
-    and grid events in trace order. Every element goes through the
-    operations a single reading applies. An advance emits the events it
-    passes and sets each state and verdict from the block's row at the
-    new clock. A calibration (``stale``) or the block's end forces a
-    rebuild; normals drawn but not yet consumed are kept, so each stream
-    draws one normal per cycle in cycle order, and blocks of any length
+    A block holds rows for cycles start .. start + ``_BLOCK``, row j
+    being cycle start + j and row 0 the states as they were: the paths of
+    all states (one drift call per model, one column per state), every
+    check's noiseless reading (one array expression per observable
+    family), every node's verdict (one predicate per rule op) and, under
+    ground-truth tracking, the onset, recovery and grid events in trace
+    order. Every element goes through the operations a single reading
+    applies.
+
+    Reads take the row of the current cycle; a read past the block's end
+    builds the next block from its last row. The ``DriftState`` objects
+    hold cycle ``at``; they are brought forward only when a calibration
+    is about to write them (``sync``). A write (``param``) marks the
+    state ``changed``, and the next read redoes, from cycle ``at`` to
+    the block's end, only that state's path and the readings and
+    verdicts of the nodes whose checks read it. Each logistic stream
+    draws one normal per cycle in cycle order, once, whatever the writes
+    and however the cycles fall into blocks, so blocks of any length
     give the same bits.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
+        self.emits = sim.cfg.oracle_ttf or sim.cfg.drift_sample_every > 0
         # logistic states first, then exponential ones
         states = [*sim._params.values(), *(st for _, st in sim._dist)]
         self.states = sorted(states, key=lambda st: not isinstance(st.cfg, LogisticDriftCfg))
-        self.rngs = [st.rng for st in self.states if isinstance(st.cfg, LogisticDriftCfg)]
-        cfgs = [st.cfg for st in self.states]
-        self.logistic = _columns(cfgs[: len(self.rngs)], ("r_max", "tau_mid", "tau_scale", "sigma"))
-        self.exponential = _columns(cfgs[len(self.rngs) :], ("rate", "limit"))
+        self.n_log = n_log = sum(isinstance(st.cfg, LogisticDriftCfg) for st in self.states)
+        self.rngs = [st.rng for st in self.states[:n_log]]
         column = {id(st): i for i, st in enumerate(self.states)}
+        self.param_column = {key: column[id(st)] for key, st in sim._params.items()}
+        self.dist_column = [column[id(st)] for _, st in sim._dist]
+        self.ids = [n.id for n in sim.graph.nodes]
+        self.index = {nid: m for m, nid in enumerate(self.ids)}
+        self.checks = [(n.id, c) for n in sim.graph.nodes for c in n.checks]
+        # each node's first check column; a node is in spec iff all its checks pass
+        sizes = [len(n.checks) for n in sim.graph.nodes]
+        self.first = np.cumsum([0, *sizes])[:-1]
+        self.spans = [range(f, f + k) for f, k in zip(self.first.tolist(), sizes)]
+        self.checks_of = {nid: tuple((c, self.checks[c][1]) for c in span) for nid, span in zip(self.ids, self.spans)}
+        # the state columns each node's checks read
+        self.reads = []
+        for nid, span in zip(self.ids, self.spans):
+            terms = [tm for c in span for tm in self.checks[c][1].observable.all_terms()]
+            params = {self.param_column[(tm.node or nid, tm.param)] for tm in terms}
+            self.reads.append(params | {self.dist_column[i] for i in sim._affecting[nid]})
+        self.plans: dict[frozenset, SimpleNamespace] = {}
+        self.all = self._plan(range(len(self.states)), range(len(self.ids)))
+        self.changed: set[int] = set()
+        self.events, self.next = [], 0
+        self.end = 0
+        self._rebuild()
+
+    def _plan(self, cols, nodes=None) -> SimpleNamespace:
+        """How to redo the paths of state columns ``cols`` and the readings
+        and verdicts of ``nodes``, by default every node that reads one of
+        those states."""
+        cols = sorted(cols)
+        log = [c for c in cols if c < self.n_log]
+        exp = [c for c in cols if c >= self.n_log]
+        if nodes is None:
+            nodes = [m for m, reads in enumerate(self.reads) if reads.intersection(cols)]
+        checks = [c for m in nodes for c in self.spans[m]]
+        sim = self.sim
 
         def terms(nid: str, ts) -> list:
             keys = [(tm.node or nid, tm.param) for tm in ts]
-            return [(column[id(sim._params[k])], tm.weight, sim._param_spec[k].optimal) for k, tm in zip(keys, ts)]
+            return [(self.param_column[k], tm.weight, sim._param_spec[k].optimal) for k, tm in zip(keys, ts)]
 
         def disturbances(nid: str) -> list:
-            return [(column[id(sim._dist[i][1])], sim._dist[i][0].strength, None) for i in sim._affecting[nid]]
+            return [(self.dist_column[i], sim._dist[i][0].strength, None) for i in sim._affecting[nid]]
 
-        # one column per check, in node order; the transfer family is
-        # evaluated as gates, a transition being a gate whose phase error
-        # is zero (cos(0)^2 == 1.0 exactly)
-        checks = [(n.id, c) for n in sim.graph.nodes for c in n.checks]
-        self.families = []
+        # the transfer family is evaluated as gates, a transition being a
+        # gate whose phase error is zero (cos(0)^2 == 1.0 exactly)
+        families = []
         for kind, fields in (
             (LINEAR, ("terms",)),
             (GATE, ("detuning_terms", "time_terms", "phase_terms", "background_terms")),
         ):
-            idx = [i for i, (_, c) in enumerate(checks) if (c.observable.kind == LINEAR) == (kind == LINEAR)]
+            idx = [c for c in checks if (self.checks[c][1].observable.kind == LINEAR) == (kind == LINEAR)]
             if not idx:
                 continue
-            rows = [(checks[i][0], checks[i][1].observable) for i in idx]
+            rows = [(self.checks[c][0], self.checks[c][1].observable) for c in idx]
             slots = {
                 name: _slots([
                     terms(nid, getattr(o, name)) if name != "phase_terms" or o.kind == GATE else []
@@ -593,108 +629,150 @@ class _Tracker:
                     [math.pi / o.omega if o.t_nominal is None else o.t_nominal for _, o in rows], dtype=float
                 ),
             )
-            self.families.append((np.array(idx), o, slots, _slots([disturbances(nid) for nid, _ in rows])))
-        self.rules = []
-        for op in sorted({c.rule.op for _, c in checks}):
-            idx = [i for i, (_, c) in enumerate(checks) if c.rule.op == op]
-            rules = [checks[i][1].rule for i in idx]
-            bound = np.array([r.bound for r in rules], dtype=float)
-            center = np.array([r.center for r in rules], dtype=float)
-            self.rules.append((np.array(idx), Rule(op=op, bound=bound, center=center)))
-        self.ids = [n.id for n in sim.graph.nodes]
-        # each node's first check column; a node is in spec iff all its checks pass
-        self.first = np.cumsum([0] + [len(n.checks) for n in sim.graph.nodes])[:-1]
-        self.n_checks = len(checks)
-        # the block covers cycles start + 1 .. end; zs holds its normals
-        self.start = self.end = 0
-        self.zs = np.empty((0, len(self.rngs)))
-        self.stale = True
+            families.append((_index(idx), len(idx), o, slots, _slots([disturbances(nid) for nid, _ in rows])))
+        rules = []
+        for op in sorted({self.checks[c][1].rule.op for c in checks}):
+            pos = [i for i, c in enumerate(checks) if self.checks[c][1].rule.op == op]
+            rs = [self.checks[checks[i]][1].rule for i in pos]
+            bound = np.array([r.bound for r in rs], dtype=float)
+            center = np.array([r.center for r in rs], dtype=float)
+            rules.append((_index(pos), _index([checks[i] for i in pos]), Rule(op=op, bound=bound, center=center)))
+        cfgs = [self.states[c].cfg for c in cols]
+        return SimpleNamespace(
+            cols=cols,
+            log=_index(log) if log else None,
+            exp=_index(exp) if exp else None,
+            anchored=[self.states[c] for c in exp],
+            logistic=_columns(cfgs[: len(log)], ("r_max", "tau_mid", "tau_scale", "sigma")),
+            exponential=_columns(cfgs[len(log) :], ("rate", "limit")),
+            families=families,
+            rules=rules,
+            nodes=_index(list(nodes)),
+            width=len(checks),
+            # each node's first position among ``checks``, when some node has several
+            first=np.cumsum([0] + [len(self.spans[m]) for m in nodes])[:-1] if len(checks) > len(nodes) else None,
+        )
 
-    def _paths(self, t: int, n: int) -> np.ndarray:
-        """Paths over cycles t + 1 .. t + n from the states as of cycle t;
-        column i holds the values of ``states[i]``."""
-        n_log = len(self.rngs)
-        blocks = [np.empty((n, 0))]
-        if n_log:
-            st = self.states[:n_log]
-            kept = self.zs[t - self.start :]
-            fresh = np.stack([rng.standard_normal(n - len(kept)) for rng in self.rngs], axis=1)
-            self.zs = np.concatenate([kept, fresh])
-            csc = np.array(self.csc[:n_log], dtype=float)
-            blocks.append(logistic_drift_path(np.array([s.value for s in st]), csc, self.logistic, self.zs))
-        if len(self.states) > n_log:
-            st = self.states[n_log:]
-            csc = np.array(self.csc[n_log:], dtype=float)
-            taus = csc + np.arange(1, n + 1, dtype=float)[:, None]
-            blocks.append(exponential_decay_value(taus, self.exponential, v0=np.array([s.anchor for s in st])))
-        return blocks[1] if len(blocks) == 2 else np.concatenate(blocks, axis=1)
-
-    def _rebuild(self, t: int) -> None:
-        """Compute the block of cycles t + 1 .. t + ``_BLOCK``; row j is cycle t + j + 1."""
-        sim = self.sim
-        n = _BLOCK
-        # each state's cycles since calibration at cycle t
-        self.csc = [s.cycles_since_cal for s in self.states]
-        self.paths = paths = self._paths(t, n)
-        obs = np.empty((n, self.n_checks))
-        for idx, o, slots, dist_slots in self.families:
-            width = len(idx)
-            obs[:, idx] = _observable(
+    def _redo(self, plan: SimpleNamespace, j0: int) -> None:
+        """Rows j0 .. of the plan's paths, readings and verdicts, from the
+        states, which hold cycle start + j0."""
+        paths, csc = self.paths, self.csc
+        for c in plan.cols:
+            st = self.states[c]
+            paths[j0, c] = st.value
+            csc[c] = st.cycles_since_cal - j0
+        if plan.log is not None:
+            log = plan.log
+            zs = self.zs[j0:, log]
+            paths[j0 + 1 :, log] = logistic_drift_path(paths[j0, log], csc[log] + j0, plan.logistic, zs)
+        if plan.exp is not None:
+            taus = csc[plan.exp] + np.arange(j0 + 1, len(paths), dtype=float)[:, None]
+            anchors = np.array([st.anchor for st in plan.anchored])
+            paths[j0 + 1 :, plan.exp] = exponential_decay_value(taus, plan.exponential, v0=anchors)
+        paths = paths[j0:]
+        for idx, width, o, slots, dist_slots in plan.families:
+            self.obs[j0:, idx] = _observable(
                 o, lambda name: _slot_sum(slots[name], paths, width), _slot_sum(dist_slots, paths, width)
             )
-        ok = np.empty((n, self.n_checks), dtype=bool)
-        for idx, rule in self.rules:
-            ok[:, idx] = rule.in_spec(obs[:, idx])
-        if self.n_checks > len(self.ids):
-            ok = np.logical_and.reduceat(ok, self.first, axis=1)
-        self.ok = ok
-        first_obs = obs[:, self.first]
+        ok = np.empty((len(paths), plan.width), dtype=bool)
+        for pos, idx, rule in plan.rules:
+            ok[:, pos] = rule.in_spec(self.obs[j0:, idx])
+        if plan.first is not None:
+            ok = np.logical_and.reduceat(ok, plan.first, axis=1)
+        self.ok[j0:, plan.nodes] = ok
+        if self.emits:
+            self.events = self._events(j0)
+            self.next = 0
 
+    def _rebuild(self) -> None:
+        """Start the next block at the current one's end, which the states hold."""
+        n = _BLOCK
+        self.start = self.at = self.end
+        self.end += n
+        if self.rngs:
+            self.zs = np.stack([rng.standard_normal(n) for rng in self.rngs], axis=1)
+        self.paths = np.empty((n + 1, len(self.states)))
+        self.obs = np.empty((n + 1, len(self.checks)))
+        self.ok = np.empty((n + 1, len(self.ids)), dtype=bool)
+        self.csc = np.zeros(len(self.states), dtype=np.int64)
+        self._redo(self.all, 0)
+
+    def _events(self, j0: int) -> list[tuple]:
+        """The ground-truth events of the block's rows after j0, in trace order."""
+        cfg, ok, t = self.sim.cfg, self.ok, self.start
         # (row, node, 0) marks an onset or a recovery, (row, node, 1) a grid
         # sample; sorted, they are in the order a trace lists them
         marks = []
-        if sim.cfg.oracle_ttf:
-            prev = np.empty_like(ok)
-            prev[0] = [sim._in_spec[nid] for nid in self.ids]
-            prev[1:] = ok[:-1]
-            rows, cols = np.nonzero(ok != prev)
-            marks = [(j, m, 0) for j, m in zip(rows.tolist(), cols.tolist())]
-        every = sim.cfg.drift_sample_every
+        if cfg.oracle_ttf:
+            rows, cols = np.nonzero(ok[j0 + 1 :] != ok[j0:-1])
+            marks = [(j0 + 1 + j, m, 0) for j, m in zip(rows.tolist(), cols.tolist())]
+        every = cfg.drift_sample_every
         if every:
-            grid = range((t // every + 1) * every - t - 1, n, every)
+            grid = range(((t + j0) // every + 1) * every - t, len(ok), every)
             marks += [(j, m, 1) for j in grid for m in range(len(self.ids))]
-        self.events = []
+        events = []
         for j, m, kind in sorted(marks):
             if kind == 0 and not ok[j, m]:
-                self.events.append((t + j + 1, self.ids[m], ORACLE_OUT_OF_SPEC, FAIL, None))
+                events.append((t + j, self.ids[m], ORACLE_OUT_OF_SPEC, FAIL, None))
             else:
                 outcome = PASS if ok[j, m] else FAIL
-                self.events.append((t + j + 1, self.ids[m], DRIFT_SAMPLE, outcome, float(first_obs[j, m])))
-        self.next = 0
-        self.start, self.end = t, t + n
-        self.stale = False
+                events.append((t + j, self.ids[m], DRIFT_SAMPLE, outcome, float(self.obs[j, self.first[m]])))
+        return events
 
-    def advance(self, t0: int, k: int) -> None:
-        """Bookkeeping over cycles t0 + 1 .. t0 + k."""
-        sim = self.sim
-        t = t0 + k
-        while t0 < t:
-            if self.stale or t0 >= self.end:
-                self._rebuild(t0)
-            t0 = min(t, self.end)
-            events = self.events
-            while self.next < len(events) and events[self.next][0] <= t0:
+    def _set_states(self, t: int) -> None:
+        """Set every state to its value at cycle t, a row of the block."""
+        j = t - self.start
+        for s, v, csc in zip(self.states, self.paths[j].tolist(), (self.csc + j).tolist()):
+            s.value = v
+            s.cycles_since_cal = csc
+        self.at = t
+
+    def cover(self, t: int) -> int:
+        """The block's row of cycle t, building blocks up to it; emits the
+        block events of every cycle up to t not yet emitted."""
+        if self.changed:
+            key = frozenset(self.changed)
+            if key not in self.plans:
+                self.plans[key] = self._plan(key)
+            self.changed.clear()
+            self._redo(self.plans[key], self.at - self.start)
+        while True:
+            events, last = self.events, min(t, self.end)
+            while self.next < len(events) and events[self.next][0] <= last:
                 time, nid, op, outcome, value = events[self.next]
-                sim._emit(time, nid, op, outcome, value=value)
+                self.sim._emit(time, nid, op, outcome, value=value)
                 self.next += 1
-            # every state and verdict as of cycle t0, the block's row j
-            j = t0 - self.start - 1
-            for s, v, csc in zip(self.states, self.paths[j].tolist(), self.csc):
-                s.value = v
-                s.cycles_since_cal = csc + j + 1
-                s.at = t0
-            for nid, now in zip(self.ids, self.ok[j].tolist()):
-                sim._in_spec[nid] = now
+            if t <= self.end:
+                return t - self.start
+            self._set_states(self.end)
+            self._rebuild()
+
+    def sync(self) -> None:
+        """Bring the states to the current cycle."""
+        t = self.sim.t
+        if t != self.at:
+            self.cover(t)
+            self._set_states(t)
+
+    def param(self, key: tuple[str, str]) -> DriftState:
+        """A parameter's state as of now, open to a write."""
+        self.sync()
+        self.changed.add(self.param_column[key])
+        return self.sim._params[key]
+
+    def readings(self) -> np.ndarray:
+        """Every check's noiseless reading now, one column per check."""
+        j = self.cover(self.sim.t)
+        return self.obs[j]
+
+    def verdicts(self) -> np.ndarray:
+        """Every node's ground-truth verdict now, in graph order."""
+        j = self.cover(self.sim.t)
+        return self.ok[j]
+
+    def first_reading(self, m: int) -> float:
+        """The noiseless reading of node m's first check now."""
+        return float(self.readings()[self.first[m]])
 
 
 def run_simulation(graph: GraphSpec, cfg: SimConfig, run_id: str | None = None) -> Run:

@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,6 +194,20 @@ class TestConfigRoundTrip:
         # parse -> serialize -> parse is identity
         save_graph(load_graph(p), tmp_path / "g2.yaml")
         assert load_graph(tmp_path / "g2.yaml") == diamond_graph
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, chain_graph, diamond_graph):
+        p = tmp_path / "g.yaml"
+        save_graph(chain_graph, p)
+        old = p.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(yaml, "safe_dump", fail)
+        with pytest.raises(RuntimeError):
+            save_graph(diamond_graph, p)
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["g.yaml"]
 
     def test_schema_tag_required(self, tmp_path):
         (tmp_path / "bad.yaml").write_text("nodes: []\n")

@@ -502,8 +502,9 @@ def rich_graph():
 
 
 class TestLazyDrift:
-    """Drift is applied when it is read; ground-truth tracking reads every
-    cycle. Neither may change what the schedule sees."""
+    """Drift is computed a block ahead of the clock and read off the block;
+    ground-truth tracking only adds the block's events. Neither may change
+    what the schedule sees."""
 
     @pytest.mark.parametrize("config", ["xgate", "internode", "hidden"])
     def test_tracking_leaves_the_schedule_unchanged_on_packaged_configs(self, config):
@@ -560,15 +561,18 @@ class TestLazyDrift:
                     ref.calibrate(nid)
 
     def test_drift_calls_follow_reads_not_advances(self, monkeypatch):
-        # deterministic cost guard: a catch-up per parameter read, not a
-        # drift call per parameter per clock advance
+        # deterministic cost guard without tracking: one stacked drift call
+        # per block, rebuilt after each calibration or when a read passes
+        # the block's end, not one per parameter read or clock advance
         real = spaq.drift.logistic_drift_path
         calls = []
-        monkeypatch.setattr(spaq.drift, "logistic_drift_path", lambda *a: calls.append(1) or real(*a))
-        run = run_simulation(load_graph(builtin_config_path("xgate")), SimConfig(total_cycles=15_000, seed=0))
-        ops = sum(1 for e in run.events if e.op in (CHECK_DATA, CALIBRATE))
-        # three is the most parameters any xgate check reads
-        assert 0 < len(calls) <= 3 * ops
+        count = lambda *a: calls.append(1) or real(*a)
+        monkeypatch.setattr(spaq.drift, "logistic_drift_path", count)
+        monkeypatch.setattr(spaq.sim, "logistic_drift_path", count)
+        total = 15_000
+        run = run_simulation(load_graph(builtin_config_path("xgate")), SimConfig(total_cycles=total, seed=0))
+        cals = sum(1 for e in run.events if e.op == CALIBRATE)
+        assert 0 < len(calls) <= cals + math.ceil(total / spaq.sim._BLOCK) + 1
 
     def test_tracking_drift_calls_follow_blocks_not_advances(self, monkeypatch):
         # deterministic cost guard: one stacked drift call per block of
@@ -611,6 +615,7 @@ class TestReferenceSimulator:
 
 
 TRACKING_MODES = (
+    {},
     {"oracle_ttf": True},
     {"drift_sample_every": 37},
     {"oracle_ttf": True, "drift_sample_every": 37},
@@ -625,8 +630,9 @@ def with_block(monkeypatch, block, graph, cfg):
 
 
 class TestBlockLength:
-    """Ground truth is computed a block of cycles ahead of the clock; the
-    block's length may change the cost of a run, never its trace."""
+    """Drift and ground truth are computed a block of cycles ahead of the
+    clock, with tracking on or off; the block's length may change the cost
+    of a run, never its trace."""
 
     @pytest.mark.parametrize("block", [1, 2, 7, None])
     @pytest.mark.parametrize("config", ["xgate", "internode", "hidden"])
@@ -642,15 +648,16 @@ class TestBlockLength:
     @pytest.mark.parametrize("block", [1, 2, 7, None])
     def test_fuzzed_graphs(self, monkeypatch, block):
         for i, graph in enumerate([*fuzzed_graphs(), rich_graph(), noisy_graph()]):
-            cfg = SimConfig(total_cycles=400, seed=1000 + i, oracle_ttf=True, drift_sample_every=7)
-            expected = run_simulation(graph, cfg)
-            assert with_block(monkeypatch, block or cfg.total_cycles, graph, cfg) == expected, i
+            for extra in ({}, {"oracle_ttf": True, "drift_sample_every": 7}):
+                cfg = SimConfig(total_cycles=400, seed=1000 + i, **extra)
+                expected = run_simulation(graph, cfg)
+                assert with_block(monkeypatch, block or cfg.total_cycles, graph, cfg) == expected, (i, extra)
 
     @pytest.mark.parametrize("block", [41, 42, 43])
     def test_calibration_on_a_block_boundary(self, monkeypatch, block):
         # calibrated at 0..1, the node is next checked at 41 (timeout 40),
-        # fails and is recalibrated over 42..43; the block built at cycle 1
-        # ends at 1 + 42 = 43, exactly where that calibration resets it
+        # fails and is recalibrated over 42..43; the block built at cycle 0
+        # ends at 0 + 43 = 43, exactly where that calibration resets it
         p = ParamSpec(0.0, 0.5, ExponentialDriftCfg(rate=0.01, limit=10.0), cal_noise=0.0)
         graph = GraphSpec(nodes=(simple_node("n", timeout=40, check_cost=1, cal_cost=1, param=p),))
         cfg = SimConfig(total_cycles=120, seed=1, oracle_ttf=True, drift_sample_every=1)
@@ -664,7 +671,7 @@ class TestBlockLength:
 
         monkeypatch.setattr(Simulator, "_reset_params", spy)
         assert with_block(monkeypatch, block, graph, cfg) == expected
-        assert ((43, 43) in resets) == (block == 42)
+        assert ((43, 43) in resets) == (block == 43)
 
 
 class TestAvailability:
