@@ -109,22 +109,12 @@ def logistic_rate(tau, cfg: LogisticDriftCfg):
     return cfg.r_max / (1.0 + np.exp(-(np.asarray(tau, dtype=float) - cfg.tau_mid) / cfg.tau_scale))
 
 
-def logistic_drift_step(value: float, cycles_since_cal: int, cfg: LogisticDriftCfg, z: float) -> float:
-    """Advance one cycle: value + z * sigma * rate(tau).
-
-    ``z`` is a standard normal draw supplied by the caller so that RNG
-    stream ownership stays with the simulator. sigma = 0 leaves the
-    value unchanged.
-    """
-    rate = cfg.r_max / (1.0 + math.exp(-(cycles_since_cal - cfg.tau_mid) / cfg.tau_scale))
-    return value + z * cfg.sigma * rate
-
-
 def logistic_drift_path(value, cycles_since_cal, cfg: LogisticDriftCfg, zs: np.ndarray) -> np.ndarray:
     """Values after each of ``len(zs)`` consecutive cycles, vectorised.
 
-    Equivalent to iterating :func:`logistic_drift_step` over ``zs``.
-    ``zs`` holds one row per cycle. With ``zs`` of shape (k, n), the
+    Each cycle adds z * sigma * rate(tau) for its standard normal z, the
+    tau of cycle k being ``cycles_since_cal`` + k; ``zs`` holds one row
+    per cycle and is drawn by the caller, which owns the random stream. With ``zs`` of shape (k, n), the
     other arguments (and the fields of ``cfg``) may be length-n arrays:
     column i is then an independent walk with its own start and drift
     parameters, computed by the same elementwise operations.
@@ -182,18 +172,14 @@ class DriftState:
 
     ``anchor`` is the value at the last calibration (tau = 0); the
     exponential model relaxes from it, the logistic model random-walks
-    from ``value``. ``cycles_since_cal`` is tau. ``cfg`` is the drift
-    model and ``rng`` the stream of per-cycle normals that a logistic
-    walk draws from.
-
-    The simulator moves the state forward over many cycles at once, in
-    one :func:`logistic_drift_path` or :func:`exponential_decay_value`
-    call. Neither call depends on how the cycles are split: the random
-    walk draws one normal per cycle from its own stream and accumulates
-    from the current value, and the relaxation depends on tau alone. So
-    the value at cycle t is the same bits however the run is cut into
-    steps, and two runs with one seed see identical drift however
-    differently they schedule their reads.
+    from ``value``. ``cycles_since_cal`` is tau, ``cfg`` the drift model
+    and ``rng`` the stream of per-cycle normals a logistic walk draws.
+    The simulator moves states over many cycles in one
+    :func:`logistic_drift_path` or :func:`exponential_decay_value` call;
+    neither depends on how the cycles are split (the walk draws one
+    normal per cycle and accumulates from the current value, the
+    relaxation depends on tau alone), so two runs with one seed see the
+    same drift bits however differently they schedule their reads.
     """
 
     value: float

@@ -23,7 +23,9 @@ read past the block's end builds the next block. A calibration brings
 the states up to its cycle from that row, resets them, and has the rest
 of the block redone for its own parameters and the checks that read
 them only. So the cost of a run follows its blocks and calibrations,
-not its advances or its reads.
+not its advances or its reads. Ground-truth tracking (``oracle_ttf``,
+``drift_sample_every``) logs the same rows the checks read, so its
+verdicts are exactly what a noiseless check would see.
 
 Randomness is split into named substreams keyed by (purpose, node,
 parameter), and every drift substream draws exactly one normal per
@@ -32,13 +34,6 @@ two runs with the same seed but different scheduling see identical
 drift cycle for cycle: availability deltas between scheduling modes are
 then paired comparisons, not resampling noise. Checks measure the state
 at the cycle they start; their cost is paid afterwards.
-
-Ground-truth tracking (``oracle_ttf``, ``drift_sample_every``) lists
-each block's onset, recovery and grid events when it is built. One
-composition (``_observable``), one formula
-(:func:`spaq.drift.transfer_probability`) and one predicate
-(``Rule.in_spec``) serve every reading, so the verdicts a trace logs
-are exactly what a noiseless check would see.
 
 The run loop jumps the clock directly between maintenance due times in
 one batch per idle stretch, and asks a sink to maintain itself only when
@@ -135,13 +130,9 @@ def _substream(seed: int, *labels: str) -> np.random.Generator:
 
 
 def _observable(o, term_sum, external):
-    """Noiseless value of observable ``o`` from its term sums.
-
-    ``term_sum(name)`` is the weighted deviation sum over the term field
-    ``name`` of ``o``; ``external`` is the disturbance contribution. The
-    same code serves one reading (floats) and the stacked drift paths of
-    ground-truth tracking, where ``o``'s fields are per-column arrays.
-    """
+    """Noiseless values of a family of observables ``o`` (its fields are
+    per-column arrays) from the weighted deviation sums ``term_sum(name)``
+    over each term field and the disturbance contribution ``external``."""
     if o.kind == LINEAR:
         return o.offset + term_sum("terms") + external
     p = transfer_probability(
@@ -173,15 +164,10 @@ class Simulator:
         self._deps = {n.id: tuple(sorted(n.dependencies)) for n in graph.nodes}
         self._sinks = graph.sink_ids()
         # a sink's episode does work only if it or an ancestor is due
-        self._ancestry: dict[str, tuple[str, ...]] = {}
-        for s in self._sinks:
-            seen, todo = set(), [s]
-            while todo:
-                nid = todo.pop()
-                if nid not in seen:
-                    seen.add(nid)
-                    todo.extend(self._deps[nid])
-            self._ancestry[s] = tuple(seen)
+        ancestry: dict[str, frozenset] = {}
+        for nid in topological_order(graph):
+            ancestry[nid] = frozenset({nid}).union(*(ancestry[d] for d in self._deps[nid]))
+        self._ancestry = {s: tuple(ancestry[s]) for s in self._sinks}
         self._last_verified = {n.id: 0 for n in graph.nodes}
         self._far_past = -(1 << 60)
         self._last_cal_end = {n.id: self._far_past for n in graph.nodes}
@@ -212,15 +198,6 @@ class Simulator:
         for i, (dspec, _) in enumerate(self._dist):
             for nid in dspec.affected:
                 self._affecting[nid].append(i)
-
-        # nodes whose observables read a given node's params; calibrating
-        # that node can flip exactly these nodes' ground-truth status
-        observers: dict[str, set[str]] = {n.id: {n.id} for n in graph.nodes}
-        for n in graph.nodes:
-            for check in n.checks:
-                for term in check.observable.all_terms():
-                    observers[term.node or n.id].add(n.id)
-        self._observers = {nid: sorted(ms) for nid, ms in observers.items()}
         self._tracker = _Tracker(self)
 
     # --- plumbing ---
@@ -263,20 +240,17 @@ class Simulator:
 
     def _param(self, owner: str, pname: str) -> DriftState:
         """A parameter's state as of the current cycle, open to a write."""
-        return self._tracker.param((owner, pname))
+        return self._tracker.param((owner, pname), self.t)
 
     def _get_now(self, owner: str, pname: str) -> float:
         """A parameter's value at the current cycle."""
-        self._tracker.sync()
+        self._tracker.sync(self.t)
         return self._params[(owner, pname)].value
 
     def _dist_now(self, nid: str):
         """The disturbances' contribution to ``nid``'s observables now."""
-        self._tracker.sync()
+        self._tracker.sync(self.t)
         return sum(self._dist[i][0].strength * self._dist[i][1].value for i in self._affecting[nid])
-
-    def _ground_truth_in_spec(self, nid: str) -> bool:
-        return bool(self._tracker.verdicts()[self._tracker.index[nid]])
 
     def _advance(self, k: int) -> None:
         """Move the clock k cycles; under ground-truth tracking, emit the
@@ -285,32 +259,30 @@ class Simulator:
             return
         self.t += k
         if self._tracker.emits:
-            self._tracker.cover(self.t)
+            self._tracker.cover(self.t, self._emit)
 
-    def _flag_recheck(self, nid: str, was) -> None:
-        """Emit the ground-truth transitions a calibration caused, from
-        every node's verdicts ``was`` just before its reset."""
+    def _flag_recheck(self, was) -> None:
+        """Emit, in node id order, the ground-truth transitions a calibration
+        caused, from every node's verdicts ``was`` just before its reset."""
         if not self.cfg.oracle_ttf:
             return
         tr = self._tracker
-        now = tr.verdicts()
-        for m in self._observers[nid]:
-            i = tr.index[m]
-            if now[i] == was[i]:
-                continue
-            if now[i]:
-                self._emit(self.t, m, DRIFT_SAMPLE, PASS, value=tr.first_reading(i))
+        now, readings = tr.verdicts(self.t), tr.readings(self.t)
+        for m in sorted(np.flatnonzero(now != was).tolist(), key=tr.ids.__getitem__):
+            if now[m]:
+                self._emit(self.t, tr.ids[m], DRIFT_SAMPLE, PASS, value=float(readings[tr.spans[m].start]))
             else:
-                self._emit(self.t, m, ORACLE_OUT_OF_SPEC, FAIL)
+                self._emit(self.t, tr.ids[m], ORACLE_OUT_OF_SPEC, FAIL)
 
     # --- operations ---
 
     def _check_data(self, nid: str) -> bool:
         node = self._nodes[nid]
         start = self.t
-        readings = self._tracker.readings()
+        tr = self._tracker
+        readings = tr.readings(self.t)
         ok = True
-        for col, check in self._tracker.checks_of[nid]:
+        for col, check in zip(tr.spans[tr.index[nid]], node.checks):
             obs = float(readings[col])
             if check.observable.noise > 0.0:
                 obs += float(self._meas_rng[nid].standard_normal()) * check.observable.noise
@@ -358,15 +330,15 @@ class Simulator:
             start = self.t
             before = {p: self._get_now(nid, p) for p, _ in node.params}
             self._advance(node.calibrate_cost)
-            was = self._tracker.verdicts().copy()
+            was = self._tracker.verdicts(self.t).copy()
             self._reset_params(nid)
-            ok = self._ground_truth_in_spec(nid)
+            ok = bool(self._tracker.verdicts(self.t)[self._tracker.index[nid]])
             after = {p: self._get_now(nid, p) for p, _ in node.params}
             self._emit(
                 start, nid, CALIBRATE, SUCCESS if ok else FAILED,
                 dur=node.calibrate_cost, before=before, after=after,
             )
-            self._flag_recheck(nid, was)
+            self._flag_recheck(was)
             if ok:
                 self._last_verified[nid] = self.t
                 self._last_cal_end[nid] = self.t
@@ -501,7 +473,7 @@ def _slots(rows) -> list:
         live = [r for r, terms in enumerate(rows) if len(terms) > j]
         col, weight, optimal = zip(*(rows[r][j] for r in live))
         out.append((
-            None if len(live) == len(rows) else _index(live),
+            slice(None) if len(live) == len(rows) else _index(live),
             _index(list(col)),
             np.array(weight, dtype=float),
             None if optimal[0] is None else np.array(optimal, dtype=float),
@@ -511,49 +483,43 @@ def _slots(rows) -> list:
 
 def _slot_sum(slots, paths: np.ndarray, width: int):
     """Per-cycle sums over stacked paths, each sum's terms added in order."""
-    total = 0.0
+    total = np.zeros((len(paths), width)) if slots else 0.0
     for live, col, weight, optimal in slots:
         x = paths[:, col]
-        x = weight * (x if optimal is None else x - optimal)
-        if live is None:
-            total = total + x
-        else:
-            if np.ndim(total) == 0:
-                total = np.zeros((len(paths), width))
-            total[:, live] = total[:, live] + x
+        total[:, live] += weight * (x if optimal is None else x - optimal)
     return total
 
 
 # cycles a block computes past the cycle it starts from
 _BLOCK = 256
 
+# the term fields of each observable family; the transfer family is
+# evaluated as gates, a transition being a gate whose phase error is zero
+# (cos(0)^2 == 1.0 exactly)
+_FAMILIES = {LINEAR: ("terms",), GATE: ("detuning_terms", "time_terms", "phase_terms", "background_terms")}
+
 
 class _Tracker:
     """Drift, readings and ground truth of every state, a block ahead.
 
     A block holds rows for cycles start .. start + ``_BLOCK``, row j
-    being cycle start + j and row 0 the states as they were: the paths of
-    all states (one drift call per model, one column per state), every
+    being cycle start + j and row 0 the states as they were: every
+    state's path (one drift call per model, one column per state), every
     check's noiseless reading (one array expression per observable
     family), every node's verdict (one predicate per rule op) and, under
     ground-truth tracking, the onset, recovery and grid events in trace
-    order. Every element goes through the operations a single reading
-    applies.
-
-    Reads take the row of the current cycle; a read past the block's end
-    builds the next block from its last row. The ``DriftState`` objects
-    hold cycle ``at``; they are brought forward only when a calibration
-    is about to write them (``sync``). A write (``param``) marks the
-    state ``changed``, and the next read redoes, from cycle ``at`` to
-    the block's end, only that state's path and the readings and
-    verdicts of the nodes whose checks read it. Each logistic stream
-    draws one normal per cycle in cycle order, once, whatever the writes
-    and however the cycles fall into blocks, so blocks of any length
+    order. A read past the block's end builds the next block from its
+    last row. The ``DriftState`` objects hold cycle ``at`` and are
+    brought forward only for a calibration (``sync``); a write
+    (``param``) marks a state ``changed``, and the next read redoes, from
+    ``at`` to the block's end, only that state's path and the readings
+    and verdicts of the nodes that read it. Each logistic stream draws
+    one normal per cycle, in cycle order, once, so blocks of any length
     give the same bits.
     """
 
     def __init__(self, sim: Simulator):
-        self.sim = sim
+        self.cfg = sim.cfg
         self.emits = sim.cfg.oracle_ttf or sim.cfg.drift_sample_every > 0
         # logistic states first, then exponential ones
         states = [*sim._params.values(), *(st for _, st in sim._dist)]
@@ -562,21 +528,32 @@ class _Tracker:
         self.rngs = [st.rng for st in self.states[:n_log]]
         column = {id(st): i for i, st in enumerate(self.states)}
         self.param_column = {key: column[id(st)] for key, st in sim._params.items()}
-        self.dist_column = [column[id(st)] for _, st in sim._dist]
         self.ids = [n.id for n in sim.graph.nodes]
         self.index = {nid: m for m, nid in enumerate(self.ids)}
         self.checks = [(n.id, c) for n in sim.graph.nodes for c in n.checks]
-        # each node's first check column; a node is in spec iff all its checks pass
-        sizes = [len(n.checks) for n in sim.graph.nodes]
-        self.first = np.cumsum([0, *sizes])[:-1]
-        self.spans = [range(f, f + k) for f, k in zip(self.first.tolist(), sizes)]
-        self.checks_of = {nid: tuple((c, self.checks[c][1]) for c in span) for nid, span in zip(self.ids, self.spans)}
+        # each node's check columns; a node is in spec iff all its checks pass
+        ends = np.cumsum([len(n.checks) for n in sim.graph.nodes]).tolist()
+        self.spans = [range(end - len(n.checks), end) for n, end in zip(sim.graph.nodes, ends)]
+
+        def terms(nid: str, ts) -> list:
+            keys = [(tm.node or nid, tm.param) for tm in ts]
+            return [(self.param_column[k], tm.weight, sim._param_spec[k].optimal) for k, tm in zip(keys, ts)]
+
+        # each check's sums as (state column, weight, optimal) terms per
+        # term field of its family, and its disturbances as (column,
+        # strength, None); a transition reads no phase terms
+        self.terms, self.dists = [], []
+        for nid, c in self.checks:
+            o = c.observable
+            fields = _FAMILIES[LINEAR if o.kind == LINEAR else GATE]
+            skip = {"phase_terms"} if o.kind != GATE else set()
+            self.terms.append({name: terms(nid, () if name in skip else getattr(o, name)) for name in fields})
+            self.dists.append([(column[id(sim._dist[i][1])], sim._dist[i][0].strength, None) for i in sim._affecting[nid]])
         # the state columns each node's checks read
-        self.reads = []
-        for nid, span in zip(self.ids, self.spans):
-            terms = [tm for c in span for tm in self.checks[c][1].observable.all_terms()]
-            params = {self.param_column[(tm.node or nid, tm.param)] for tm in terms}
-            self.reads.append(params | {self.dist_column[i] for i in sim._affecting[nid]})
+        self.reads = [
+            {col for c in span for ts in (*self.terms[c].values(), self.dists[c]) for col, _, _ in ts}
+            for span in self.spans
+        ]
         self.plans: dict[frozenset, SimpleNamespace] = {}
         self.all = self._plan(range(len(self.states)), range(len(self.ids)))
         self.changed: set[int] = set()
@@ -594,55 +571,27 @@ class _Tracker:
         if nodes is None:
             nodes = [m for m, reads in enumerate(self.reads) if reads.intersection(cols)]
         checks = [c for m in nodes for c in self.spans[m]]
-        sim = self.sim
-
-        def terms(nid: str, ts) -> list:
-            keys = [(tm.node or nid, tm.param) for tm in ts]
-            return [(self.param_column[k], tm.weight, sim._param_spec[k].optimal) for k, tm in zip(keys, ts)]
-
-        def disturbances(nid: str) -> list:
-            return [(self.dist_column[i], sim._dist[i][0].strength, None) for i in sim._affecting[nid]]
-
-        # the transfer family is evaluated as gates, a transition being a
-        # gate whose phase error is zero (cos(0)^2 == 1.0 exactly)
         families = []
-        for kind, fields in (
-            (LINEAR, ("terms",)),
-            (GATE, ("detuning_terms", "time_terms", "phase_terms", "background_terms")),
-        ):
+        for kind, fields in _FAMILIES.items():
             idx = [c for c in checks if (self.checks[c][1].observable.kind == LINEAR) == (kind == LINEAR)]
             if not idx:
                 continue
-            rows = [(self.checks[c][0], self.checks[c][1].observable) for c in idx]
-            slots = {
-                name: _slots([
-                    terms(nid, getattr(o, name)) if name != "phase_terms" or o.kind == GATE else []
-                    for nid, o in rows
-                ])
-                for name in fields
-            }
-            o = SimpleNamespace(
-                kind=kind,
-                offset=np.array([o.offset for _, o in rows], dtype=float),
-                omega=np.array([o.omega for _, o in rows], dtype=float),
-                t_nominal=np.array(
-                    [math.pi / o.omega if o.t_nominal is None else o.t_nominal for _, o in rows], dtype=float
-                ),
-            )
-            families.append((_index(idx), len(idx), o, slots, _slots([disturbances(nid) for nid, _ in rows])))
+            specs = [self.checks[c][1].observable for c in idx]
+            o = _columns(specs, ("offset", "omega"))
+            o.kind = kind
+            o.t_nominal = np.array([math.pi / x.omega if x.t_nominal is None else x.t_nominal for x in specs], float)
+            slots = {name: _slots([self.terms[c][name] for c in idx]) for name in fields}
+            families.append((_index(idx), len(idx), o, slots, _slots([self.dists[c] for c in idx])))
         rules = []
         for op in sorted({self.checks[c][1].rule.op for c in checks}):
             pos = [i for i, c in enumerate(checks) if self.checks[c][1].rule.op == op]
-            rs = [self.checks[checks[i]][1].rule for i in pos]
-            bound = np.array([r.bound for r in rs], dtype=float)
-            center = np.array([r.center for r in rs], dtype=float)
-            rules.append((_index(pos), _index([checks[i] for i in pos]), Rule(op=op, bound=bound, center=center)))
+            rule = Rule(op, **vars(_columns([self.checks[checks[i]][1].rule for i in pos], ("bound", "center"))))
+            rules.append((_index(pos), _index([checks[i] for i in pos]), rule))
         cfgs = [self.states[c].cfg for c in cols]
         return SimpleNamespace(
             cols=cols,
             log=_index(log) if log else None,
             exp=_index(exp) if exp else None,
-            anchored=[self.states[c] for c in exp],
             logistic=_columns(cfgs[: len(log)], ("r_max", "tau_mid", "tau_scale", "sigma")),
             exponential=_columns(cfgs[len(log) :], ("rate", "limit")),
             families=families,
@@ -667,7 +616,7 @@ class _Tracker:
             paths[j0 + 1 :, log] = logistic_drift_path(paths[j0, log], csc[log] + j0, plan.logistic, zs)
         if plan.exp is not None:
             taus = csc[plan.exp] + np.arange(j0 + 1, len(paths), dtype=float)[:, None]
-            anchors = np.array([st.anchor for st in plan.anchored])
+            anchors = np.array([self.states[c].anchor for c in plan.cols if c >= self.n_log])
             paths[j0 + 1 :, plan.exp] = exponential_decay_value(taus, plan.exponential, v0=anchors)
         paths = paths[j0:]
         for idx, width, o, slots, dist_slots in plan.families:
@@ -699,7 +648,7 @@ class _Tracker:
 
     def _events(self, j0: int) -> list[tuple]:
         """The ground-truth events of the block's rows after j0, in trace order."""
-        cfg, ok, t = self.sim.cfg, self.ok, self.start
+        cfg, ok, t = self.cfg, self.ok, self.start
         # (row, node, 0) marks an onset or a recovery, (row, node, 1) a grid
         # sample; sorted, they are in the order a trace lists them
         marks = []
@@ -716,7 +665,7 @@ class _Tracker:
                 events.append((t + j, self.ids[m], ORACLE_OUT_OF_SPEC, FAIL, None))
             else:
                 outcome = PASS if ok[j, m] else FAIL
-                events.append((t + j, self.ids[m], DRIFT_SAMPLE, outcome, float(self.obs[j, self.first[m]])))
+                events.append((t + j, self.ids[m], DRIFT_SAMPLE, outcome, float(self.obs[j, self.spans[m].start])))
         return events
 
     def _set_states(self, t: int) -> None:
@@ -727,9 +676,9 @@ class _Tracker:
             s.cycles_since_cal = csc
         self.at = t
 
-    def cover(self, t: int) -> int:
-        """The block's row of cycle t, building blocks up to it; emits the
-        block events of every cycle up to t not yet emitted."""
+    def cover(self, t: int, emit=None) -> int:
+        """The block's row of cycle t, building blocks up to it; with
+        ``emit``, passes it every block event up to t not yet passed."""
         if self.changed:
             key = frozenset(self.changed)
             if key not in self.plans:
@@ -738,41 +687,36 @@ class _Tracker:
             self._redo(self.plans[key], self.at - self.start)
         while True:
             events, last = self.events, min(t, self.end)
-            while self.next < len(events) and events[self.next][0] <= last:
+            while emit and self.next < len(events) and events[self.next][0] <= last:
                 time, nid, op, outcome, value = events[self.next]
-                self.sim._emit(time, nid, op, outcome, value=value)
+                emit(time, nid, op, outcome, value=value)
                 self.next += 1
             if t <= self.end:
                 return t - self.start
             self._set_states(self.end)
             self._rebuild()
 
-    def sync(self) -> None:
-        """Bring the states to the current cycle."""
-        t = self.sim.t
+    def sync(self, t: int) -> None:
+        """Bring the states to cycle t."""
         if t != self.at:
             self.cover(t)
             self._set_states(t)
 
-    def param(self, key: tuple[str, str]) -> DriftState:
-        """A parameter's state as of now, open to a write."""
-        self.sync()
+    def param(self, key: tuple[str, str], t: int) -> DriftState:
+        """A parameter's state as of cycle t, open to a write."""
+        self.sync(t)
         self.changed.add(self.param_column[key])
-        return self.sim._params[key]
+        return self.states[self.param_column[key]]
 
-    def readings(self) -> np.ndarray:
-        """Every check's noiseless reading now, one column per check."""
-        j = self.cover(self.sim.t)
+    def readings(self, t: int) -> np.ndarray:
+        """Every check's noiseless reading at cycle t, one column per check."""
+        j = self.cover(t)
         return self.obs[j]
 
-    def verdicts(self) -> np.ndarray:
-        """Every node's ground-truth verdict now, in graph order."""
-        j = self.cover(self.sim.t)
+    def verdicts(self, t: int) -> np.ndarray:
+        """Every node's ground-truth verdict at cycle t, in graph order."""
+        j = self.cover(t)
         return self.ok[j]
-
-    def first_reading(self, m: int) -> float:
-        """The noiseless reading of node m's first check now."""
-        return float(self.readings()[self.first[m]])
 
 
 def run_simulation(graph: GraphSpec, cfg: SimConfig, run_id: str | None = None) -> Run:

