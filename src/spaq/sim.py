@@ -283,7 +283,7 @@ class Simulator:
         readings = tr.readings(self.t)
         ok = True
         for col, check in zip(tr.spans[tr.index[nid]], node.checks):
-            obs = float(readings[col])
+            obs = readings.item(col)
             if check.observable.noise > 0.0:
                 obs += float(self._meas_rng[nid].standard_normal()) * check.observable.noise
             if not check.rule.in_spec(obs):
@@ -491,7 +491,7 @@ def _slot_sum(slots, paths: np.ndarray, width: int):
 
 
 # cycles a block computes past the cycle it starts from
-_BLOCK = 256
+_BLOCK = 512
 
 # the term fields of each observable family; the transfer family is
 # evaluated as gates, a transition being a gate whose phase error is zero
@@ -691,7 +691,7 @@ class _Tracker:
                 time, nid, op, outcome, value = events[self.next]
                 emit(time, nid, op, outcome, value=value)
                 self.next += 1
-            if t <= self.end:
+            if t <= last:
                 return t - self.start
             self._set_states(self.end)
             self._rebuild()

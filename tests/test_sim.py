@@ -600,18 +600,23 @@ class TestReferenceSimulator:
         [{}, {"oracle_ttf": True}, {"drift_sample_every": 7}, {"oracle_ttf": True, "drift_sample_every": 7}],
         ids=["untracked", "oracle_ttf", "drift_sample", "both"],
     )
-    def test_runs_and_trace_bytes_equal_the_reference(self, tmp_path, extra):
+    def test_runs_and_trace_bytes_equal_the_reference(self, tmp_path, monkeypatch, extra):
         for i, graph in enumerate([*fuzzed_graphs(), rich_graph(), noisy_graph()]):
             cfg = SimConfig(total_cycles=400, seed=1000 + i, **extra)
             ref = ReferenceSimulator(graph, cfg)
             expected = ref.run()
-            sim = Simulator(graph, cfg)
-            assert sim.run() == expected, i
-            assert sim.calibration_failures == ref.calibration_failures, i
-            assert Simulator(graph, cfg).run_stepwise() == expected, i
             write_trace(tmp_path / "ref.jsonl", expected)
-            write_trace(tmp_path / "sim.jsonl", sim.finish())
-            assert (tmp_path / "sim.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes(), i
+            # one block spans a run by default; blocks of 49 cycles end
+            # eight times, each time on a drift_sample_every=7 grid cycle
+            for block in (spaq.sim._BLOCK, 49):
+                with monkeypatch.context() as m:
+                    m.setattr(spaq.sim, "_BLOCK", block)
+                    sim = Simulator(graph, cfg)
+                    assert sim.run() == expected, (i, block)
+                    assert sim.calibration_failures == ref.calibration_failures, (i, block)
+                    assert Simulator(graph, cfg).run_stepwise() == expected, (i, block)
+                write_trace(tmp_path / "sim.jsonl", sim.finish())
+                assert (tmp_path / "sim.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes(), (i, block)
 
 
 TRACKING_MODES = (
