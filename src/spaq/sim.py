@@ -255,8 +255,6 @@ class Simulator:
     def _advance(self, k: int) -> None:
         """Move the clock k cycles; under ground-truth tracking, emit the
         events of the cycles passed."""
-        if k <= 0:
-            return
         self.t += k
         if self._tracker.emits:
             self._tracker.cover(self.t, self._emit)
@@ -473,7 +471,7 @@ def _slots(rows) -> list:
         live = [r for r, terms in enumerate(rows) if len(terms) > j]
         col, weight, optimal = zip(*(rows[r][j] for r in live))
         out.append((
-            slice(None) if len(live) == len(rows) else _index(live),
+            _index(live),
             _index(list(col)),
             np.array(weight, dtype=float),
             None if optimal[0] is None else np.array(optimal, dtype=float),
@@ -557,7 +555,6 @@ class _Tracker:
         self.plans: dict[frozenset, SimpleNamespace] = {}
         self.all = self._plan(range(len(self.states)), range(len(self.ids)))
         self.changed: set[int] = set()
-        self.events, self.next = [], 0
         self.end = 0
         self._rebuild()
 
@@ -629,9 +626,8 @@ class _Tracker:
         if plan.first is not None:
             ok = np.logical_and.reduceat(ok, plan.first, axis=1)
         self.ok[j0:, plan.nodes] = ok
-        if self.emits:
-            self.events = self._events(j0)
-            self.next = 0
+        # the events after row j0 are listed again when they are due
+        self.events, self.next, self.listed = [], 0, self.start + j0
 
     def _rebuild(self) -> None:
         """Start the next block at the current one's end, which the states hold."""
@@ -646,18 +642,18 @@ class _Tracker:
         self.csc = np.zeros(len(self.states), dtype=np.int64)
         self._redo(self.all, 0)
 
-    def _events(self, j0: int) -> list[tuple]:
-        """The ground-truth events of the block's rows after j0, in trace order."""
+    def _events(self, lo: int, hi: int) -> list[tuple]:
+        """The ground-truth events of cycles lo + 1 .. hi, in trace order."""
         cfg, ok, t = self.cfg, self.ok, self.start
         # (row, node, 0) marks an onset or a recovery, (row, node, 1) a grid
         # sample; sorted, they are in the order a trace lists them
         marks = []
         if cfg.oracle_ttf:
-            rows, cols = np.nonzero(ok[j0 + 1 :] != ok[j0:-1])
-            marks = [(j0 + 1 + j, m, 0) for j, m in zip(rows.tolist(), cols.tolist())]
+            rows, cols = np.nonzero(ok[lo - t + 1 : hi - t + 1] != ok[lo - t : hi - t])
+            marks = [(lo - t + 1 + j, m, 0) for j, m in zip(rows.tolist(), cols.tolist())]
         every = cfg.drift_sample_every
         if every:
-            grid = range(((t + j0) // every + 1) * every - t, len(ok), every)
+            grid = range((lo // every + 1) * every - t, hi - t + 1, every)
             marks += [(j, m, 1) for j in grid for m in range(len(self.ids))]
         events = []
         for j, m, kind in sorted(marks):
@@ -686,11 +682,19 @@ class _Tracker:
             self.changed.clear()
             self._redo(self.plans[key], self.at - self.start)
         while True:
-            events, last = self.events, min(t, self.end)
-            while emit and self.next < len(events) and events[self.next][0] <= last:
-                time, nid, op, outcome, value = events[self.next]
-                emit(time, nid, op, outcome, value=value)
-                self.next += 1
+            last = min(t, self.end)
+            while emit:
+                events = self.events
+                while self.next < len(events) and events[self.next][0] <= last:
+                    time, nid, op, outcome, value = events[self.next]
+                    emit(time, nid, op, outcome, value=value)
+                    self.next += 1
+                if self.listed >= last:
+                    break
+                # list a few dozen cycles at a time, so that a calibration
+                # discards few listed events
+                hi = min(max(last, self.listed + 64), self.end)
+                self.events, self.next, self.listed = self._events(self.listed, hi), 0, hi
             if t <= last:
                 return t - self.start
             self._set_states(self.end)
