@@ -35,7 +35,7 @@ from pathlib import Path
 from statistics import fmean
 
 from .errors import CycleError, NoSamplesError
-from .extractors import _calibrations, _condition_samples, calibration_shift, evaluate_property
+from .extractors import _calibrated, _condition_samples, calibration_shifts, evaluate_property
 from .graph import (
     GraphSpec,
     NodeSpec,
@@ -389,7 +389,7 @@ def param_shift_failure_test(
     Raises NoSamplesError when the dataset has no calibrations of
     ``node_a`` at all.
     """
-    if not any(_calibrations(dataset, node_a)):
+    if not _calibrated(dataset, node_a):
         raise NoSamplesError(f"no calibrations of {node_a!r} in the dataset")
     text = (
         f"test prob[shift({node_a}, param={param}, by={rel_shift:g}) "
@@ -399,11 +399,11 @@ def param_shift_failure_test(
     main = evaluate_property(dataset, ast)
     query = ast.body
 
-    def small_shift(e) -> bool:
-        shift = calibration_shift(e, param)
-        return shift is not None and shift <= rel_shift
-
-    control_samples = _condition_samples(dataset, node_a, small_shift, query.response, query.window)
+    small_shifts = []
+    for run in dataset.runs:
+        times, shifts = calibration_shifts(run, node_a, param)
+        small_shifts.append(times[shifts <= rel_shift])
+    control_samples = _condition_samples(dataset, small_shifts, query.response, query.window)
     control = exact_binomial_test(
         list(control_samples.values), SmcConfig(F=p0, C=C, side=UPPER)
     )

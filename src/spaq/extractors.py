@@ -27,13 +27,18 @@ Event patterns: ``fail(n)`` matches failed check_data events;
 ``calibrate(n)`` matches calibrate events regardless of outcome;
 ``shift(n, param=p, by=x)`` matches calibrate events whose relative
 change in ``p``, |after - before| / max(|before|, 1e-9), exceeds x.
+
+Every pattern resolves to a sorted array of event times per run, read
+off the run's cached per-node columns (``Run.columns``); windows are
+found by binary search on those arrays. Among events at one cycle, the
+order is the trace's.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     NoSamplesError,
@@ -60,9 +65,11 @@ from .properties import (
     PropertyAst,
 )
 from .smc import LOWER, TWO_SIDED, UPPER, SmcConfig, SmcResult, exact_binomial_test, quantile_confidence_bound, quantile_confidence_interval, sprt_test
-from .trace import CALIBRATE, CHECK_DATA, FAIL, ORACLE_OUT_OF_SPEC, PASS, SUCCESS, Dataset, Run, TraceEvent
+from .trace import CALIBRATE, CHECK_DATA, FAIL, ORACLE_OUT_OF_SPEC, PASS, SUCCESS, Dataset, Run
 
 REL_SHIFT_EPS = 1e-9
+_NO_TIMES = np.zeros(0, dtype=np.int64)
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -73,20 +80,10 @@ class ExtractedSamples:
     n_censored: int = 0
 
 
-def rel_shift(before: float, after: float) -> float:
-    return abs(after - before) / max(abs(before), REL_SHIFT_EPS)
-
-
-def calibration_shift(event: TraceEvent, param: str) -> float | None:
-    """Relative change of ``param`` in a calibrate event; None for other
-    events and for calibrations that do not record the parameter."""
-    if event.op != CALIBRATE:
-        return None
-    before = dict(event.params_before or ())
-    after = dict(event.params_after or ())
-    if param not in before or param not in after:
-        return None
-    return rel_shift(before[param], after[param])
+def rel_shift(before, after):
+    """|after - before| / max(|before|, 1e-9), on floats or float64 arrays
+    (NaN in, NaN out)."""
+    return np.abs(after - before) / np.maximum(np.abs(before), REL_SHIFT_EPS)
 
 
 def _require_node(dataset: Dataset, node: str) -> None:
@@ -94,28 +91,47 @@ def _require_node(dataset: Dataset, node: str) -> None:
         raise UnknownNodeError(f"node {node!r} never appears in the dataset")
 
 
-def _matches(event: TraceEvent, pattern: EventPattern) -> bool:
-    """Whether an event of the pattern's node matches the pattern."""
+def _calibrated(dataset: Dataset, node: str) -> bool:
+    return any(len(_node_times(run, node, CALIBRATE)) for run in dataset.runs)
+
+
+def _node_times(run: Run, node: str, op: str, outcome: str | None = None) -> np.ndarray:
+    """Sorted times of the node's events with ``op`` (and ``outcome``)."""
+    cols = run.columns.get(node)
+    return _NO_TIMES if cols is None else cols.times(op, outcome)
+
+
+def calibration_shifts(run: Run, node: str, param: str) -> tuple[np.ndarray, np.ndarray]:
+    """The node's calibration times in a run, and the relative change of
+    ``param`` at each; NaN where a calibration does not record it."""
+    cols = run.columns.get(node)
+    if cols is None:
+        return _NO_TIMES, np.zeros(0)
+    times = cols.times(CALIBRATE)
+    before, after = cols.params_before.get(param), cols.params_after.get(param)
+    if before is None or after is None:
+        return times, np.full(len(times), np.nan)
+    return times, rel_shift(before, after)
+
+
+def _pattern_times(run: Run, pattern: EventPattern) -> np.ndarray:
+    """Sorted times of the run's events that match the pattern."""
     if pattern.kind == FAIL_EVENT:
-        return event.op == CHECK_DATA and event.outcome == FAIL
+        return _node_times(run, pattern.node, CHECK_DATA, FAIL)
     if pattern.kind == CALIBRATE_EVENT:
-        return event.op == CALIBRATE
+        return _node_times(run, pattern.node, CALIBRATE)
     if pattern.kind == SHIFT_EVENT:
-        shift = calibration_shift(event, str(pattern.arg("param")))
-        return shift is not None and shift > float(pattern.arg("by"))
+        times, shifts = calibration_shifts(run, pattern.node, str(pattern.arg("param")))
+        # NaN compares false: a calibration without the parameter never matches
+        return times[shifts > float(pattern.arg("by"))]
     raise ValueError(f"unknown event pattern kind {pattern.kind!r}")
-
-
-def _calibrations(dataset: Dataset, node: str) -> Iterator[TraceEvent]:
-    """The node's calibrate events, run by run."""
-    return (e for run in dataset.runs for e in run.by_node.get(node, ()) if e.op == CALIBRATE)
 
 
 def _check_shift_param_known(dataset: Dataset, pattern: EventPattern) -> None:
     if pattern.kind != SHIFT_EVENT:
         return
-    param = str(pattern.arg("param"))
-    if not any(param in dict(e.params_before or ()) for e in _calibrations(dataset, pattern.node)):
+    param, node = str(pattern.arg("param")), pattern.node
+    if not any(node in run.columns and param in run.columns[node].params_before for run in dataset.runs):
         raise UnknownParamError(
             f"parameter {param!r} never appears in calibrations of node {pattern.node!r}"
         )
@@ -129,29 +145,30 @@ def _ttf_samples(run: Run, metric: MetricRef) -> tuple[list[float], int]:
     if anchor_mode not in ("verification", "calibration"):
         raise ValueError(f"ttf anchor must be verification or calibration, got {anchor_mode!r}")
     oracle = str(metric.arg("oracle", "false")).lower() == "true"
-    samples: list[float] = []
-    anchor: float | None = None
-    for e in run.by_node.get(metric.node, ()):
-        failed = e.op == ORACLE_OUT_OF_SPEC if oracle else (e.op == CHECK_DATA and e.outcome == FAIL)
-        if failed and anchor is not None:
-            samples.append(float(e.time) - anchor)
-            anchor = None
-        if (e.op == CALIBRATE and e.outcome == SUCCESS) or (
-            anchor_mode == "verification" and e.op == CHECK_DATA and e.outcome == PASS
-        ):
-            anchor = float(e.time)
-    return samples, int(anchor is not None)
+    cols = run.columns.get(metric.node)
+    if cols is None:
+        return [], 0
+    failed = cols.mask(ORACLE_OUT_OF_SPEC) if oracle else cols.mask(CHECK_DATA, FAIL)
+    anchor = cols.mask(CALIBRATE, SUCCESS)
+    if anchor_mode == "verification":
+        anchor |= cols.mask(CHECK_DATA, PASS)
+    marks = failed | anchor
+    t, is_anchor = cols.time[marks], anchor[marks]
+    # in trace order, a failure right after an anchor closes an interval;
+    # the anchor is the latest one, and a failure after a failure has none
+    closes = is_anchor[:-1] & ~is_anchor[1:]
+    return np.diff(t)[closes].astype(np.float64).tolist(), int(len(t) > 0 and is_anchor[-1])
 
 
 def _failures_samples(run: Run, metric: MetricRef) -> list[float]:
     window = metric.arg("window")
     if not isinstance(window, int) or window < 1:
         raise ValueError(f"failures window must be a positive integer, got {window!r}")
-    counts = [0] * (run.meta.total_cycles // window)
-    for e in run.by_node.get(metric.node, ()):
-        if e.op == CHECK_DATA and e.outcome == FAIL and e.time // window < len(counts):
-            counts[e.time // window] += 1
-    return [float(c) for c in counts]
+    n = run.meta.total_cycles // window
+    if n == 0:
+        return []
+    k = _pattern_times(run, EventPattern(kind=FAIL_EVENT, node=metric.node)) // window
+    return np.bincount(k[k < n], minlength=n).astype(np.float64).tolist()
 
 
 def _param_samples(run: Run, metric: MetricRef) -> list[float]:
@@ -159,22 +176,17 @@ def _param_samples(run: Run, metric: MetricRef) -> list[float]:
     when = str(metric.arg("when", "after"))
     if when not in ("before", "after"):
         raise ValueError(f"param 'when' must be before or after, got {when!r}")
-    out: list[float] = []
-    for e in run.by_node.get(metric.node, ()):
-        if e.op == CALIBRATE:
-            m = dict((e.params_before if when == "before" else e.params_after) or ())
-            if name in m:
-                out.append(m[name])
-    return out
+    cols = run.columns.get(metric.node)
+    values = None if cols is None else (cols.params_before if when == "before" else cols.params_after).get(name)
+    return [] if values is None else values[~np.isnan(values)].tolist()
 
 
 def _time_between_samples(run: Run, metric: MetricRef) -> list[float]:
     which = str(metric.arg("event"))
     if which not in (CALIBRATE_EVENT, FAIL_EVENT):
         raise ValueError(f"time_between event must be calibrate or fail, got {which!r}")
-    pattern = EventPattern(kind=which, node=metric.node)
-    ts = [e.time for e in run.by_node.get(metric.node, ()) if _matches(e, pattern)]
-    return [float(b - a) for a, b in zip(ts, ts[1:])]
+    ts = _pattern_times(run, EventPattern(kind=which, node=metric.node))
+    return np.diff(ts).astype(np.float64).tolist()
 
 
 def _pct_time_samples(run: Run, metric: MetricRef) -> list[float]:
@@ -183,7 +195,8 @@ def _pct_time_samples(run: Run, metric: MetricRef) -> list[float]:
         raise ValueError(f"pct_time op must be check_data or calibrate, got {op!r}")
     if run.meta.total_cycles <= 0:
         return []
-    busy = sum(e.duration for e in run.by_node.get(metric.node, ()) if e.op == op)
+    cols = run.columns.get(metric.node)
+    busy = int(cols.duration[cols.mask(op)].sum()) if cols is not None else 0
     return [busy / run.meta.total_cycles]
 
 
@@ -208,7 +221,7 @@ def extract_metric(dataset: Dataset, metric: MetricRef) -> ExtractedSamples:
         else:
             raise ValueError(f"unknown metric {metric.name!r}")
         values.extend(vs)
-    if metric.name == PARAM and not values and any(_calibrations(dataset, metric.node)):
+    if metric.name == PARAM and not values and _calibrated(dataset, metric.node):
         raise UnknownParamError(
             f"parameter {metric.arg('name')!r} never appears in calibrations of {metric.node!r}"
         )
@@ -222,31 +235,30 @@ def extract_metric(dataset: Dataset, metric: MetricRef) -> ExtractedSamples:
 
 def _condition_samples(
     dataset: Dataset,
-    trigger_node: str,
-    trigger_match,
+    triggers: list[np.ndarray],
     response: EventPattern,
     window,
 ) -> ExtractedSamples:
-    """Window logic shared by parsed prob queries and ad-hoc trigger
-    predicates over ``trigger_node``'s events: one boolean per trigger,
-    true iff a matching response lands in the half-open window after it."""
+    """Window logic shared by parsed prob queries and ad-hoc trigger sets:
+    ``triggers`` holds each run's sorted trigger times. One boolean per
+    trigger, true iff a matching response lands in the half-open window
+    after it."""
     out: list[bool] = []
-    for run in dataset.runs:
-        triggers = [e.time for e in run.by_node.get(trigger_node, ()) if trigger_match(e)]
-        if not triggers:
+    for run, t in zip(dataset.runs, triggers):
+        if not len(t):
             continue
-        response_events = run.by_node.get(response.node, ())
-        hits = [e.time for e in response_events if _matches(e, response)]
-        checks = [e.time for e in response_events if e.op == CHECK_DATA]
         run_end = max(run.meta.total_cycles, run.events[-1].time)
-        for t in triggers:
-            if window == NEXT_CHECK:
-                i = bisect_right(checks, t)
-                hi = checks[i] if i < len(checks) else run_end
-            else:
-                hi = t + int(window)
-            j = bisect_right(hits, t)
-            out.append(j < len(hits) and hits[j] <= hi)
+        if window == NEXT_CHECK:
+            checks = _node_times(run, response.node, CHECK_DATA)
+            hi = np.append(checks, run_end)[np.searchsorted(checks, t, side="right")]
+        else:
+            # no event lies past run_end, so a longer window finds nothing
+            # more; the cap keeps t + w within int64
+            hi = t + min(int(window), run_end)
+        hits = _pattern_times(run, response)
+        # the first hit after each trigger; past the last hit, a time no window reaches
+        first = np.append(hits, _NEVER)[np.searchsorted(hits, t, side="right")]
+        out.extend((first <= hi).tolist())
     return ExtractedSamples(values=tuple(out))
 
 
@@ -256,9 +268,8 @@ def extract_condition_samples(dataset: Dataset, query: CondQuery) -> ExtractedSa
     _require_node(dataset, query.response.node)
     _check_shift_param_known(dataset, query.trigger)
     _check_shift_param_known(dataset, query.response)
-    return _condition_samples(
-        dataset, query.trigger.node, lambda e: _matches(e, query.trigger), query.response, query.window
-    )
+    triggers = [_pattern_times(run, query.trigger) for run in dataset.runs]
+    return _condition_samples(dataset, triggers, query.response, query.window)
 
 
 # --- property evaluation ---

@@ -751,35 +751,39 @@ def availability(run: Run, graph: GraphSpec | None = None, ground_truth: bool | 
     total = run.meta.total_cycles
     if total <= 0:
         raise SchemaError(f"run {run.meta.run_id!r}: total_cycles must be positive")
+    columns = run.columns
     if ground_truth is None:
-        ground_truth = any(e.op == ORACLE_OUT_OF_SPEC for e in run.events)
+        ground_truth = any(len(c.times(ORACLE_OUT_OF_SPEC)) for c in columns.values())
 
-    busy = np.zeros(total, dtype=bool)
-    out = np.zeros(total, dtype=bool)
+    # lost intervals [start, end): operations running, and nodes out of spec
+    starts, ends = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     cost = {n.id: {"check_cycles": 0, "calibrate_cycles": 0} for n in graph.nodes} if graph is not None else {}
-    for node, events in run.by_node.items():
-        flips: list[tuple[int, bool]] = []
-        for e in events:
-            if e.op in (CHECK_DATA, CALIBRATE):
-                row = cost.setdefault(node, {"check_cycles": 0, "calibrate_cycles": 0})
-                row["check_cycles" if e.op == CHECK_DATA else "calibrate_cycles"] += e.duration
-                busy[e.time:e.time + e.duration] = True
-            if ground_truth:
-                if e.op in (ORACLE_OUT_OF_SPEC, DRIFT_SAMPLE):
-                    flips.append((e.time, e.op == DRIFT_SAMPLE and e.outcome == PASS))
-            elif e.op == CHECK_DATA and e.outcome == FAIL:
-                flips.append((e.time, False))
-            elif (e.op, e.outcome) in ((CHECK_DATA, PASS), (CALIBRATE, SUCCESS)):
-                flips.append((e.time + e.duration, True))
+    for node, c in columns.items():
+        checks, calibrations = c.mask(CHECK_DATA), c.mask(CALIBRATE)
+        busy = checks | calibrations
+        if busy.any():
+            row = cost.setdefault(node, {"check_cycles": 0, "calibrate_cycles": 0})
+            row["check_cycles"] += int(c.duration[checks].sum())
+            row["calibrate_cycles"] += int(c.duration[calibrations].sum())
+            starts.append(c.time[busy])
+            ends.append(c.time[busy] + c.duration[busy])
+        if ground_truth:
+            flips = c.mask(ORACLE_OUT_OF_SPEC) | c.mask(DRIFT_SAMPLE)
+            when, in_spec = c.time[flips], c.mask(DRIFT_SAMPLE, PASS)[flips]
+        else:
+            failed = c.mask(CHECK_DATA, FAIL)
+            passed = c.mask(CHECK_DATA, PASS) | c.mask(CALIBRATE, SUCCESS)
+            flips = failed | passed
+            when, in_spec = np.where(failed, c.time, c.time + c.duration)[flips], passed[flips]
         # a node is in spec until its first flip; among flips at one cycle
         # the last in trace order holds (times are >= 0, as validated)
-        status, at = True, 0
-        for when, new_status in sorted(flips, key=lambda f: f[0]):
-            if not status:
-                out[at:when] = True
-            status, at = new_status, when
-        if not status:
-            out[at:] = True
+        order = np.argsort(when, kind="stable")
+        when, out = when[order], ~in_spec[order]
+        starts.append(when[out])
+        ends.append(np.append(when[1:], total)[out])
 
-    avail = float(np.mean(~busy & ~out))
+    start = np.minimum(np.concatenate(starts), total)
+    end = np.minimum(np.concatenate(ends), total)
+    lost = np.cumsum(np.bincount(start, minlength=total + 1) - np.bincount(end, minlength=total + 1))
+    avail = int(np.count_nonzero(lost[:total] == 0)) / total
     return AvailabilityReport(availability=avail, per_node_cost=cost)

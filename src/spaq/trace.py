@@ -110,13 +110,92 @@ class RunMeta:
             raise SchemaError("total_cycles must be >= 0")
 
 
+# every (op, outcome) a trace may carry, op by op, so that the codes of
+# one op form a range; NodeColumns.kind indexes this
+_EVENT_KINDS = tuple((op, outcome) for op, outcomes in _ALLOWED_OUTCOMES.items() for outcome in outcomes)
+_KIND_CODE = {
+    op: {outcome: _EVENT_KINDS.index((op, outcome)) for outcome in outcomes}
+    for op, outcomes in _ALLOWED_OUTCOMES.items()
+}
+
+
+def _param_columns(calibrations: list[TraceEvent], attr: str) -> dict[str, np.ndarray]:
+    rows = [dict(getattr(e, attr) or ()) for e in calibrations]
+    names = sorted({name for row in rows for name in row})
+    return {name: np.array([row.get(name, math.nan) for row in rows], dtype=np.float64) for name in names}
+
+
+@dataclass(frozen=True, eq=False)
+class NodeColumns:
+    """One node's events in a run as numpy columns.
+
+    ``time`` (int64), ``kind`` and ``duration`` (int64) hold one entry per
+    event of ``events``, in trace order; ``kind`` indexes ``_EVENT_KINDS``.
+    ``params_before`` and ``params_after`` map each parameter that some
+    calibration of the node records to a float64 array with one entry per
+    calibrate event, in trace order, NaN where that calibration lacks it.
+    Every column but ``time`` and ``kind`` is built on first use.
+    """
+
+    events: tuple[TraceEvent, ...]
+    time: np.ndarray
+    kind: np.ndarray
+    _times: dict = field(default_factory=dict, repr=False)
+
+    def mask(self, op: str, outcome: str | None = None) -> np.ndarray:
+        """Which events have ``op`` (and ``outcome``, when given)."""
+        codes = _KIND_CODE[op]
+        if outcome is not None:
+            return self.kind == codes[outcome]
+        return (self.kind >= min(codes.values())) & (self.kind <= max(codes.values()))
+
+    def times(self, op: str, outcome: str | None = None) -> np.ndarray:
+        """Sorted times of the events with ``op`` (and ``outcome``, when
+        given), kept after the first call."""
+        key = (op, outcome)
+        if key not in self._times:
+            self._times[key] = self.time[self.mask(op, outcome)]
+        return self._times[key]
+
+    @cached_property
+    def duration(self) -> np.ndarray:
+        return np.fromiter([e.duration for e in self.events], np.int64, len(self.events))
+
+    @cached_property
+    def _calibrations(self) -> list[TraceEvent]:
+        return [e for e in self.events if e.op == CALIBRATE]
+
+    @cached_property
+    def params_before(self) -> dict[str, np.ndarray]:
+        return _param_columns(self._calibrations, "params_before")
+
+    @cached_property
+    def params_after(self) -> dict[str, np.ndarray]:
+        return _param_columns(self._calibrations, "params_after")
+
+
+def event_columns(run: "Run") -> dict[str, NodeColumns]:
+    """Each node's columns, in order of the node's first event, built from
+    ``run.by_node`` in one pass over each node's events."""
+    return {
+        node: NodeColumns(
+            events=events,
+            time=np.fromiter([e.time for e in events], np.int64, len(events)),
+            kind=np.fromiter([_KIND_CODE[e.op][e.outcome] for e in events], np.int8, len(events)),
+        )
+        for node, events in run.by_node.items()
+    }
+
+
 @dataclass(frozen=True)
 class Run:
     """One run's header and events.
 
     Events are in non-decreasing time order, as ``read_trace`` and
     ``Simulator.finish`` produce them. The analysis layer relies on that
-    order (per-node events are searched by bisection) and does not check it.
+    order and does not check it: it answers event patterns from each
+    node's sorted time columns (``columns``) by binary search, and among
+    events at one cycle it follows trace order.
     """
 
     meta: RunMeta
@@ -129,6 +208,11 @@ class Run:
         for e in self.events:
             out.setdefault(e.node, []).append(e)
         return {node: tuple(evs) for node, evs in out.items()}
+
+    @cached_property
+    def columns(self) -> dict[str, NodeColumns]:
+        """Each node's events as numpy columns, built on first use."""
+        return event_columns(self)
 
 
 @dataclass(frozen=True)

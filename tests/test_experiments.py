@@ -8,9 +8,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import spaq.trace
 from spaq.drift import LogisticDriftCfg
 from spaq.errors import NoSamplesError
 from spaq.experiments import (
@@ -38,7 +40,7 @@ from spaq.experiments import (
 from spaq.extractors import evaluate_property, extract_metric
 from spaq.graph import GraphSpec, Term, builtin_config_path, load_graph
 from spaq.properties import MetricRef, parse_property
-from spaq.sim import ADAPTIVE, HIGH_FREQUENCY
+from spaq.sim import ADAPTIVE, HIGH_FREQUENCY, availability
 from spaq.smc import HOLDS, INSUFFICIENT_DATA, LOWER, SmcResult, quantile_confidence_bound
 from spaq.trace import CALIBRATE, Run, RunMeta, TraceEvent, merge_runs, read_trace
 
@@ -190,6 +192,25 @@ class TestVerdictMatrix:
             ast = parse_property(cell.property_text)
             again = evaluate_property(ds, ast)
             assert again == cell.result
+
+    def test_suite_and_scan_build_each_runs_columns_once(self, monkeypatch):
+        # deterministic cost guard: every property, the scan and
+        # availability read one cached column view per run, not a rescan
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import property_suite
+
+        graph = load_graph(builtin_config_path("xgate"))
+        ds = run_batch(graph, 4_000, range(3), oracle=True, run_prefix="pool")
+        real = spaq.trace.event_columns
+        built = []
+        count = lambda run: built.append(run.meta.run_id) or real(run)
+        monkeypatch.setattr(spaq.trace, "event_columns", count)
+        for text in property_suite(graph):
+            evaluate_property(ds, parse_property(text), interval_side=LOWER)
+        pairwise_cofailure_scan(ds, window=25, p0=0.33, C=0.9)
+        for run in ds.runs:
+            availability(run, graph=graph)
+        assert sorted(built) == sorted(ds.run_ids)
 
 
 class TestReportValidation:

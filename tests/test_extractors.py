@@ -289,6 +289,48 @@ class TestConditions:
         with pytest.raises(UnknownParamError):
             extract_condition_samples(ds, q)
 
+    def test_window_edges_agree_with_the_oracle(self):
+        # cases random_dataset never builds: events at and past total_cycles,
+        # responses at the trigger's own cycle and at exactly t + w, and
+        # calibrations that do not record the shifted parameter
+        r0 = make_run([
+            ev(5, "a", "calibrate", "success", before={"amp": 1.0}, after={"amp": 2.0}),
+            ev(5, "b", "check_data", "fail"),
+            ev(10, "a", "check_data", "fail"),
+            ev(10, "b", "check_data", "fail"),
+            ev(15, "b", "check_data", "fail"),
+            ev(20, "a", "calibrate", "success", before={"amp": 1.0}, after={}),
+            ev(22, "a", "calibrate", "failed", before={"amp": 1.0, "freq": 3.0}, after={"freq": 3.6}),
+            ev(24, "b", "check_data", "fail"),
+            ev(40, "a", "check_data", "fail"),
+            ev(60, "b", "calibrate", "success", before={}, after={}),
+        ], total_cycles=50, run_id="r0")
+        # a run in which the response node never appears
+        r1 = make_run([ev(3, "a", "check_data", "fail", run_id="r1")], total_cycles=50, run_id="r1")
+        ds = Dataset(runs=(r0, r1))
+        fail_a, fail_b = {"kind": "fail", "node": "a"}, {"kind": "fail", "node": "b"}
+        cases = [
+            # 10 -> 15 lands on t + w; the b failure at 10 does not count
+            (fail_a, fail_b, 5, [True, False, False]),
+            (fail_a, fail_b, 3, [False, False, False]),
+            # no b check after 40: the window runs to the last event, at 60,
+            # past total_cycles
+            (fail_a, {"kind": "calibrate", "node": "b"}, "next_check", [False, True, False]),
+            ({"kind": "calibrate", "node": "a"}, fail_b, 5, [True, True, True]),
+            # the calibrations at 20 and 22 lack amp after, and those at 5
+            # and 20 lack freq: none of them may match
+            ({"kind": "shift", "node": "a", "param": "amp", "by": 0.5}, fail_b, 5, [True]),
+            ({"kind": "shift", "node": "a", "param": "amp", "by": 0.5}, fail_b, "next_check", [True]),
+            ({"kind": "shift", "node": "a", "param": "freq", "by": 0.1}, fail_b, 2, [True]),
+        ]
+        for trigger, response, window, want in cases:
+            q = CondQuery(
+                trigger=pattern(trigger["kind"], trigger["node"],
+                                **{k: v for k, v in trigger.items() if k in ("param", "by")}),
+                response=pattern(response["kind"], response["node"]), window=window)
+            assert oracle_condition(ds, trigger, response, window) == want, (trigger, window)
+            assert list(extract_condition_samples(ds, q).values) == want, (trigger, window)
+
     def test_rel_shift_denominator_clamp(self):
         assert rel_shift(0.0, 1e-10) == pytest.approx(0.1)
         assert rel_shift(2.0, 1.0) == pytest.approx(0.5)

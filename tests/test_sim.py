@@ -80,8 +80,9 @@ def simple_node(nid, deps=(), *, timeout=1000, check_cost=1, cal_cost=2, delay=0
 def set_now(sim, nid, pname, value):
     """Set a parameter's value as of the current cycle.
 
-    Drift is applied when a parameter is read, so the state is first
-    caught up; the poke then replaces the value now, not an older one.
+    The drift tracker brings the parameter's state to the current cycle
+    and marks it changed, so the poke replaces the value now, not an
+    older one, and the next read recomputes the block from there.
     """
     sim._param(nid, pname).value = value
 
@@ -501,7 +502,7 @@ def rich_graph():
     return GraphSpec(nodes=(a, b), disturbances=(dist,))
 
 
-class TestLazyDrift:
+class TestDriftEngine:
     """Drift is computed a block ahead of the clock and read off the block;
     ground-truth tracking only adds the block's events. Neither may change
     what the schedule sees."""
