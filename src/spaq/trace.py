@@ -17,6 +17,24 @@ Event vocabulary:
 
 Events additionally carry ``ep``, the maintenance-episode counter, so
 scheduler invariants can be asserted by scanning a trace alone.
+
+Where the strict checks live. The writer and the reader apply the same
+rules, so every file the writer produces reads back:
+
+* ``_check_event``, shared by both: the node, op and outcome are
+  strings, the op is known and allows the outcome, and ``t``, ``dur``
+  and ``ep`` are exact ints (``true`` is not 1, ``1.7`` is not a time),
+  ``t`` and ``dur`` in 0..2**63-1 and ``ep`` an int64. ``_number``
+  accepts only a finite number.
+* ``TraceEvent.validate`` guards the writer: the above, a finite
+  ``value``, and on calibrate events alone both parameter sets, finite
+  and with no repeated name. ``TraceWriter.append_event`` also checks the
+  run id and that time does not go back, before it writes anything.
+* ``_event_from_line`` checks one event line, once: it parses the line
+  as ``json.loads`` would, rejects unknown fields, then applies the same
+  rules to the JSON value with each field's exact JSON type.
+  ``_read_trace`` checks the header's fields and types, then time order,
+  and prefixes every event-line error with ``path:lineno``.
 """
 
 from __future__ import annotations
@@ -27,7 +45,7 @@ import math
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -71,25 +89,30 @@ class TraceEvent:
 
     def __post_init__(self) -> None:
         # params are kept sorted by name so round-trips preserve equality
+        if self.params_before is None and self.params_after is None:
+            return
         for attr in ("params_before", "params_after"):
             p = getattr(self, attr)
             if p is not None:
                 object.__setattr__(self, attr, tuple(sorted((str(k), float(v)) for k, v in p)))
 
     def validate(self) -> None:
-        if self.op not in _ALLOWED_OUTCOMES:
-            raise SchemaError(f"unknown op {self.op!r}")
-        if self.outcome not in _ALLOWED_OUTCOMES[self.op]:
-            raise SchemaError(f"op {self.op} cannot have outcome {self.outcome!r}")
-        if self.time < 0:
-            raise SchemaError(f"negative event time {self.time}")
-        if self.duration < 0:
-            raise SchemaError(f"negative duration {self.duration}")
+        """Raise SchemaError unless ``read_trace`` reads the event's line
+        back as this event."""
+        _check_event(self.time, self.node, self.op, self.outcome, self.duration, self.ep)
+        if self.value is not None:
+            _number(float(self.value) if isinstance(self.value, float) else self.value)
         has_params = self.params_before is not None or self.params_after is not None
         if (self.op == CALIBRATE) != has_params:
             raise SchemaError("params_before/params_after are present iff op is calibrate")
-        if self.op == CALIBRATE and (self.params_before is None or self.params_after is None):
-            raise SchemaError("calibrate events carry both params_before and params_after")
+        if self.op == CALIBRATE:
+            if self.params_before is None or self.params_after is None:
+                raise SchemaError("calibrate events carry both params_before and params_after")
+            for params in (self.params_before, self.params_after):
+                if len({k for k, _ in params}) < len(params):
+                    raise SchemaError(f"repeated parameter name in {params!r}")
+                for _, v in params:
+                    _number(v)
 
 
 @dataclass(frozen=True)
@@ -227,68 +250,111 @@ class Dataset:
         return tuple(sorted({node for r in self.runs for node in r.by_node}))
 
 
+# a string as json.dumps writes it, cached: traces repeat a few node and
+# parameter names
+_quote = lru_cache(maxsize=1024)(json.encoder.encode_basestring_ascii)
+
+
+def _params_text(params: Params) -> str:
+    return "{" + ",".join([f"{_quote(k)}:{float.__repr__(v)}" for k, v in params]) + "}"
+
+
 def _event_to_line(e: TraceEvent) -> str:
-    # insertion order fixes the on-disk field order
-    obj: dict = {"t": e.time, "node": e.node, "op": e.op, "outcome": e.outcome,
-                 "dur": e.duration, "ep": e.ep}
+    """A validated event's line, byte for byte what ``json.dumps`` writes
+    for it: exact ints format as ``int.__repr__``, floats as
+    ``float.__repr__``, and the op and outcome need no escapes."""
+    line = (f'{{"t":{e.time},"node":{_quote(e.node)},"op":"{e.op}","outcome":"{e.outcome}",'
+            f'"dur":{e.duration},"ep":{e.ep}')
     if e.value is not None:
-        obj["value"] = e.value
+        value = float.__repr__(e.value) if isinstance(e.value, float) else int.__repr__(e.value)
+        line += f',"value":{value}'
     if e.op == CALIBRATE:
-        obj["before"] = dict(e.params_before or ())
-        obj["after"] = dict(e.params_after or ())
-    return json.dumps(obj, separators=(",", ":"))
+        line += f',"before":{_params_text(e.params_before)},"after":{_params_text(e.params_after)}'
+    return line + "}"
 
 
-# the exact JSON types of every field a trace may carry; converting
-# instead would accept true as 1 and truncate 1.7 to 1. A header carries
-# every field of its table, as the writer writes them.
+# the exact JSON type of every header field; converting instead would
+# accept true as 1 and truncate 1.7 to 1. A header carries every field.
 _HEADER_TYPES = {
-    "schema": (str,), "run_id": (str,), "seed": (int,), "graph_hash": (str,), "mode": (str,),
-    "total_cycles": (int,),
+    "schema": str, "run_id": str, "seed": int, "graph_hash": str, "mode": str, "total_cycles": int,
 }
-_EVENT_TYPES = {
-    "t": (int,), "node": (str,), "op": (str,), "outcome": (str,), "dur": (int,), "ep": (int,),
-    "value": (int, float), "before": (dict,), "after": (dict,),
-}
+_EVENT_FIELDS = frozenset(("t", "node", "op", "outcome", "dur", "ep", "value", "before", "after"))
+
+_scan_value = json.JSONDecoder().scan_once
 
 
-def _check_fields(obj, types: dict, what: str) -> None:
-    if type(obj) is not dict or not obj.keys() <= types.keys():
-        raise SchemaError(f"malformed {what}: {obj!r}")
-    for key, value in obj.items():
-        if type(value) not in types[key]:
-            raise SchemaError(f"malformed {what}: {key!r} cannot be {value!r}")
-
-
-def _number(raw) -> float:
-    """A finite JSON number as a float; raises TypeError/ValueError/OverflowError."""
-    if type(raw) is not float and type(raw) is not int:
-        raise TypeError(f"expected a number, got {raw!r}")
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {raw!r}")
+def _parse_line(line: str):
+    """The one JSON value on ``line``, as ``json.loads`` reads it."""
+    # json.loads allows " \t\n\r" around a value and nothing else;
+    # str.strip() would also take \x0b, \x1c or \u2028
+    text = line.strip(" \t\n\r")
+    try:
+        value, end = _scan_value(text, 0)
+    except StopIteration as exc:
+        raise SchemaError(f"malformed JSON: expecting a value at {exc.value}") from None
+    except ValueError as exc:
+        raise SchemaError(f"malformed JSON: {exc}") from None
+    if end != len(text):
+        raise SchemaError(f"malformed JSON: extra data at {end}")
     return value
 
 
-def _event_from_obj(obj, run_id: str) -> TraceEvent:
-    _check_fields(obj, _EVENT_TYPES, "event line")
-    try:
-        ev = TraceEvent(
-            run_id=run_id,
-            time=obj["t"],
-            node=obj["node"],
-            op=obj["op"],
-            outcome=obj["outcome"],
-            duration=obj.get("dur", 0),
-            ep=obj.get("ep", 0),
-            value=_number(obj["value"]) if "value" in obj else None,
-            params_before=tuple((k, _number(v)) for k, v in obj["before"].items()) if "before" in obj else None,
-            params_after=tuple((k, _number(v)) for k, v in obj["after"].items()) if "after" in obj else None,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"malformed event line: {obj!r}") from exc
-    ev.validate()
-    return ev
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _check_event(t, node, op, outcome, dur, ep) -> None:
+    """The rules for an event's scalar fields, alike in memory and on disk:
+    exact types, so that true is not 1 and 1.7 is not a time, a known op
+    with an outcome it allows, and the ranges of int64 columns."""
+    if type(node) is not str or type(op) is not str or type(outcome) is not str:
+        raise SchemaError(f"node, op and outcome must be strings, got {node!r}, {op!r}, {outcome!r}")
+    if op not in _ALLOWED_OUTCOMES:
+        raise SchemaError(f"unknown op {op!r}")
+    if outcome not in _ALLOWED_OUTCOMES[op]:
+        raise SchemaError(f"op {op} cannot have outcome {outcome!r}")
+    if type(t) is not int or type(dur) is not int or type(ep) is not int:
+        raise SchemaError(f"time, duration and ep must be ints, got {t!r}, {dur!r}, {ep!r}")
+    if not (0 <= t <= _INT64_MAX and 0 <= dur <= _INT64_MAX and _INT64_MIN <= ep <= _INT64_MAX):
+        raise SchemaError(f"time {t} and duration {dur} must be in 0..2**63-1 and ep {ep} an int64")
+
+
+def _number(raw) -> float:
+    """A finite JSON number (an exact int or float) as a float."""
+    if type(raw) is float:
+        if math.isfinite(raw):
+            return raw
+    elif type(raw) is int:
+        try:
+            return float(raw)  # finite, or OverflowError
+        except OverflowError:
+            pass
+    raise SchemaError(f"expected a finite number, got {raw!r}")
+
+
+def _params(raw) -> Params:
+    if type(raw) is not dict:
+        raise SchemaError(f"calibrate events carry before and after objects, got {raw!r}")
+    return tuple([(k, _number(v)) for k, v in raw.items()])
+
+
+def _event_from_line(line: str, run_id: str) -> TraceEvent:
+    """The event on one trace line. Every check of an event line is made
+    here, once: the JSON syntax, the field set, the scalar fields
+    (``_check_event``), finite numbers, and params iff calibrate."""
+    obj = _parse_line(line)
+    if type(obj) is not dict or not obj.keys() <= _EVENT_FIELDS:
+        raise SchemaError(f"malformed event line: {obj!r}")
+    get = obj.get
+    t, node, op, outcome, dur, ep = get("t"), get("node"), get("op"), get("outcome"), get("dur", 0), get("ep", 0)
+    _check_event(t, node, op, outcome, dur, ep)
+    value = _number(obj["value"]) if "value" in obj else None
+    if op == CALIBRATE:
+        before, after = _params(get("before")), _params(get("after"))
+    elif "before" in obj or "after" in obj:
+        raise SchemaError(f"only calibrate events carry before and after: {obj!r}")
+    else:
+        before = after = None
+    return TraceEvent(run_id, t, node, op, outcome, dur, ep, value, before, after)
 
 
 @contextmanager
@@ -367,13 +433,16 @@ def _read_trace(path: str | Path) -> Run:
         if not header_line.strip():
             raise SchemaError(f"{path}: empty trace file")
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: malformed header: {exc}") from exc
-        _check_fields(header, _HEADER_TYPES, f"{path}: header")
-        for key in _HEADER_TYPES:
+            header = _parse_line(header_line)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: malformed header: {exc}") from None
+        if type(header) is not dict or not header.keys() <= _HEADER_TYPES.keys():
+            raise SchemaError(f"{path}: malformed header: {header!r}")
+        for key, kind in _HEADER_TYPES.items():
             if key not in header:
                 raise SchemaError(f"{path}: header lacks {key!r}")
+            if type(header[key]) is not kind:
+                raise SchemaError(f"{path}: malformed header: {key!r} cannot be {header[key]!r}")
         meta = RunMeta(**header)
         meta.validate()
         events: list[TraceEvent] = []
@@ -382,10 +451,9 @@ def _read_trace(path: str | Path) -> Run:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: malformed event: {exc}") from exc
-            ev = _event_from_obj(obj, meta.run_id)
+                ev = _event_from_line(line, meta.run_id)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
             if ev.time < last_t:
                 raise ClockError(f"{path}:{lineno}: time {ev.time} precedes previous {last_t}")
             last_t = ev.time

@@ -5,16 +5,23 @@ Deliberately naive and structured differently from the package code
 cross-check and not a shared bug. Never imported by the package.
 ``ReferenceSimulator`` does the same for the scheduler: literal
 cycle-by-cycle stepping against the batched, block-ahead simulator.
+``reference_read_trace`` and ``reference_event_line`` are the trace
+reader and event formatter as they were before the one-pass rewrite:
+one ``json.loads`` per line, a type table, ``TraceEvent`` and then its
+checks, and ``json.dumps`` of a dict per event.
 """
 
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from spaq.drift import LogisticDriftCfg, exponential_decay_value, logistic_drift_path, transfer_probability
+from spaq.errors import ClockError, SchemaError
 from spaq.graph import graph_hash, topological_order
-from spaq.trace import Run, RunMeta, TraceEvent
+from spaq.trace import CALIBRATE, Run, RunMeta, TraceEvent
 
 EPS = 1e-9
 
@@ -473,3 +480,129 @@ class ReferenceSimulator:
             mode=self.cfg.mode, total_cycles=self.cfg.total_cycles,
         )
         return Run(meta=meta, events=tuple(sorted(self.events, key=lambda e: e.time)))
+
+
+# --- trace I/O before the one-pass rewrite ---
+
+_ALLOWED_OUTCOMES = {
+    "check_data": ("pass", "fail"),
+    "calibrate": ("success", "failed"),
+    "drift_sample": ("pass", "fail"),
+    "oracle_out_of_spec": ("fail",),
+}
+
+
+def _validate(self: TraceEvent) -> None:
+    # TraceEvent.validate as it was, so that later checks added there do
+    # not leak into the reference
+    if self.op not in _ALLOWED_OUTCOMES:
+        raise SchemaError(f"unknown op {self.op!r}")
+    if self.outcome not in _ALLOWED_OUTCOMES[self.op]:
+        raise SchemaError(f"op {self.op} cannot have outcome {self.outcome!r}")
+    if self.time < 0:
+        raise SchemaError(f"negative event time {self.time}")
+    if self.duration < 0:
+        raise SchemaError(f"negative duration {self.duration}")
+    has_params = self.params_before is not None or self.params_after is not None
+    if (self.op == CALIBRATE) != has_params:
+        raise SchemaError("params_before/params_after are present iff op is calibrate")
+    if self.op == CALIBRATE and (self.params_before is None or self.params_after is None):
+        raise SchemaError("calibrate events carry both params_before and params_after")
+
+
+def reference_event_line(e: TraceEvent) -> str:
+    # insertion order fixes the on-disk field order
+    obj: dict = {"t": e.time, "node": e.node, "op": e.op, "outcome": e.outcome,
+                 "dur": e.duration, "ep": e.ep}
+    if e.value is not None:
+        obj["value"] = e.value
+    if e.op == CALIBRATE:
+        obj["before"] = dict(e.params_before or ())
+        obj["after"] = dict(e.params_after or ())
+    return json.dumps(obj, separators=(",", ":"))
+
+
+# the exact JSON types of every field a trace may carry; converting
+# instead would accept true as 1 and truncate 1.7 to 1. A header carries
+# every field of its table, as the writer writes them.
+_HEADER_TYPES = {
+    "schema": (str,), "run_id": (str,), "seed": (int,), "graph_hash": (str,), "mode": (str,),
+    "total_cycles": (int,),
+}
+_EVENT_TYPES = {
+    "t": (int,), "node": (str,), "op": (str,), "outcome": (str,), "dur": (int,), "ep": (int,),
+    "value": (int, float), "before": (dict,), "after": (dict,),
+}
+
+
+def _check_fields(obj, types: dict, what: str) -> None:
+    if type(obj) is not dict or not obj.keys() <= types.keys():
+        raise SchemaError(f"malformed {what}: {obj!r}")
+    for key, value in obj.items():
+        if type(value) not in types[key]:
+            raise SchemaError(f"malformed {what}: {key!r} cannot be {value!r}")
+
+
+def _number(raw) -> float:
+    """A finite JSON number as a float; raises TypeError/ValueError/OverflowError."""
+    if type(raw) is not float and type(raw) is not int:
+        raise TypeError(f"expected a number, got {raw!r}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _event_from_obj(obj, run_id: str) -> TraceEvent:
+    _check_fields(obj, _EVENT_TYPES, "event line")
+    try:
+        ev = TraceEvent(
+            run_id=run_id,
+            time=obj["t"],
+            node=obj["node"],
+            op=obj["op"],
+            outcome=obj["outcome"],
+            duration=obj.get("dur", 0),
+            ep=obj.get("ep", 0),
+            value=_number(obj["value"]) if "value" in obj else None,
+            params_before=tuple((k, _number(v)) for k, v in obj["before"].items()) if "before" in obj else None,
+            params_after=tuple((k, _number(v)) for k, v in obj["after"].items()) if "after" in obj else None,
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed event line: {obj!r}") from exc
+    _validate(ev)
+    return ev
+
+
+def reference_read_trace(path: str | Path) -> Run:
+    """Parse and validate one run. Raises SchemaError / ClockError, and
+    UnicodeDecodeError on bytes that are not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        header_line = fh.readline()
+        if not header_line.strip():
+            raise SchemaError(f"{path}: empty trace file")
+        try:
+            header = json.loads(header_line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: malformed header: {exc}") from exc
+        _check_fields(header, _HEADER_TYPES, f"{path}: header")
+        for key in _HEADER_TYPES:
+            if key not in header:
+                raise SchemaError(f"{path}: header lacks {key!r}")
+        meta = RunMeta(**header)
+        meta.validate()
+        events: list[TraceEvent] = []
+        last_t = -1
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}:{lineno}: malformed event: {exc}") from exc
+            ev = _event_from_obj(obj, meta.run_id)
+            if ev.time < last_t:
+                raise ClockError(f"{path}:{lineno}: time {ev.time} precedes previous {last_t}")
+            last_t = ev.time
+            events.append(ev)
+    return Run(meta=meta, events=tuple(events))

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_event_line, reference_read_trace
 from spaq.errors import ClockError, SchemaError
 from spaq.trace import (
     CALIBRATE,
@@ -19,6 +21,7 @@ from spaq.trace import (
     RunMeta,
     TraceEvent,
     TraceWriter,
+    _event_to_line,
     extract_failures_from_timeseries,
     import_timeseries_csv,
     merge_runs,
@@ -124,6 +127,35 @@ class TestFileRoundTrip:
             w.append_event(ev(4))
         w.close()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ev(5, op=DRIFT_SAMPLE, dur=0, value=math.nan),
+            ev(5, op=DRIFT_SAMPLE, dur=0, value=-math.inf),
+            ev(5, op=DRIFT_SAMPLE, dur=0, value=10**400),
+            ev(5, op=DRIFT_SAMPLE, dur=0, value=True),
+            TraceEvent("r0", 5, "a", CALIBRATE, SUCCESS, 2, params_before=(("p", math.inf),), params_after=(("p", 0.0),)),
+            TraceEvent("r0", 5, "a", CALIBRATE, SUCCESS, 2, params_before=(("p", 0.0),), params_after=(("p", math.nan),)),
+            TraceEvent("r0", 5, "a", CALIBRATE, SUCCESS, 2, params_before=(("p", 0.0), ("p", 1.0)),
+                       params_after=(("p", 0.0),)),
+            ev(2**63),
+            ev(5, dur=2**63),
+            ev(5, ep=-(2**63) - 1),
+            ev(5, dur=True),
+            ev(5, node=7),
+        ],
+    )
+    def test_writer_rejects_what_the_reader_would_reject(self, tmp_path, bad):
+        p = tmp_path / "t"
+        with TraceWriter(p, meta()) as w:
+            w.append_event(ev(1))
+            with pytest.raises(SchemaError):
+                w.append_event(bad)
+        assert p.read_text().splitlines()[1:] == [_event_to_line(ev(1))]
+        with pytest.raises(SchemaError):
+            write_trace(tmp_path / "u", Run(meta=meta(), events=(bad,)))
+        assert not (tmp_path / "u").exists()
+
     def test_writer_rejects_foreign_run_id(self, tmp_path):
         with TraceWriter(tmp_path / "t", meta()) as w:
             with pytest.raises(SchemaError):
@@ -154,6 +186,13 @@ class TestFileRoundTrip:
         with pytest.raises(SchemaError):
             read_trace(p)
 
+    def test_int64_edges_round_trip(self, tmp_path):
+        run = Run(meta=meta(), events=(ev(2**63 - 1, dur=2**63 - 1, ep=-(2**63)),))
+        p = tmp_path / "edge.trace"
+        write_trace(p, run)
+        assert '"t":9223372036854775807,' in p.read_text()
+        assert read_trace(p) == run
+
     def test_empty_run_round_trips(self, tmp_path):
         run = Run(meta=meta(total_cycles=0), events=())
         p = tmp_path / "empty.trace"
@@ -177,6 +216,9 @@ class TestStrictReader:
             '{"t":1,"node":"a","op":"calibrate","outcome":"success","dur":1,"ep":0,'
             '"before":{"p":true},"after":{"p":0.0}}',
             '[1, 2]',
+            '{"t":1180591620717411303424,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0}',
+            '{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":9223372036854775808,"ep":0}',
+            '{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":-9223372036854775809}',
         ],
     )
     def test_rejects_loose_event_fields(self, tmp_path, line):
@@ -209,6 +251,26 @@ class TestStrictReader:
         p.write_text(json.dumps(header) + "\n")
         with pytest.raises(SchemaError, match=repr(field)):
             read_trace(p)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":1,"node":"a","op":"bogus","outcome":"pass","dur":1,"ep":0}',
+            '{"t":1,"node":"a","op":"check_data","outcome":"success","dur":1,"ep":0}',
+            '{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0,"color":"red"}',
+            '{"t":-1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0}',
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":Infinity}',
+            '{"t":1,"node":"a","op":"calibrate","outcome":"success","dur":1,"ep":0,"before":{}}',
+            '{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0} x',
+            '[1, 2]',
+        ],
+    )
+    def test_event_line_errors_name_the_file_and_line(self, tmp_path, line):
+        p = tmp_path / "bad"
+        p.write_text(HEADER + "\n" + line + "\n")
+        with pytest.raises(SchemaError, match=r":2:") as info:
+            read_trace(p)
+        assert str(info.value).startswith(f"{p}:2: ")
 
     def test_rejects_invalid_utf8(self, tmp_path):
         p = tmp_path / "bad"
@@ -278,17 +340,75 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _int64_safe(run) -> bool:
+    return all(-(2**63) <= n < 2**63 for e in run.events for n in (e.time, e.duration, e.ep))
+
+
+_EVENT = b'{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0}'
+
+
 @given(raw=st.one_of(_DOCUMENT, _CORRUPTED, st.binary(max_size=64)))
 @settings(max_examples=400, deadline=None)
+# bytes that str.strip(), str.splitlines() or a bulk parse treat
+# differently from json.loads on each line
+@example(raw=HEADER.encode() + b"\n\x0b" + _EVENT + b"\n")
+@example(raw=HEADER.encode() + b"\n\x0b\n" + _EVENT + b"\n")
+@example(raw=HEADER.encode() + "\n\u2028".encode() + _EVENT + b"\n")
+@example(raw=HEADER.encode() + "\n\u2028\n".encode() + _EVENT + b"\n")
+@example(raw=HEADER.encode() + b"\n" + _EVENT + b",{}\n")
+@example(raw=HEADER.encode() + b"\n " + _EVENT + b" \t\r\n\r\n")
+@example(raw=b"\xef\xbb\xbf" + HEADER.encode() + b"\n" + _EVENT + b"\n")
+@example(raw=HEADER.encode() + b"\n\xef\xbb\xbf" + _EVENT + b"\n")
+@example(raw=HEADER.encode() + b"\n" + _EVENT[:30] + b"\n" + _EVENT[30:] + b"\n")
+@example(raw=HEADER.encode() + b"\n" + _EVENT[:30] + b"\r" + _EVENT[30:] + b"\n")
+@example(raw=HEADER.encode() + b'\n{"t":9223372036854775808,"node":"a","op":"check_data","outcome":"pass"}\n')
 def test_any_bytes_round_trip_or_raise_typed_error(fuzz_dir, raw):
+    """read_trace accepts what the reference reader accepts, less events
+    outside int64, reads it as the same run, and writes it back so that it
+    reads the same again."""
     src, out = fuzz_dir / "in.jsonl", fuzz_dir / "out.jsonl"
     src.write_bytes(raw)
     try:
+        expected = reference_read_trace(src)
+    except (SchemaError, ClockError, UnicodeDecodeError):
+        expected = None
+    try:
         run = read_trace(src)
     except (SchemaError, ClockError):
+        assert expected is None or not _int64_safe(expected)
         return
+    assert expected is not None and _int64_safe(expected)
+    assert run == expected
     write_trace(out, run)
     assert read_trace(out) == run
+
+
+# names with quotes, backslashes, control characters, non-ASCII and
+# lone surrogates, and floats at the edges of their range
+_NAME = st.text(st.characters(blacklist_categories=()), max_size=6)
+_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1e16, 1e-7]))
+_VALUE = st.one_of(_FLOAT, st.integers(-(2**70), 2**70))
+_LINE_PARAMS = st.dictionaries(_NAME, st.one_of(_FLOAT, st.integers(-(2**53), 2**53)), max_size=3).map(
+    lambda d: tuple(d.items())
+)
+_INT64 = st.integers(0, 2**63 - 1)
+_WRITABLE_EVENT = st.one_of(
+    st.builds(TraceEvent, st.just("r0"), _INT64, _NAME, st.just(CHECK_DATA), st.sampled_from([PASS, FAIL]),
+              _INT64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(TraceEvent, st.just("r0"), _INT64, _NAME, st.just(DRIFT_SAMPLE), st.sampled_from([PASS, FAIL]),
+              st.just(0), st.integers(0, 5), _VALUE),
+    st.builds(TraceEvent, st.just("r0"), _INT64, _NAME, st.just(ORACLE_OUT_OF_SPEC), st.just(FAIL)),
+    st.builds(TraceEvent, st.just("r0"), _INT64, _NAME, st.just(CALIBRATE), st.sampled_from([SUCCESS, "failed"]),
+              _INT64, st.integers(0, 5), st.none() | _VALUE, _LINE_PARAMS, _LINE_PARAMS),
+)
+
+
+@given(e=_WRITABLE_EVENT)
+@settings(max_examples=300, deadline=None)
+def test_event_line_matches_json_dumps(e):
+    e.validate()
+    assert _event_to_line(e) == reference_event_line(e)
 
 
 class TestMergeRuns:
