@@ -101,6 +101,7 @@ class TraceEvent:
         back as this event."""
         _check_event(self.time, self.node, self.op, self.outcome, self.duration, self.ep)
         if self.value is not None:
+            # json writes a float subclass, such as numpy's float64, as a float
             _number(float(self.value) if isinstance(self.value, float) else self.value)
         has_params = self.params_before is not None or self.params_after is not None
         if (self.op == CALIBRATE) != has_params:
