@@ -74,7 +74,7 @@ _ALLOWED_OUTCOMES = {
 Params = tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceEvent:
     run_id: str
     time: int
@@ -87,14 +87,28 @@ class TraceEvent:
     params_before: Params | None = None
     params_after: Params | None = None
 
-    def __post_init__(self) -> None:
-        # params are kept sorted by name so round-trips preserve equality
-        if self.params_before is None and self.params_after is None:
-            return
-        for attr in ("params_before", "params_after"):
-            p = getattr(self, attr)
-            if p is not None:
-                object.__setattr__(self, attr, tuple(sorted((str(k), float(v)) for k, v in p)))
+    def __init__(self, run_id: str, time: int, node: str, op: str, outcome: str, duration: int = 0, ep: int = 0,
+                 value: float | None = None, params_before: Params | None = None,
+                 params_after: Params | None = None) -> None:
+        # params are kept sorted by name so round-trips preserve equality.
+        # Written out because events are built by the thousand: the frozen
+        # dataclass's own __init__ looks up object.__setattr__ once per
+        # field and then calls __post_init__.
+        if params_before is not None:
+            params_before = tuple(sorted((str(k), float(v)) for k, v in params_before))
+        if params_after is not None:
+            params_after = tuple(sorted((str(k), float(v)) for k, v in params_after))
+        set_field = object.__setattr__
+        set_field(self, "run_id", run_id)
+        set_field(self, "time", time)
+        set_field(self, "node", node)
+        set_field(self, "op", op)
+        set_field(self, "outcome", outcome)
+        set_field(self, "duration", duration)
+        set_field(self, "ep", ep)
+        set_field(self, "value", value)
+        set_field(self, "params_before", params_before)
+        set_field(self, "params_after", params_after)
 
     def validate(self) -> None:
         """Raise SchemaError unless ``read_trace`` reads the event's line
