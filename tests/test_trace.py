@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -81,6 +83,14 @@ class TestEventValidation:
             params_after=(("z", 0.0), ("a", 0.0)),
         )
         assert e.params_before == (("a", 2.0), ("z", 1.0))
+
+    def test_init_takes_every_field_in_order_with_its_default(self):
+        params = inspect.signature(TraceEvent).parameters
+        assert [(p.name, p.default) for p in params.values()] == [
+            (f.name, inspect.Parameter.empty if f.default is MISSING else f.default) for f in fields(TraceEvent)
+        ]
+        e = TraceEvent("r", 3, "a", DRIFT_SAMPLE, PASS, 0, 7, 0.5)
+        assert replace(e, ep=8) == TraceEvent("r", 3, "a", DRIFT_SAMPLE, PASS, ep=8, value=0.5)
 
 
 class TestFileRoundTrip:
