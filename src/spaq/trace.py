@@ -30,11 +30,28 @@ rules, so every file the writer produces reads back:
   ``value``, and on calibrate events alone both parameter sets, finite
   and with no repeated name. ``TraceWriter.append_event`` also checks the
   run id and that time does not go back, before it writes anything.
+* ``RunMeta.validate``, shared by both: every header field has its exact
+  JSON type, the schema is known, the run id is not empty, ``seed`` is an
+  int64 and ``total_cycles`` is in 0..2**63-1. ``TraceWriter`` calls it
+  before it writes anything.
 * ``_event_from_line`` checks one event line, once: it parses the line
   as ``json.loads`` would, rejects unknown fields, then applies the same
   rules to the JSON value with each field's exact JSON type.
-  ``_read_trace`` checks the header's fields and types, then time order,
-  and prefixes every event-line error with ``path:lineno``.
+  ``_read_trace`` checks the header's field set and ``RunMeta.validate``,
+  then time order, and prefixes every event-line error with
+  ``path:lineno``.
+
+How events are laid out. A pooled analysis holds a million events or
+more, so each is kept small and cheap to build:
+
+* ``TraceEvent`` has slots and no ``__dict__``. Its written-out
+  ``__init__`` sets each field through the slot's member descriptor,
+  bound once at import, instead of ``object.__setattr__``.
+* Events share their strings. The simulator passes the graph's node and
+  parameter names and this module's op and outcome constants. The
+  reader maps each op and outcome it accepts to the same constants, and
+  keeps one string per node and parameter name for the whole file, so a
+  run read back holds no more than the run that was simulated.
 """
 
 from __future__ import annotations
@@ -44,7 +61,7 @@ import json
 import math
 import os
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -70,11 +87,13 @@ _ALLOWED_OUTCOMES = {
     DRIFT_SAMPLE: (PASS, FAIL),
     ORACLE_OUT_OF_SPEC: (FAIL,),
 }
+# each op and outcome to the one string above, for events read back to share
+_VOCABULARY = {name: name for name in (*_ALLOWED_OUTCOMES, PASS, FAIL, SUCCESS, FAILED)}
 
 Params = tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class TraceEvent:
     run_id: str
     time: int
@@ -91,24 +110,24 @@ class TraceEvent:
                  value: float | None = None, params_before: Params | None = None,
                  params_after: Params | None = None) -> None:
         # params are kept sorted by name so round-trips preserve equality.
-        # Written out because events are built by the thousand: the frozen
-        # dataclass's own __init__ looks up object.__setattr__ once per
-        # field and then calls __post_init__.
+        # Written out because events are built by the thousand: each field
+        # goes straight into its slot through the slot's own setter, where
+        # the frozen dataclass's __init__ calls object.__setattr__ per field
+        # and then __post_init__.
         if params_before is not None:
             params_before = tuple(sorted((str(k), float(v)) for k, v in params_before))
         if params_after is not None:
             params_after = tuple(sorted((str(k), float(v)) for k, v in params_after))
-        set_field = object.__setattr__
-        set_field(self, "run_id", run_id)
-        set_field(self, "time", time)
-        set_field(self, "node", node)
-        set_field(self, "op", op)
-        set_field(self, "outcome", outcome)
-        set_field(self, "duration", duration)
-        set_field(self, "ep", ep)
-        set_field(self, "value", value)
-        set_field(self, "params_before", params_before)
-        set_field(self, "params_after", params_after)
+        _set_run_id(self, run_id)
+        _set_time(self, time)
+        _set_node(self, node)
+        _set_op(self, op)
+        _set_outcome(self, outcome)
+        _set_duration(self, duration)
+        _set_ep(self, ep)
+        _set_value(self, value)
+        _set_params_before(self, params_before)
+        _set_params_after(self, params_after)
 
     def validate(self) -> None:
         """Raise SchemaError unless ``read_trace`` reads the event's line
@@ -130,6 +149,18 @@ class TraceEvent:
                     _number(v)
 
 
+# each slot's setter, taken from the class that slots=True returned
+(_set_run_id, _set_time, _set_node, _set_op, _set_outcome, _set_duration, _set_ep, _set_value, _set_params_before,
+ _set_params_after) = [TraceEvent.__dict__[f.name].__set__ for f in fields(TraceEvent)]
+
+# the exact JSON type of every header field; converting instead would
+# accept true as 1 and truncate 1.7 to 1. A header carries every field.
+_HEADER_TYPES = {
+    "schema": str, "run_id": str, "seed": int, "graph_hash": str, "mode": str, "total_cycles": int,
+}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 @dataclass(frozen=True)
 class RunMeta:
     run_id: str
@@ -140,12 +171,21 @@ class RunMeta:
     schema: str = TRACE_SCHEMA
 
     def validate(self) -> None:
+        """Raise SchemaError unless ``read_trace`` reads the header line
+        back as this header: every field of its exact JSON type, the known
+        schema, a run id, and ``seed`` and ``total_cycles`` within int64."""
+        for key, kind in _HEADER_TYPES.items():
+            value = getattr(self, key)
+            if type(value) is not kind:
+                raise SchemaError(f"{key!r} cannot be {value!r}")
         if self.schema != TRACE_SCHEMA:
             raise SchemaError(f"unsupported trace schema {self.schema!r}; expected {TRACE_SCHEMA!r}")
         if not self.run_id:
             raise SchemaError("run_id must be non-empty")
-        if self.total_cycles < 0:
-            raise SchemaError("total_cycles must be >= 0")
+        if not _INT64_MIN <= self.seed <= _INT64_MAX:
+            raise SchemaError(f"'seed' {self.seed} is outside int64")
+        if not 0 <= self.total_cycles <= _INT64_MAX:
+            raise SchemaError(f"'total_cycles' {self.total_cycles} must be in 0..2**63-1")
 
 
 # every (op, outcome) a trace may carry, op by op, so that the codes of
@@ -288,11 +328,6 @@ def _event_to_line(e: TraceEvent) -> str:
     return line + "}"
 
 
-# the exact JSON type of every header field; converting instead would
-# accept true as 1 and truncate 1.7 to 1. A header carries every field.
-_HEADER_TYPES = {
-    "schema": str, "run_id": str, "seed": int, "graph_hash": str, "mode": str, "total_cycles": int,
-}
 _EVENT_FIELDS = frozenset(("t", "node", "op", "outcome", "dur", "ep", "value", "before", "after"))
 
 _scan_value = json.JSONDecoder().scan_once
@@ -312,9 +347,6 @@ def _parse_line(line: str):
     if end != len(text):
         raise SchemaError(f"malformed JSON: extra data at {end}")
     return value
-
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _check_event(t, node, op, outcome, dur, ep) -> None:
@@ -346,25 +378,29 @@ def _number(raw) -> float:
     raise SchemaError(f"expected a finite number, got {raw!r}")
 
 
-def _params(raw) -> Params:
+def _params(raw, names: dict[str, str]) -> Params:
     if type(raw) is not dict:
         raise SchemaError(f"calibrate events carry before and after objects, got {raw!r}")
-    return tuple([(k, _number(v)) for k, v in raw.items()])
+    return tuple([(names.setdefault(k, k), _number(v)) for k, v in raw.items()])
 
 
-def _event_from_line(line: str, run_id: str) -> TraceEvent:
+def _event_from_line(line: str, run_id: str, names: dict[str, str]) -> TraceEvent:
     """The event on one trace line. Every check of an event line is made
     here, once: the JSON syntax, the field set, the scalar fields
-    (``_check_event``), finite numbers, and params iff calibrate."""
+    (``_check_event``), finite numbers, and params iff calibrate.
+
+    The event holds the module's op and outcome strings, and the node and
+    parameter names from ``names``, which gains each name it lacks."""
     obj = _parse_line(line)
     if type(obj) is not dict or not obj.keys() <= _EVENT_FIELDS:
         raise SchemaError(f"malformed event line: {obj!r}")
     get = obj.get
     t, node, op, outcome, dur, ep = get("t"), get("node"), get("op"), get("outcome"), get("dur", 0), get("ep", 0)
     _check_event(t, node, op, outcome, dur, ep)
+    node, op, outcome = names.setdefault(node, node), _VOCABULARY[op], _VOCABULARY[outcome]
     value = _number(obj["value"]) if "value" in obj else None
     if op == CALIBRATE:
-        before, after = _params(get("before")), _params(get("after"))
+        before, after = _params(get("before"), names), _params(get("after"), names)
     elif "before" in obj or "after" in obj:
         raise SchemaError(f"only calibrate events carry before and after: {obj!r}")
     else:
@@ -453,20 +489,22 @@ def _read_trace(path: str | Path) -> Run:
             raise SchemaError(f"{path}: malformed header: {exc}") from None
         if type(header) is not dict or not header.keys() <= _HEADER_TYPES.keys():
             raise SchemaError(f"{path}: malformed header: {header!r}")
-        for key, kind in _HEADER_TYPES.items():
+        for key in _HEADER_TYPES:
             if key not in header:
                 raise SchemaError(f"{path}: header lacks {key!r}")
-            if type(header[key]) is not kind:
-                raise SchemaError(f"{path}: malformed header: {key!r} cannot be {header[key]!r}")
         meta = RunMeta(**header)
-        meta.validate()
+        try:
+            meta.validate()
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: malformed header: {exc}") from None
         events: list[TraceEvent] = []
+        names: dict[str, str] = {}  # one string per node and parameter name
         last_t = -1
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
-                ev = _event_from_line(line, meta.run_id)
+                ev = _event_from_line(line, meta.run_id, names)
             except SchemaError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
             if ev.time < last_t:

@@ -510,6 +510,16 @@ def _validate(self: TraceEvent) -> None:
         raise SchemaError("calibrate events carry both params_before and params_after")
 
 
+def _validate_meta(meta: RunMeta) -> None:
+    # RunMeta.validate as it was, for the same reason
+    if meta.schema != "spaq-trace-1":
+        raise SchemaError(f"unsupported trace schema {meta.schema!r}")
+    if not meta.run_id:
+        raise SchemaError("run_id must be non-empty")
+    if meta.total_cycles < 0:
+        raise SchemaError("total_cycles must be >= 0")
+
+
 def reference_event_line(e: TraceEvent) -> str:
     # insertion order fixes the on-disk field order
     obj: dict = {"t": e.time, "node": e.node, "op": e.op, "outcome": e.outcome,
@@ -590,7 +600,7 @@ def reference_read_trace(path: str | Path) -> Run:
             if key not in header:
                 raise SchemaError(f"{path}: header lacks {key!r}")
         meta = RunMeta(**header)
-        meta.validate()
+        _validate_meta(meta)
         events: list[TraceEvent] = []
         last_t = -1
         for lineno, line in enumerate(fh, start=2):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import resource
 import time
 
 import numpy as np
@@ -288,9 +289,10 @@ def test_criterion_09_scale(tmp_path):
 
     elapsed = time.monotonic() - start
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(
         f"CRITERION 9: PASS (100x100k runs + pooled analysis in {elapsed:.1f}s, "
-        f"{sum(len(r.events) for r in pooled.runs)} events)"
+        f"{sum(len(r.events) for r in pooled.runs)} events, peak RSS {peak_mb:.0f} MB)"
     )
 
 

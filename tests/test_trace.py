@@ -1,7 +1,11 @@
+import copy
+import gc
 import inspect
 import json
 import math
-from dataclasses import MISSING, fields, replace
+import pickle
+import tracemalloc
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from hypothesis import strategies as st
 
 from oracles import reference_event_line, reference_read_trace
 from spaq.errors import ClockError, SchemaError
+from spaq.graph import builtin_config_path, load_graph
+from spaq.sim import SimConfig, run_simulation
 from spaq.trace import (
     CALIBRATE,
     CHECK_DATA,
@@ -92,6 +98,15 @@ class TestEventValidation:
         e = TraceEvent("r", 3, "a", DRIFT_SAMPLE, PASS, 0, 7, 0.5)
         assert replace(e, ep=8) == TraceEvent("r", 3, "a", DRIFT_SAMPLE, PASS, ep=8, value=0.5)
 
+    def test_slotted_event_pickles_copies_and_stays_frozen(self):
+        e = cal(3)
+        copies = [pickle.loads(pickle.dumps(e, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in [*copies, copy.copy(e), copy.deepcopy(e)]:
+            assert other == e and hash(other) == hash(e) and repr(other) == repr(e)
+        with pytest.raises(FrozenInstanceError):
+            e.time = 4
+        assert not hasattr(e, "__dict__")
+
 
 class TestFileRoundTrip:
     def test_round_trip_preserves_events(self, tmp_path):
@@ -153,17 +168,28 @@ class TestFileRoundTrip:
             ev(5, ep=-(2**63) - 1),
             ev(5, dur=True),
             ev(5, node=7),
+            RunMeta("r0", True, "abc"),
+            RunMeta("r0", np.int64(3), "abc"),
+            RunMeta("r0", 2**63, "abc"),
+            RunMeta("r0", 1, "abc", total_cycles=2**63),
         ],
     )
     def test_writer_rejects_what_the_reader_would_reject(self, tmp_path, bad):
         p = tmp_path / "t"
-        with TraceWriter(p, meta()) as w:
-            w.append_event(ev(1))
+        if isinstance(bad, RunMeta):
             with pytest.raises(SchemaError):
-                w.append_event(bad)
-        assert p.read_text().splitlines()[1:] == [_event_to_line(ev(1))]
+                TraceWriter(p, bad)
+            assert not any(tmp_path.iterdir())
+            run = Run(meta=bad, events=(ev(1),))
+        else:
+            with TraceWriter(p, meta()) as w:
+                w.append_event(ev(1))
+                with pytest.raises(SchemaError):
+                    w.append_event(bad)
+            assert p.read_text().splitlines()[1:] == [_event_to_line(ev(1))]
+            run = Run(meta=meta(), events=(bad,))
         with pytest.raises(SchemaError):
-            write_trace(tmp_path / "u", Run(meta=meta(), events=(bad,)))
+            write_trace(tmp_path / "u", run)
         assert not (tmp_path / "u").exists()
 
     def test_writer_rejects_foreign_run_id(self, tmp_path):
@@ -197,11 +223,37 @@ class TestFileRoundTrip:
             read_trace(p)
 
     def test_int64_edges_round_trip(self, tmp_path):
-        run = Run(meta=meta(), events=(ev(2**63 - 1, dur=2**63 - 1, ep=-(2**63)),))
+        run = Run(meta=RunMeta("r0", -(2**63), "abc", total_cycles=2**63 - 1),
+                  events=(ev(2**63 - 1, dur=2**63 - 1, ep=-(2**63)),))
         p = tmp_path / "edge.trace"
         write_trace(p, run)
         assert '"t":9223372036854775807,' in p.read_text()
         assert read_trace(p) == run
+
+    def test_read_back_run_holds_no_more_than_the_simulated_one(self, tmp_path):
+        # the reader shares one string per op, outcome, node and parameter
+        # name, as the simulator does; a private string per event made a
+        # read-back xgate run hold about 1.7 times the simulated one
+        def held(make):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                made = make()
+                gc.collect()
+                return made, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        graph = load_graph(builtin_config_path("xgate"))
+        cfg = SimConfig(total_cycles=10_000, seed=1)
+        run_simulation(graph, cfg)  # first-call caches are not the run's
+        simulated, simulated_bytes = held(lambda: run_simulation(graph, cfg))
+        p = tmp_path / "run.trace"
+        write_trace(p, simulated)
+        read_trace(p)
+        read_back, read_bytes = held(lambda: read_trace(p))
+        assert read_back == simulated and len(read_back.events) > 1000
+        assert read_bytes <= 1.1 * simulated_bytes, (read_bytes, simulated_bytes)
 
     def test_empty_run_round_trips(self, tmp_path):
         run = Run(meta=meta(total_cycles=0), events=())
@@ -245,6 +297,14 @@ class TestStrictReader:
             '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","mode":"baseline","total_cycles":5,'
             '"owner":"me"}',
             '["spaq-trace-1"]',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","mode":"baseline",'
+            '"total_cycles":1180591620717411303424}',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":1,"graph_hash":"h","mode":"baseline",'
+            '"total_cycles":9223372036854775808}',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":9223372036854775808,"graph_hash":"h","mode":"baseline",'
+            '"total_cycles":5}',
+            '{"schema":"spaq-trace-1","run_id":"r0","seed":-9223372036854775809,"graph_hash":"h","mode":"baseline",'
+            '"total_cycles":5}',
         ],
     )
     def test_rejects_bad_header_fields(self, tmp_path, header):
@@ -351,7 +411,8 @@ def fuzz_dir(tmp_path_factory):
 
 
 def _int64_safe(run) -> bool:
-    return all(-(2**63) <= n < 2**63 for e in run.events for n in (e.time, e.duration, e.ep))
+    numbers = [run.meta.seed, run.meta.total_cycles, *(n for e in run.events for n in (e.time, e.duration, e.ep))]
+    return all(-(2**63) <= n < 2**63 for n in numbers)
 
 
 _EVENT = b'{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0}'
@@ -372,10 +433,11 @@ _EVENT = b'{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0}'
 @example(raw=HEADER.encode() + b"\n" + _EVENT[:30] + b"\n" + _EVENT[30:] + b"\n")
 @example(raw=HEADER.encode() + b"\n" + _EVENT[:30] + b"\r" + _EVENT[30:] + b"\n")
 @example(raw=HEADER.encode() + b'\n{"t":9223372036854775808,"node":"a","op":"check_data","outcome":"pass"}\n')
+@example(raw=HEADER.replace('"seed":1', '"seed":9223372036854775808').encode() + b"\n")
 def test_any_bytes_round_trip_or_raise_typed_error(fuzz_dir, raw):
-    """read_trace accepts what the reference reader accepts, less events
-    outside int64, reads it as the same run, and writes it back so that it
-    reads the same again."""
+    """read_trace accepts what the reference reader accepts, less runs with
+    a number outside int64, reads it as the same run, and writes it back so
+    that it reads the same again."""
     src, out = fuzz_dir / "in.jsonl", fuzz_dir / "out.jsonl"
     src.write_bytes(raw)
     try:
