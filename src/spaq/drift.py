@@ -60,7 +60,14 @@ class LogisticDriftCfg:
 
 @dataclass(frozen=True)
 class ExponentialDriftCfg:
-    """Deterministic relaxation toward ``limit`` at unit-cycle ``rate``."""
+    """Deterministic relaxation toward ``limit`` at unit-cycle ``rate``.
+
+    ``v0`` is the anchor of :func:`exponential_decay_value` when called
+    without one. The simulator never reads it: a parameter starts at its
+    ``ParamSpec.optimal`` (a disturbance at 0.0) and relaxes from its
+    value at its last calibration. ``v0`` is still saved with a graph and
+    changes its ``graph_hash``.
+    """
 
     rate: float = 0.0
     limit: float = 0.0
@@ -165,30 +172,3 @@ def transfer_probability(omega: float, t_nominal: float | None, detuning, time_e
         p = p * (c * c)
     return p
 
-
-@dataclass
-class DriftState:
-    """State of one drifting parameter or disturbance.
-
-    ``anchor`` is the value at the last calibration (tau = 0); the
-    exponential model relaxes from it, the logistic model random-walks
-    from ``value``. ``cycles_since_cal`` is tau, ``cfg`` the drift model
-    and ``rng`` the stream of per-cycle normals a logistic walk draws.
-    The simulator moves states over many cycles in one
-    :func:`logistic_drift_path` or :func:`exponential_decay_value` call;
-    neither depends on how the cycles are split (the walk draws one
-    normal per cycle and accumulates from the current value, the
-    relaxation depends on tau alone), so two runs with one seed see the
-    same drift bits however differently they schedule their reads.
-    """
-
-    value: float
-    cycles_since_cal: int = 0
-    anchor: float = 0.0
-    cfg: DriftCfg | None = None
-    rng: np.random.Generator | None = None
-
-    def reset(self, value: float) -> None:
-        self.value = value
-        self.anchor = value
-        self.cycles_since_cal = 0

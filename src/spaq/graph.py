@@ -512,7 +512,13 @@ def _node_to_dict(n: NodeSpec) -> dict:
     }
 
 
-def _node_from_dict(raw: dict) -> NodeSpec:
+def _exact_int(value, where: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _node_from_dict(raw: dict, where: str) -> NodeSpec:
     params = tuple(
         (
             name,
@@ -539,10 +545,10 @@ def _node_from_dict(raw: dict) -> NodeSpec:
     )
     return NodeSpec(
         id=raw["id"],
-        check_cost=int(raw["check_cost"]),
-        calibrate_cost=int(raw["calibrate_cost"]),
-        timeout=int(raw["timeout"]),
-        post_cal_delay=int(raw.get("post_cal_delay", 0)),
+        check_cost=_exact_int(raw["check_cost"], f"{where}.check_cost"),
+        calibrate_cost=_exact_int(raw["calibrate_cost"], f"{where}.calibrate_cost"),
+        timeout=_exact_int(raw["timeout"], f"{where}.timeout"),
+        post_cal_delay=_exact_int(raw.get("post_cal_delay", 0), f"{where}.post_cal_delay"),
         dependencies=tuple(raw.get("dependencies", [])),
         params=params,
         checks=checks,
@@ -571,7 +577,7 @@ def graph_from_dict(raw: dict) -> GraphSpec:
     schema = raw.get("schema")
     if schema != GRAPH_SCHEMA:
         raise ValueError(f"unsupported graph schema {schema!r}; expected {GRAPH_SCHEMA!r}")
-    nodes = tuple(_node_from_dict(n) for n in raw.get("nodes", []))
+    nodes = tuple(_node_from_dict(n, f"nodes[{i}]") for i, n in enumerate(raw.get("nodes", [])))
     disturbances = tuple(
         DisturbanceSpec(
             tag=d["tag"],

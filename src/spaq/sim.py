@@ -16,14 +16,15 @@ only check outcomes (which carry measurement noise) and timestamps.
 Drift is computed a block of cycles ahead of the clock (``_Tracker``).
 A block holds, for ``_BLOCK`` + 1 consecutive cycles, the values of all
 parameters and disturbances stacked one column per state, every check's
-noiseless reading and every node's ground-truth verdict. Advancing the
-clock only moves the clock (and, under ground-truth tracking, emits the
-block's events it passes); a check reads its row of the block, and a
-read past the block's end builds the next block. A calibration brings
-the states up to its cycle from that row, resets them, and has the rest
-of the block redone for its own parameters and the checks that read
-them only. So the cost of a run follows its blocks and calibrations,
-not its advances or its reads. Ground-truth tracking (``oracle_ttf``,
+noiseless reading and every node's ground-truth verdict; the tracker's
+arrays are the one copy of the states. Advancing the clock only moves
+the clock (and, under ground-truth tracking, emits the block's events it
+passes); a check reads its row of the block, and a read past the
+block's end builds the next block. A calibration writes its parameters'
+new values into the row of its cycle and has the rest of the block
+redone for those parameters and the checks that read them only. So the
+cost of a run follows its blocks and calibrations, not its advances or
+its reads. Ground-truth tracking (``oracle_ttf``,
 ``drift_sample_every``) logs the same rows the checks read, so its
 verdicts are exactly what a noiseless check would see.
 
@@ -52,7 +53,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .drift import DriftState, LogisticDriftCfg, exponential_decay_value, logistic_drift_path, transfer_probability
+from .drift import LogisticDriftCfg, exponential_decay_value, logistic_drift_path, transfer_probability
 from .errors import SchemaError, UnknownNodeError
 from .graph import (
     GATE,
@@ -129,6 +130,11 @@ def _substream(seed: int, *labels: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _U64, *words])))
 
 
+def _stream_tag(key: tuple[str, str], spec) -> str:
+    """The label of a parameter's drift and calibration streams."""
+    return spec.stream_tag or "/".join(key)
+
+
 def _observable(o, term_sum, external):
     """Noiseless values of a family of observables ``o`` (its fields are
     per-column arrays) from the weighted deviation sums ``term_sum(name)``
@@ -176,28 +182,12 @@ class Simulator:
         for nid in self._nodes:
             self._update_due(nid)
 
-        self._param_spec = {}
-        self._params: dict[tuple[str, str], DriftState] = {}
-        self._cal_rng = {}
-        self._meas_rng = {}
-        seed = cfg.seed
-        for n in graph.nodes:
-            self._meas_rng[n.id] = _substream(seed, "meas", n.id)
-            for pname, pspec in n.params:
-                key = (n.id, pname)
-                tag = pspec.stream_tag or f"{n.id}/{pname}"
-                self._param_spec[key] = pspec
-                rng = _substream(seed, "drift", tag) if isinstance(pspec.drift, LogisticDriftCfg) else None
-                self._params[key] = DriftState(value=pspec.optimal, anchor=pspec.optimal, cfg=pspec.drift, rng=rng)
-                self._cal_rng[key] = _substream(seed, "cal", tag)
-
-        self._dist = [
-            (d, DriftState(value=0.0, cfg=d.drift, rng=_substream(seed, "dist", d.tag))) for d in graph.disturbances
-        ]
-        self._affecting: dict[str, list[int]] = {n.id: [] for n in graph.nodes}
-        for i, (dspec, _) in enumerate(self._dist):
-            for nid in dspec.affected:
-                self._affecting[nid].append(i)
+        self._param_spec = {(n.id, pname): pspec for n in graph.nodes for pname, pspec in n.params}
+        self._meas_rng = {n.id: _substream(cfg.seed, "meas", n.id) for n in graph.nodes}
+        self._cal_rng = {k: _substream(cfg.seed, "cal", _stream_tag(k, p)) for k, p in self._param_spec.items()}
+        # each node's disturbance indices, once per listing of the node
+        dists = list(enumerate(graph.disturbances))
+        self._affecting = {n.id: [i for i, d in dists for a in d.affected if a == n.id] for n in graph.nodes}
         self._tracker = _Tracker(self)
 
     # --- plumbing ---
@@ -238,19 +228,18 @@ class Simulator:
 
     # --- ground truth ---
 
-    def _param(self, owner: str, pname: str) -> DriftState:
-        """A parameter's state as of the current cycle, open to a write."""
-        return self._tracker.param((owner, pname), self.t)
-
     def _get_now(self, owner: str, pname: str) -> float:
         """A parameter's value at the current cycle."""
-        self._tracker.sync(self.t)
-        return self._params[(owner, pname)].value
+        return self._tracker.value(self._tracker.column[(owner, pname)], self.t)
+
+    def _set_now(self, owner: str, pname: str, value: float) -> None:
+        """Calibrate a parameter to ``value`` at the current cycle."""
+        self._tracker.reset(self._tracker.column[(owner, pname)], value, self.t)
 
     def _dist_now(self, nid: str):
         """The disturbances' contribution to ``nid``'s observables now."""
-        self._tracker.sync(self.t)
-        return sum(self._dist[i][0].strength * self._dist[i][1].value for i in self._affecting[nid])
+        tr, dists = self._tracker, self.graph.disturbances
+        return sum(dists[i].strength * tr.value(tr.column[i], self.t) for i in self._affecting[nid])
 
     def _advance(self, k: int) -> None:
         """Move the clock k cycles; under ground-truth tracking, emit the
@@ -296,9 +285,8 @@ class Simulator:
     def _reset_params(self, nid: str) -> None:
         node = self._nodes[nid]
         for pname, pspec in node.params:
-            st = self._param(nid, pname)
             z = float(self._cal_rng[(nid, pname)].standard_normal())
-            st.reset(pspec.optimal + z * pspec.effective_cal_noise)
+            self._set_now(nid, pname, pspec.optimal + z * pspec.effective_cal_noise)
         for check in node.checks:
             o = check.observable
             if o.kind != LINEAR or o.compensate is None:
@@ -318,9 +306,7 @@ class Simulator:
                     continue
                 spec = self._param_spec[(owner, tm.param)]
                 external += tm.weight * (self._get_now(owner, tm.param) - spec.optimal)
-            st = self._param(nid, o.compensate)
-            st.value -= external / weight
-            st.anchor = st.value
+            self._set_now(nid, o.compensate, self._get_now(nid, o.compensate) - external / weight)
 
     def _calibrate(self, nid: str) -> bool:
         node = self._nodes[nid]
@@ -501,31 +487,37 @@ class _Tracker:
     """Drift, readings and ground truth of every state, a block ahead.
 
     A block holds rows for cycles start .. start + ``_BLOCK``, row j
-    being cycle start + j and row 0 the states as they were: every
-    state's path (one drift call per model, one column per state), every
-    check's noiseless reading (one array expression per observable
-    family), every node's verdict (one predicate per rule op) and, under
+    being cycle start + j: every state's value in ``paths`` (one drift
+    call per model, one column per state), every check's noiseless
+    reading in ``obs`` (one array expression per observable family),
+    every node's verdict in ``ok`` (one predicate per rule op) and, under
     ground-truth tracking, the onset, recovery and grid events in trace
-    order. A read past the block's end builds the next block from its
-    last row. The ``DriftState`` objects hold cycle ``at`` and are
-    brought forward only for a calibration (``sync``); a write
-    (``param``) marks a state ``changed``, and the next read redoes, from
-    ``at`` to the block's end, only that state's path and the readings
-    and verdicts of the nodes that read it. Each logistic stream draws
-    one normal per cycle, in cycle order, once, so blocks of any length
-    give the same bits.
+    order. ``anchor`` holds each state's value at its last calibration
+    and ``csc`` + j its cycles since then at row j. The next block starts
+    from the last row. ``value`` reads a state; ``reset`` writes its row,
+    anchor and ``csc`` at cycle ``at`` and marks it ``changed``, and the
+    first read at another cycle redoes, from ``at`` to the block's end,
+    only the changed states' paths and the readings and verdicts of the
+    nodes that read them. Each logistic stream draws one normal per
+    cycle, in cycle order, once, so blocks of any length give the same
+    bits.
     """
 
     def __init__(self, sim: Simulator):
         self.cfg = sim.cfg
         self.emits = sim.cfg.oracle_ttf or sim.cfg.drift_sample_every > 0
-        # logistic states first, then exponential ones
-        states = [*sim._params.values(), *(st for _, st in sim._dist)]
-        self.states = sorted(states, key=lambda st: not isinstance(st.cfg, LogisticDriftCfg))
-        self.n_log = n_log = sum(isinstance(st.cfg, LogisticDriftCfg) for st in self.states)
-        self.rngs = [st.rng for st in self.states[:n_log]]
-        column = {id(st): i for i, st in enumerate(self.states)}
-        self.param_column = {key: column[id(st)] for key, st in sim._params.items()}
+        # one column per state, logistic ones first: each parameter, keyed
+        # (node, name), starts at its optimum; each disturbance, keyed by
+        # its index, at 0.0
+        states = [(k, p.drift, p.optimal, ("drift", _stream_tag(k, p))) for k, p in sim._param_spec.items()]
+        states += [(i, d.drift, 0.0, ("dist", d.tag)) for i, d in enumerate(sim.graph.disturbances)]
+        states.sort(key=lambda st: not isinstance(st[1], LogisticDriftCfg))
+        self.column = {key: c for c, (key, _, _, _) in enumerate(states)}
+        self.cfgs = [cfg for _, cfg, _, _ in states]
+        self.n_log = n_log = sum(isinstance(cfg, LogisticDriftCfg) for cfg in self.cfgs)
+        self.rngs = [_substream(sim.cfg.seed, *labels) for _, _, _, labels in states[:n_log]]
+        self.anchor = np.array([value for _, _, value, _ in states], dtype=np.float64)
+        self.csc = np.zeros(len(states), dtype=np.int64)
         self.ids = [n.id for n in sim.graph.nodes]
         self.index = {nid: m for m, nid in enumerate(self.ids)}
         self.checks = [(n.id, c) for n in sim.graph.nodes for c in n.checks]
@@ -535,7 +527,7 @@ class _Tracker:
 
         def terms(nid: str, ts) -> list:
             keys = [(tm.node or nid, tm.param) for tm in ts]
-            return [(self.param_column[k], tm.weight, sim._param_spec[k].optimal) for k, tm in zip(keys, ts)]
+            return [(self.column[k], tm.weight, sim._param_spec[k].optimal) for k, tm in zip(keys, ts)]
 
         # each check's sums as (state column, weight, optimal) terms per
         # term field of its family, and its disturbances as (column,
@@ -546,16 +538,17 @@ class _Tracker:
             fields = _FAMILIES[LINEAR if o.kind == LINEAR else GATE]
             skip = {"phase_terms"} if o.kind != GATE else set()
             self.terms.append({name: terms(nid, () if name in skip else getattr(o, name)) for name in fields})
-            self.dists.append([(column[id(sim._dist[i][1])], sim._dist[i][0].strength, None) for i in sim._affecting[nid]])
+            self.dists.append([(self.column[i], sim.graph.disturbances[i].strength, None) for i in sim._affecting[nid]])
         # the state columns each node's checks read
         self.reads = [
             {col for c in span for ts in (*self.terms[c].values(), self.dists[c]) for col, _, _ in ts}
             for span in self.spans
         ]
         self.plans: dict[frozenset, SimpleNamespace] = {}
-        self.all = self._plan(range(len(self.states)), range(len(self.ids)))
+        self.all = self._plan(range(len(states)), range(len(self.ids)))
         self.changed: set[int] = set()
-        self.end = 0
+        self.paths = self.anchor[None]
+        self.start = self.end = 0
         self._rebuild()
 
     def _plan(self, cols, nodes=None) -> SimpleNamespace:
@@ -584,7 +577,7 @@ class _Tracker:
             pos = [i for i, c in enumerate(checks) if self.checks[c][1].rule.op == op]
             rule = Rule(op, **vars(_columns([self.checks[checks[i]][1].rule for i in pos], ("bound", "center"))))
             rules.append((_index(pos), _index([checks[i] for i in pos]), rule))
-        cfgs = [self.states[c].cfg for c in cols]
+        cfgs = [self.cfgs[c] for c in cols]
         return SimpleNamespace(
             cols=cols,
             log=_index(log) if log else None,
@@ -600,21 +593,16 @@ class _Tracker:
         )
 
     def _redo(self, plan: SimpleNamespace, j0: int) -> None:
-        """Rows j0 .. of the plan's paths, readings and verdicts, from the
-        states, which hold cycle start + j0."""
+        """Rows j0 + 1 .. of the plan's paths, and rows j0 .. of its readings
+        and verdicts, from the states' row j0."""
         paths, csc = self.paths, self.csc
-        for c in plan.cols:
-            st = self.states[c]
-            paths[j0, c] = st.value
-            csc[c] = st.cycles_since_cal - j0
         if plan.log is not None:
             log = plan.log
             zs = self.zs[j0:, log]
             paths[j0 + 1 :, log] = logistic_drift_path(paths[j0, log], csc[log] + j0, plan.logistic, zs)
         if plan.exp is not None:
             taus = csc[plan.exp] + np.arange(j0 + 1, len(paths), dtype=float)[:, None]
-            anchors = np.array([self.states[c].anchor for c in plan.cols if c >= self.n_log])
-            paths[j0 + 1 :, plan.exp] = exponential_decay_value(taus, plan.exponential, v0=anchors)
+            paths[j0 + 1 :, plan.exp] = exponential_decay_value(taus, plan.exponential, v0=self.anchor[plan.exp])
         paths = paths[j0:]
         for idx, width, o, slots, dist_slots in plan.families:
             self.obs[j0:, idx] = _observable(
@@ -630,16 +618,18 @@ class _Tracker:
         self.events, self.next, self.listed = [], 0, self.start + j0
 
     def _rebuild(self) -> None:
-        """Start the next block at the current one's end, which the states hold."""
+        """Start the next block from the current one's last row."""
         n = _BLOCK
+        last = self.paths[-1]
+        self.csc += self.end - self.start
         self.start = self.at = self.end
         self.end += n
         if self.rngs:
             self.zs = np.stack([rng.standard_normal(n) for rng in self.rngs], axis=1)
-        self.paths = np.empty((n + 1, len(self.states)))
+        self.paths = np.empty((n + 1, len(last)))
+        self.paths[0] = last
         self.obs = np.empty((n + 1, len(self.checks)))
         self.ok = np.empty((n + 1, len(self.ids)), dtype=bool)
-        self.csc = np.zeros(len(self.states), dtype=np.int64)
         self._redo(self.all, 0)
 
     def _events(self, lo: int, hi: int) -> list[tuple]:
@@ -663,14 +653,6 @@ class _Tracker:
                 outcome = PASS if ok[j, m] else FAIL
                 events.append((t + j, self.ids[m], DRIFT_SAMPLE, outcome, float(self.obs[j, self.spans[m].start])))
         return events
-
-    def _set_states(self, t: int) -> None:
-        """Set every state to its value at cycle t, a row of the block."""
-        j = t - self.start
-        for s, v, csc in zip(self.states, self.paths[j].tolist(), (self.csc + j).tolist()):
-            s.value = v
-            s.cycles_since_cal = csc
-        self.at = t
 
     def cover(self, t: int, emit=None) -> int:
         """The block's row of cycle t, building blocks up to it; with
@@ -697,20 +679,22 @@ class _Tracker:
                 self.events, self.next, self.listed = self._events(self.listed, hi), 0, hi
             if t <= last:
                 return t - self.start
-            self._set_states(self.end)
             self._rebuild()
 
-    def sync(self, t: int) -> None:
-        """Bring the states to cycle t."""
-        if t != self.at:
-            self.cover(t)
-            self._set_states(t)
+    def value(self, col: int, t: int) -> float:
+        """State ``col``'s value at cycle t."""
+        # at the pending reset's cycle the row is current as it stands
+        j = t - self.start if t == self.at else self.cover(t)
+        return self.paths.item(j, col)
 
-    def param(self, key: tuple[str, str], t: int) -> DriftState:
-        """A parameter's state as of cycle t, open to a write."""
-        self.sync(t)
-        self.changed.add(self.param_column[key])
-        return self.states[self.param_column[key]]
+    def reset(self, col: int, value: float, t: int) -> None:
+        """Calibrate state ``col`` to ``value`` at cycle t; the next read
+        past t redoes the rest of the block."""
+        j = t - self.start if t == self.at else self.cover(t)
+        self.at = t
+        self.paths[j, col] = self.anchor[col] = value
+        self.csc[col] = -j
+        self.changed.add(col)
 
     def readings(self, t: int) -> np.ndarray:
         """Every check's noiseless reading at cycle t, one column per check."""

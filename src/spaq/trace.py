@@ -253,15 +253,18 @@ class NodeColumns:
 
 
 def event_columns(run: "Run") -> dict[str, NodeColumns]:
-    """Each node's columns, in order of the node's first event, built from
-    ``run.by_node`` in one pass over each node's events."""
+    """Each node's columns, in order of the node's first event, from one
+    pass over ``run.events`` and one over each node's events."""
+    grouped: dict[str, list[TraceEvent]] = {}
+    for e in run.events:
+        grouped.setdefault(e.node, []).append(e)
     return {
         node: NodeColumns(
-            events=events,
+            events=tuple(events),
             time=np.fromiter([e.time for e in events], np.int64, len(events)),
             kind=np.fromiter([_KIND_CODE[e.op][e.outcome] for e in events], np.int8, len(events)),
         )
-        for node, events in run.by_node.items()
+        for node, events in grouped.items()
     }
 
 
@@ -273,19 +276,12 @@ class Run:
     ``Simulator.finish`` produce them. The analysis layer relies on that
     order and does not check it: it answers event patterns from each
     node's sorted time columns (``columns``) by binary search, and among
-    events at one cycle it follows trace order.
+    events at one cycle it follows trace order. ``columns`` is also the
+    one per-node view of the events: each node's ``NodeColumns.events``.
     """
 
     meta: RunMeta
     events: tuple[TraceEvent, ...]
-
-    @cached_property
-    def by_node(self) -> dict[str, tuple[TraceEvent, ...]]:
-        """Each node's events in trace order, built on first use."""
-        out: dict[str, list[TraceEvent]] = {}
-        for e in self.events:
-            out.setdefault(e.node, []).append(e)
-        return {node: tuple(evs) for node, evs in out.items()}
 
     @cached_property
     def columns(self) -> dict[str, NodeColumns]:
@@ -302,7 +298,7 @@ class Dataset:
         return tuple(r.meta.run_id for r in self.runs)
 
     def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted({node for r in self.runs for node in r.by_node}))
+        return tuple(sorted({node for r in self.runs for node in r.columns}))
 
 
 # a string as json.dumps writes it, cached: traces repeat a few node and

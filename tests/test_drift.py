@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spaq.drift import (
-    DriftState,
     ExponentialDriftCfg,
     LogisticDriftCfg,
     drift_cfg_from_dict,
@@ -212,9 +211,3 @@ class TestCfgSerialisation:
         with pytest.raises(ValueError):
             drift_cfg_from_dict({"model": "levy"})
 
-
-class TestDriftState:
-    def test_reset(self):
-        s = DriftState(value=1.0, cycles_since_cal=42, anchor=0.0)
-        s.reset(0.25)
-        assert (s.value, s.anchor, s.cycles_since_cal) == (0.25, 0.25, 0)

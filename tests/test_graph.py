@@ -220,6 +220,22 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             graph_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("timeout", 2.5),
+            ("timeout", 7.0),
+            ("check_cost", True),
+            ("calibrate_cost", None),
+            ("post_cal_delay", "5"),
+        ],
+    )
+    def test_integer_node_fields_must_be_exact_ints(self, diamond_graph, key, value):
+        raw = graph_to_dict(diamond_graph)
+        raw["nodes"][1][key] = value
+        with pytest.raises(ValueError, match=rf"^nodes\[1\]\.{key} must be an integer"):
+            graph_from_dict(raw)
+
 
 class TestGraphHash:
     def test_stable_and_sensitive(self, chain_graph):

@@ -80,11 +80,11 @@ def simple_node(nid, deps=(), *, timeout=1000, check_cost=1, cal_cost=2, delay=0
 def set_now(sim, nid, pname, value):
     """Set a parameter's value as of the current cycle.
 
-    The drift tracker brings the parameter's state to the current cycle
-    and marks it changed, so the poke replaces the value now, not an
-    older one, and the next read recomputes the block from there.
+    The poke is a calibration to ``value`` now: the drift tracker writes
+    the parameter's row, anchor and cycles since calibration at the
+    current cycle, and the next read recomputes the block from there.
     """
-    sim._param(nid, pname).value = value
+    sim._set_now(nid, pname, value)
 
 
 def ops(run, since_ep=1):
@@ -530,7 +530,7 @@ class TestDriftEngine:
             expected = run_simulation(graph, cfg)
             sim = Simulator(graph, cfg)
             sim.initial_calibration()
-            keys = list(sim._params)
+            keys = list(sim._param_spec)
             while sim.t < cfg.total_cycles:
                 sim.step()
                 for owner, pname in rng.sample(keys, rng.randint(0, len(keys))):
