@@ -36,9 +36,7 @@ from .errors import (
     SpaqError,
 )
 from .experiments import (
-    DELAYED_CHECKS,
-    HIDDEN_DEPENDENCY,
-    INTERNODE_COUPLING,
+    EVIDENCE_DATASET,
     Exp1Config,
     Exp2Config,
     Exp3Config,
@@ -60,13 +58,6 @@ from .smc import DOES_NOT_HOLD, HOLDS, INSUFFICIENT_DATA, LOWER, TWO_SIDED, UPPE
 from .trace import atomic_write, load_dataset, write_trace
 
 _BUILTINS = ("xgate", "internode", "hidden")
-
-# which stored dataset each scenario's property strings were evaluated on
-_REPRO_SOURCE = {
-    DELAYED_CHECKS: "high_frequency",
-    INTERNODE_COUPLING: "unmerged",
-    HIDDEN_DEPENDENCY: "baseline",
-}
 
 
 # --- shared helpers ---
@@ -408,7 +399,7 @@ def _results_match(recorded: dict, fresh) -> bool:
 def _reproduce(doc: dict, root: Path) -> list[str]:
     """Re-evaluate every embedded property on the stored traces."""
     scenario = doc.get("scenario")
-    label = _REPRO_SOURCE.get(scenario)
+    label = EVIDENCE_DATASET.get(scenario)
     if label is None:
         raise ValueError(f"unknown scenario {scenario!r} in report")
     dataset = _load_stored_dataset(doc, label, root)
@@ -485,11 +476,22 @@ def cmd_report(ns) -> int:
 # --- argument parsing ---
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--cycles``, ``--runs`` and ``--jobs``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_sim_args(p, *, runs_default: int, cycles_default: int) -> None:
-    p.add_argument("--cycles", type=int, default=cycles_default, help="cycles per run")
-    p.add_argument("--runs", type=int, default=runs_default, help="number of independent runs")
+    p.add_argument("--cycles", type=_positive_int, default=cycles_default, help="cycles per run")
+    p.add_argument("--runs", type=_positive_int, default=runs_default, help="number of independent runs")
     p.add_argument("--seed", type=int, default=None, help="base seed; runs use seed..seed+N-1 (default: $SPAQ_SEED or 0)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for independent runs")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for independent runs")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,9 @@
 Three workflows share one recipe: simulate a graph over a block of
 seeds, pool the traces, evaluate properties against the pool, rewrite
 the graph accordingly, and rerun the same seeds to measure the
-availability change.
+availability change. The recipe is written once: every config is a
+seed block whose ``batch`` runs one scenario, and ``_report`` turns the
+ordered scenarios into availabilities, costs and a before/after pair.
 
 * delayed checks: a high-frequency phase collects time-to-failure
   samples; each node's recommended post-calibration delay is the lower
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +62,13 @@ DELAYED_CHECKS = "delayed_checks"
 INTERNODE_COUPLING = "internode_coupling"
 HIDDEN_DEPENDENCY = "hidden_dependency"
 
+# the scenario whose dataset each experiment's properties are evaluated on
+EVIDENCE_DATASET = {
+    DELAYED_CHECKS: "high_frequency",
+    INTERNODE_COUPLING: "unmerged",
+    HIDDEN_DEPENDENCY: "baseline",
+}
+
 
 # --- configs ---
 
@@ -68,65 +78,68 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _check_common(cfg) -> None:
-    _require(cfg.total_cycles >= 1, f"total_cycles must be >= 1, got {cfg.total_cycles}")
-    _require(cfg.n_runs >= 1, f"n_runs must be >= 1, got {cfg.n_runs}")
-    _require(cfg.jobs >= 1, f"jobs must be >= 1, got {cfg.jobs}")
-    _require(0.5 < cfg.confidence < 1.0, f"confidence must be in (0.5, 1), got {cfg.confidence}")
-
-
 @dataclass(frozen=True)
-class Exp1Config:
-    """Delayed-checks experiment: sampling phase plus rewrite."""
+class _SeedBlock:
+    """What every experiment shares: each scenario simulates the seeds
+    ``seed..seed+n_runs-1`` for ``total_cycles`` cycles on up to ``jobs``
+    worker processes, and every test runs at ``confidence``."""
 
     total_cycles: int = 10_000
     n_runs: int = 20
     seed: int = 0
     jobs: int = 1
-    hf_timeout: int = 4
     confidence: float = 0.95
 
     def __post_init__(self) -> None:
-        _check_common(self)
+        _require(self.total_cycles >= 1, f"total_cycles must be >= 1, got {self.total_cycles}")
+        _require(self.n_runs >= 1, f"n_runs must be >= 1, got {self.n_runs}")
+        _require(self.jobs >= 1, f"jobs must be >= 1, got {self.jobs}")
+        _require(0.5 < self.confidence < 1.0, f"confidence must be in (0.5, 1), got {self.confidence}")
+
+    def batch(self, graph: GraphSpec, run_prefix: str, **kw) -> Dataset:
+        """One scenario's runs over the seed block (``kw`` goes to ``run_batch``)."""
+        seeds = range(self.seed, self.seed + self.n_runs)
+        return run_batch(graph, self.total_cycles, seeds, run_prefix=run_prefix, jobs=self.jobs, **kw)
+
+
+@dataclass(frozen=True)
+class Exp1Config(_SeedBlock):
+    """Delayed-checks experiment: sampling phase plus rewrite."""
+
+    hf_timeout: int = 4
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.hf_timeout >= 1, f"hf_timeout must be >= 1, got {self.hf_timeout}")
 
 
 @dataclass(frozen=True)
-class Exp2Config:
+class Exp2Config(_SeedBlock):
     """Inter-node shift-coupling experiment on an isolated node pair."""
 
-    total_cycles: int = 10_000
-    n_runs: int = 20
-    seed: int = 0
-    jobs: int = 1
     node_a: str = "A"
     param: str = "param_A"
     node_b: str = "B"
     rel_shift: float = 0.10
     p0: float = 0.33
-    confidence: float = 0.95
     coupling: bool = True
 
     def __post_init__(self) -> None:
-        _check_common(self)
+        super().__post_init__()
         _require(self.rel_shift > 0.0, f"rel_shift must be > 0, got {self.rel_shift}")
         _require(0.0 < self.p0 < 1.0, f"p0 must be in (0,1), got {self.p0}")
 
 
 @dataclass(frozen=True)
-class Exp3Config:
+class Exp3Config(_SeedBlock):
     """Hidden-dependency experiment: co-failure scan plus added edge."""
 
-    total_cycles: int = 10_000
-    n_runs: int = 20
-    seed: int = 0
-    jobs: int = 1
     window: int = 25
     p0: float = 0.33
     confidence: float = 0.90
 
     def __post_init__(self) -> None:
-        _check_common(self)
+        super().__post_init__()
         _require(self.window >= 1, f"window must be >= 1, got {self.window}")
         _require(0.0 < self.p0 < 1.0, f"p0 must be in (0,1), got {self.p0}")
 
@@ -155,44 +168,17 @@ def run_batch(
     Run ids are ``{run_prefix}-{seed}``; only independent runs execute
     in parallel, so results are identical for any ``jobs`` value.
     """
-    args = [
-        (
-            graph,
-            SimConfig(
-                total_cycles=total_cycles,
-                seed=s,
-                mode=mode,
-                hf_timeout=hf_timeout,
-                oracle_ttf=oracle,
-            ),
-            f"{run_prefix}-{s}",
-        )
+    cfgs = [
+        SimConfig(total_cycles=total_cycles, seed=s, mode=mode, hf_timeout=hf_timeout, oracle_ttf=oracle)
         for s in seeds
     ]
+    args = [(graph, c, f"{run_prefix}-{c.seed}") for c in cfgs]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(_sim_job, args))
     else:
         runs = [_sim_job(a) for a in args]
     return merge_runs(runs)
-
-
-def _availability_stats(ds: Dataset, graph: GraphSpec) -> tuple[tuple[float, ...], dict]:
-    """Per-run availabilities plus mean per-node cost cycles per run."""
-    per_run: list[float] = []
-    totals: dict[str, dict[str, int]] = {}
-    for run in ds.runs:
-        rep = availability(run, graph=graph)
-        per_run.append(rep.availability)
-        for node, row in rep.per_node_cost.items():
-            acc = totals.setdefault(node, {"check_cycles": 0, "calibrate_cycles": 0})
-            for k, v in row.items():
-                acc[k] += v
-    n = max(len(ds.runs), 1)
-    mean_cost = {
-        node: {k: v / n for k, v in row.items()} for node, row in sorted(totals.items())
-    }
-    return tuple(per_run), mean_cost
 
 
 # --- report types ---
@@ -269,7 +255,9 @@ class ExperimentReport:
 
     ``availability_per_run`` and ``per_node_cost`` are keyed by scenario
     label; run order within a scenario follows the seed block, so equal
-    indices across scenarios are matched pairs.
+    indices across scenarios are matched pairs. ``availability_before``
+    and ``availability_after`` are the means of the first and last
+    scenario.
     """
 
     scenario: str
@@ -289,6 +277,35 @@ class ExperimentReport:
         for rec in self.recommendations:
             if not isinstance(rec.result, SmcResult):
                 raise ValueError(f"recommendation {rec.kind}:{rec.target} lacks a backing result")
+
+
+def _report(
+    scenario: str, table: dict[str, tuple[GraphSpec, Dataset]], recommendations, **evidence
+) -> ExperimentReport:
+    """Report on ``table``'s scenarios, in order: each label maps to the
+    graph it ran and its dataset. A node's cost is its mean cycles per run."""
+    per_run, per_node_cost = {}, {}
+    for label, (graph, ds) in table.items():
+        reps = [availability(run, graph=graph) for run in ds.runs]
+        totals: dict[str, Counter] = {}
+        for rep in reps:
+            for node, row in rep.per_node_cost.items():
+                totals.setdefault(node, Counter()).update(row)
+        per_run[label] = tuple(rep.availability for rep in reps)
+        per_node_cost[label] = {
+            node: {k: v / len(reps) for k, v in row.items()} for node, row in sorted(totals.items())
+        }
+    means = [fmean(values) for values in per_run.values()]
+    return ExperimentReport(
+        scenario=scenario,
+        availability_before=means[0],
+        availability_after=means[-1],
+        availability_per_run=per_run,
+        per_node_cost=per_node_cost,
+        recommendations=tuple(recommendations),
+        datasets={label: ds for label, (_, ds) in table.items()},
+        **evidence,
+    )
 
 
 # --- delay recommendation (experiment 1) ---
@@ -329,40 +346,17 @@ def run_delayed_checks_experiment(graph: GraphSpec, cfg: Exp1Config) -> Experime
     applies ``recommend_delays`` as each node's post-calibration delay.
     All three scenarios run the same seed block.
     """
-    seeds = range(cfg.seed, cfg.seed + cfg.n_runs)
-    hf = run_batch(
-        graph, cfg.total_cycles, seeds,
-        mode=HIGH_FREQUENCY, hf_timeout=cfg.hf_timeout, run_prefix="hf", jobs=cfg.jobs,
-    )
+    hf = cfg.batch(graph, "hf", mode=HIGH_FREQUENCY, hf_timeout=cfg.hf_timeout)
     recs = recommend_delay_details(hf, cfg.confidence)
     delayed_graph = with_delays(graph, {r.target: r.payload["delay"] for r in recs})
-
-    base = run_batch(graph, cfg.total_cycles, seeds, run_prefix="baseline", jobs=cfg.jobs)
-    adaptive = run_batch(
-        delayed_graph, cfg.total_cycles, seeds,
-        mode=ADAPTIVE, run_prefix="adaptive", jobs=cfg.jobs,
-    )
-
-    base_avail, base_cost = _availability_stats(base, graph)
-    hf_avail, hf_cost = _availability_stats(hf, graph)
-    adap_avail, adap_cost = _availability_stats(adaptive, delayed_graph)
-
-    return ExperimentReport(
-        scenario=DELAYED_CHECKS,
-        availability_before=fmean(base_avail),
-        availability_after=fmean(adap_avail),
-        availability_per_run={
-            "baseline": base_avail,
-            "high_frequency": hf_avail,
-            "adaptive": adap_avail,
+    return _report(
+        DELAYED_CHECKS,
+        {
+            "baseline": (graph, cfg.batch(graph, "baseline")),
+            "high_frequency": (graph, hf),
+            "adaptive": (delayed_graph, cfg.batch(delayed_graph, "adaptive", mode=ADAPTIVE)),
         },
-        per_node_cost={
-            "baseline": base_cost,
-            "high_frequency": hf_cost,
-            "adaptive": adap_cost,
-        },
-        recommendations=recs,
-        datasets={"baseline": base, "high_frequency": hf, "adaptive": adaptive},
+        recs,
     )
 
 
@@ -450,25 +444,14 @@ def run_internode_experiment(cfg: Exp2Config, graph: GraphSpec | None = None) ->
         graph = load_graph(builtin_config_path("internode"))
     if not cfg.coupling:
         graph = strip_cross_node_terms(graph)
-    seeds = range(cfg.seed, cfg.seed + cfg.n_runs)
-
-    before = run_batch(graph, cfg.total_cycles, seeds, run_prefix="unmerged", jobs=cfg.jobs)
+    before = cfg.batch(graph, "unmerged")
     shift = param_shift_failure_test(
         before, cfg.node_a, cfg.param, cfg.rel_shift, cfg.node_b, cfg.p0, cfg.confidence
     )
 
     merged_id = f"{cfg.node_a}_{cfg.node_b}"
-    merged_graph = merge_nodes(
-        graph,
-        cfg.node_a,
-        cfg.node_b,
-        merged_node_spec(graph.node(cfg.node_a), graph.node(cfg.node_b), merged_id),
-    )
-    after = run_batch(merged_graph, cfg.total_cycles, seeds, run_prefix="merged", jobs=cfg.jobs)
-
-    before_avail, before_cost = _availability_stats(before, graph)
-    after_avail, after_cost = _availability_stats(after, merged_graph)
-
+    spec = merged_node_spec(graph.node(cfg.node_a), graph.node(cfg.node_b), merged_id)
+    merged_graph = merge_nodes(graph, cfg.node_a, cfg.node_b, spec)
     recs = ()
     if shift.supports_merge:
         recs = (
@@ -480,14 +463,10 @@ def run_internode_experiment(cfg: Exp2Config, graph: GraphSpec | None = None) ->
                 result=shift,
             ),
         )
-    return ExperimentReport(
-        scenario=INTERNODE_COUPLING,
-        availability_before=fmean(before_avail),
-        availability_after=fmean(after_avail),
-        availability_per_run={"unmerged": before_avail, "merged": after_avail},
-        per_node_cost={"unmerged": before_cost, "merged": after_cost},
-        recommendations=recs,
-        datasets={"unmerged": before, "merged": after},
+    return _report(
+        INTERNODE_COUPLING,
+        {"unmerged": (graph, before), "merged": (merged_graph, cfg.batch(merged_graph, "merged"))},
+        recs,
         shift_test=shift,
     )
 
@@ -521,9 +500,7 @@ def run_hidden_dependency_experiment(cfg: Exp3Config, graph: GraphSpec | None = 
     """
     if graph is None:
         graph = load_graph(builtin_config_path("hidden"))
-    seeds = range(cfg.seed, cfg.seed + cfg.n_runs)
-
-    before = run_batch(graph, cfg.total_cycles, seeds, run_prefix="baseline", jobs=cfg.jobs)
+    before = cfg.batch(graph, "baseline")
     matrix = pairwise_cofailure_scan(before, cfg.window, cfg.p0, cfg.confidence)
 
     rewritten = graph
@@ -550,18 +527,10 @@ def run_hidden_dependency_experiment(cfg: Exp3Config, graph: GraphSpec | None = 
             )
         )
 
-    after = run_batch(rewritten, cfg.total_cycles, seeds, run_prefix="with_edge", jobs=cfg.jobs)
-    before_avail, before_cost = _availability_stats(before, graph)
-    after_avail, after_cost = _availability_stats(after, rewritten)
-
-    return ExperimentReport(
-        scenario=HIDDEN_DEPENDENCY,
-        availability_before=fmean(before_avail),
-        availability_after=fmean(after_avail),
-        availability_per_run={"baseline": before_avail, "with_edge": after_avail},
-        per_node_cost={"baseline": before_cost, "with_edge": after_cost},
-        recommendations=tuple(recs),
-        datasets={"baseline": before, "with_edge": after},
+    return _report(
+        HIDDEN_DEPENDENCY,
+        {"baseline": (graph, before), "with_edge": (rewritten, cfg.batch(rewritten, "with_edge"))},
+        recs,
         matrix=matrix,
     )
 
@@ -591,13 +560,7 @@ def _dataset_to_meta(ds: Dataset, paths: dict[str, str] | None) -> list[dict]:
     out = []
     for run in ds.runs:
         m = run.meta
-        row = {
-            "run_id": m.run_id,
-            "seed": m.seed,
-            "graph_hash": m.graph_hash,
-            "mode": m.mode,
-            "total_cycles": m.total_cycles,
-        }
+        row = {key: getattr(m, key) for key in ("run_id", "seed", "graph_hash", "mode", "total_cycles")}
         if paths and m.run_id in paths:
             row["trace"] = paths[m.run_id]
         out.append(row)

@@ -283,9 +283,13 @@ def validate_graph(graph: GraphSpec) -> None:
                         "as an own term of the observable it corrects"
                     )
     for dist in graph.disturbances:
+        affected_seen: set[str] = set()
         for a in dist.affected:
             if a not in seen:
                 raise UnknownNodeError(f"disturbance {dist.tag!r} affects unknown node {a!r}")
+            if a in affected_seen:
+                raise DuplicateIdError(f"disturbance {dist.tag!r}: affected node {a!r} listed twice")
+            affected_seen.add(a)
     topological_order(graph)  # raises CycleError on cycles
 
 

@@ -185,9 +185,8 @@ class Simulator:
         self._param_spec = {(n.id, pname): pspec for n in graph.nodes for pname, pspec in n.params}
         self._meas_rng = {n.id: _substream(cfg.seed, "meas", n.id) for n in graph.nodes}
         self._cal_rng = {k: _substream(cfg.seed, "cal", _stream_tag(k, p)) for k, p in self._param_spec.items()}
-        # each node's disturbance indices, once per listing of the node
         dists = list(enumerate(graph.disturbances))
-        self._affecting = {n.id: [i for i, d in dists for a in d.affected if a == n.id] for n in graph.nodes}
+        self._affecting = {n.id: [i for i, d in dists if n.id in d.affected] for n in graph.nodes}
         self._tracker = _Tracker(self)
 
     # --- plumbing ---

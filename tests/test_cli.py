@@ -60,6 +60,25 @@ class TestInvocation:
         assert err.value.code == 2
 
 
+class TestRunFlags:
+    @pytest.mark.parametrize("flag", ["--cycles", "--runs", "--jobs"])
+    @pytest.mark.parametrize("command", ["simulate", "scan", "exp1", "exp2", "exp3"])
+    def test_zero_exits_two_before_writing(self, capsys, tmp_path, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, "0", "-o", str(out)])
+        assert err.value.code == 2
+        assert "expected a positive integer, got '0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-3", "two", "1.5"])
+    def test_non_positive_or_non_integer_runs_rejected(self, capsys, tmp_path, value):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--runs", value, "-o", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestSimulate:
     def test_writes_traces_and_summary(self, trace_dir):
         files = sorted(p.name for p in trace_dir.glob("*.jsonl"))

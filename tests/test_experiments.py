@@ -16,6 +16,7 @@ import spaq.trace
 from spaq.drift import LogisticDriftCfg
 from spaq.errors import NoSamplesError
 from spaq.experiments import (
+    EVIDENCE_DATASET,
     Exp1Config,
     Exp2Config,
     Exp3Config,
@@ -61,6 +62,23 @@ class TestConfigValidation:
         # C <= 0.5 cannot be tested: the statistics need C in (0.5, 1)
         with pytest.raises(ValueError, match="confidence"):
             cls(confidence=confidence)
+
+    @pytest.mark.parametrize("cls, confidence", [(Exp1Config, 0.95), (Exp2Config, 0.95), (Exp3Config, 0.90)])
+    def test_seed_block_defaults(self, cls, confidence):
+        cfg = cls()
+        assert (cfg.total_cycles, cfg.n_runs, cfg.seed, cfg.jobs, cfg.confidence) == (10_000, 20, 0, 1, confidence)
+
+    @pytest.mark.parametrize("field", ["total_cycles", "n_runs", "jobs"])
+    @pytest.mark.parametrize("cls", [Exp1Config, Exp2Config, Exp3Config])
+    def test_seed_block_counts_must_be_positive(self, cls, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            cls(**{field: 0})
+
+    def test_batch_runs_the_seed_block(self):
+        graph = load_graph(builtin_config_path("internode"))
+        ds = Exp3Config(total_cycles=500, n_runs=2, seed=4).batch(graph, "x", oracle=False)
+        assert [r.meta.run_id for r in ds.runs] == ["x-4", "x-5"]
+        assert {r.meta.total_cycles for r in ds.runs} == {500}
 
 
 class TestRunBatch:
@@ -271,6 +289,26 @@ class TestExperimentRunners:
         for rec in rep.recommendations:
             assert rec.kind == "edge"
             assert rec.payload["dependent"] != rec.payload["dependency"]
+
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_delayed_checks_experiment(
+                load_graph(builtin_config_path("xgate")), Exp1Config(total_cycles=1_000, n_runs=2, seed=2)
+            ),
+            lambda: run_internode_experiment(Exp2Config(total_cycles=1_000, n_runs=2, seed=2)),
+            lambda: run_hidden_dependency_experiment(Exp3Config(total_cycles=1_000, n_runs=2, seed=2)),
+        ],
+        ids=["exp1", "exp2", "exp3"],
+    )
+    def test_before_after_and_evidence_come_from_the_scenario_table(self, run):
+        rep = run()
+        assert EVIDENCE_DATASET[rep.scenario] in rep.datasets
+        assert list(rep.datasets) == list(rep.availability_per_run) == list(rep.per_node_cost)
+        means = [sum(v) / len(v) for v in rep.availability_per_run.values()]
+        assert rep.availability_before == pytest.approx(means[0])
+        assert rep.availability_after == pytest.approx(means[-1])
 
 
 class TestSerialization:

@@ -51,6 +51,11 @@ EXPERIMENTS = {
     ),
     "exp2": lambda: run_internode_experiment(Exp2Config(total_cycles=3000, n_runs=3, seed=5)),
     "exp3": lambda: run_hidden_dependency_experiment(Exp3Config(total_cycles=2000, n_runs=3, seed=5)),
+    # long enough runs that every node but x_gate gets a non-zero delay,
+    # so the with_delays -> adaptive half of exp1 is pinned too
+    "exp1_delays": lambda: run_delayed_checks_experiment(
+        load_graph(builtin_config_path("xgate")), Exp1Config(total_cycles=10_000, n_runs=7, seed=5)
+    ),
 }
 
 
@@ -136,6 +141,11 @@ REPORTS = {
     ("exp3", "matrix"): "5243afae10447ca9c5ff5e20cb9f7191b1f96f8666881ae90c76e1685de204ce",
     ("exp3", "node_costs"): "bd6837fba2ce25660cd646ac4525817aa6b57a27a22710a80c86c1544c8794e6",
     ("exp3", "report"): "331c474a21a46ce2c42a8b83dc2be779efc486a4af2b9378842c6d4057ac248d",
+    # delays drive_frequency 771, node_A 674, node_B 884, pulse_time 728,
+    # state_init 735, x_gate 0; availability 0.698 -> 0.765
+    ("exp1_delays", "availability"): "50e714236b404ceb1e4ff6f67c68ad214f64277147b5d506d922eab778a69b83",
+    ("exp1_delays", "node_costs"): "ee07d28d98caff7a8108091246580fafdc08dabfb8a76be58a6db032e9d91c9f",
+    ("exp1_delays", "report"): "d83672f02f3c68ccca57faf31500a1727c208de3bc049cb27f39cf4fbbcfa862",
 }
 
 SCAN = {

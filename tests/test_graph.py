@@ -236,6 +236,13 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=rf"^nodes\[1\]\.{key} must be an integer"):
             graph_from_dict(raw)
 
+    def test_disturbance_listing_a_node_twice_is_rejected(self):
+        # the simulator would otherwise add the disturbance to top_2 twice
+        raw = yaml.safe_load(builtin_config_path("hidden").read_text())
+        raw["disturbances"][0]["affected"] = ["top_2", "top_2", "bottom_2"]
+        with pytest.raises(DuplicateIdError, match="'stray_field'.*'top_2' listed twice"):
+            graph_from_dict(raw)
+
 
 class TestGraphHash:
     def test_stable_and_sensitive(self, chain_graph):
