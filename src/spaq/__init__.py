@@ -21,7 +21,6 @@ from .errors import (
     SpaqError,
     UnknownNodeError,
     UnknownParamError,
-    UnsupportedPropertyError,
 )
 from .drift import ExponentialDriftCfg, LogisticDriftCfg
 from .graph import (

@@ -202,9 +202,9 @@ def cmd_check(ns) -> int:
     text = ns.property_text
     if ns.property_file is not None:
         text = Path(ns.property_file).read_text().strip()
+    ast = parse_property(text)
     files = _trace_files(ns.traces)
     dataset = load_dataset(files)
-    ast = parse_property(text)
     try:
         result = evaluate_property(dataset, ast, delta=ns.delta, interval_side=ns.side)
     except (NoSamplesError, InsufficientDataError) as exc:
@@ -477,7 +477,8 @@ def cmd_report(ns) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``--cycles``, ``--runs`` and ``--jobs``."""
+    """argparse type of the counts: ``--cycles``, ``--runs``, ``--jobs``,
+    ``--window`` and ``--hf-timeout``."""
     try:
         value = int(text)
     except ValueError:
@@ -507,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", choices=_BUILTINS, default="xgate", help="packaged graph config")
     _add_sim_args(p, runs_default=1, cycles_default=10_000)
     p.add_argument("--mode", choices=(BASELINE, HIGH_FREQUENCY, ADAPTIVE), default=BASELINE)
-    p.add_argument("--hf-timeout", type=int, default=4, help="timeout override in high_frequency mode")
+    p.add_argument("--hf-timeout", type=_positive_int, default=4, help="timeout override in high_frequency mode")
     p.add_argument("--no-oracle", action="store_true", help="skip ground-truth oracle events")
     p.add_argument("-o", "--outdir", default="spaq_traces", help="trace output directory")
 
@@ -524,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="graph config YAML to simulate when no traces given")
     p.add_argument("--builtin", choices=_BUILTINS, default="hidden")
     _add_sim_args(p, runs_default=5, cycles_default=10_000)
-    p.add_argument("--window", type=int, default=25)
+    p.add_argument("--window", type=_positive_int, default=25)
     p.add_argument("--p0", type=float, default=0.33)
     p.add_argument("--confidence", type=float, default=0.90)
     p.add_argument("-o", "--outdir", default="spaq_scan", help="output directory")
@@ -532,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp1", help="delayed-checks experiment (baseline/hf/adaptive)")
     p.add_argument("--config", help="graph config YAML (default: packaged xgate)")
     _add_sim_args(p, runs_default=20, cycles_default=10_000)
-    p.add_argument("--hf-timeout", type=int, default=4)
+    p.add_argument("--hf-timeout", type=_positive_int, default=4)
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                    help="config field override, repeatable")
@@ -551,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp3", help="hidden-dependency experiment (scan + added edge)")
     p.add_argument("--config", help="graph config YAML (default: packaged hidden)")
     _add_sim_args(p, runs_default=20, cycles_default=10_000)
-    p.add_argument("--window", type=int, default=25)
+    p.add_argument("--window", type=_positive_int, default=25)
     p.add_argument("--p0", type=float, default=0.33)
     p.add_argument("--confidence", type=float, default=0.90)
     p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")

@@ -66,11 +66,7 @@ class PropertySyntaxError(SpaqError):
 
 
 class PropertyRangeError(SpaqError):
-    """A numeric parameter in a property is outside its legal range."""
-
-
-class UnsupportedPropertyError(SpaqError):
-    """The property parsed but its evaluation is not defined."""
+    """A value in a property is outside the range or set it allows."""
 
 
 # --- extraction ---

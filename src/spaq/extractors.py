@@ -40,12 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoSamplesError,
-    UnknownNodeError,
-    UnknownParamError,
-    UnsupportedPropertyError,
-)
+from .errors import NoSamplesError, UnknownNodeError, UnknownParamError
 from .properties import (
     CALIBRATE_EVENT,
     CI,
@@ -53,13 +48,11 @@ from .properties import (
     FAILURES,
     NEXT_CHECK,
     PARAM,
-    PCT_TIME,
     SHIFT_EVENT,
     TIME_BETWEEN,
     TTF,
     CondQuery,
     EventPattern,
-    Implication,
     MetricQuery,
     MetricRef,
     PropertyAst,
@@ -120,17 +113,16 @@ def _pattern_times(run: Run, pattern: EventPattern) -> np.ndarray:
         return _node_times(run, pattern.node, CHECK_DATA, FAIL)
     if pattern.kind == CALIBRATE_EVENT:
         return _node_times(run, pattern.node, CALIBRATE)
-    if pattern.kind == SHIFT_EVENT:
-        times, shifts = calibration_shifts(run, pattern.node, str(pattern.arg("param")))
-        # NaN compares false: a calibration without the parameter never matches
-        return times[shifts > float(pattern.arg("by"))]
-    raise ValueError(f"unknown event pattern kind {pattern.kind!r}")
+    # shift: calibrations that move the parameter by more than ``by``
+    times, shifts = calibration_shifts(run, pattern.node, pattern.arg("param"))
+    # NaN compares false: a calibration without the parameter never matches
+    return times[shifts > pattern.arg("by")]
 
 
 def _check_shift_param_known(dataset: Dataset, pattern: EventPattern) -> None:
     if pattern.kind != SHIFT_EVENT:
         return
-    param, node = str(pattern.arg("param")), pattern.node
+    param, node = pattern.arg("param"), pattern.node
     if not any(node in run.columns and param in run.columns[node].params_before for run in dataset.runs):
         raise UnknownParamError(
             f"parameter {param!r} never appears in calibrations of node {pattern.node!r}"
@@ -141,16 +133,13 @@ def _check_shift_param_known(dataset: Dataset, pattern: EventPattern) -> None:
 
 
 def _ttf_samples(run: Run, metric: MetricRef) -> tuple[list[float], int]:
-    anchor_mode = str(metric.arg("anchor", "verification"))
-    if anchor_mode not in ("verification", "calibration"):
-        raise ValueError(f"ttf anchor must be verification or calibration, got {anchor_mode!r}")
-    oracle = str(metric.arg("oracle", "false")).lower() == "true"
+    oracle = metric.arg("oracle") == "true"
     cols = run.columns.get(metric.node)
     if cols is None:
         return [], 0
     failed = cols.mask(ORACLE_OUT_OF_SPEC) if oracle else cols.mask(CHECK_DATA, FAIL)
     anchor = cols.mask(CALIBRATE, SUCCESS)
-    if anchor_mode == "verification":
+    if metric.arg("anchor") == "verification":
         anchor |= cols.mask(CHECK_DATA, PASS)
     marks = failed | anchor
     t, is_anchor = cols.time[marks], anchor[marks]
@@ -162,8 +151,6 @@ def _ttf_samples(run: Run, metric: MetricRef) -> tuple[list[float], int]:
 
 def _failures_samples(run: Run, metric: MetricRef) -> list[float]:
     window = metric.arg("window")
-    if not isinstance(window, int) or window < 1:
-        raise ValueError(f"failures window must be a positive integer, got {window!r}")
     n = run.meta.total_cycles // window
     if n == 0:
         return []
@@ -172,31 +159,22 @@ def _failures_samples(run: Run, metric: MetricRef) -> list[float]:
 
 
 def _param_samples(run: Run, metric: MetricRef) -> list[float]:
-    name = str(metric.arg("name"))
-    when = str(metric.arg("when", "after"))
-    if when not in ("before", "after"):
-        raise ValueError(f"param 'when' must be before or after, got {when!r}")
+    name, when = metric.arg("name"), metric.arg("when")
     cols = run.columns.get(metric.node)
     values = None if cols is None else (cols.params_before if when == "before" else cols.params_after).get(name)
     return [] if values is None else values[~np.isnan(values)].tolist()
 
 
 def _time_between_samples(run: Run, metric: MetricRef) -> list[float]:
-    which = str(metric.arg("event"))
-    if which not in (CALIBRATE_EVENT, FAIL_EVENT):
-        raise ValueError(f"time_between event must be calibrate or fail, got {which!r}")
-    ts = _pattern_times(run, EventPattern(kind=which, node=metric.node))
+    ts = _pattern_times(run, EventPattern(kind=metric.arg("event"), node=metric.node))
     return np.diff(ts).astype(np.float64).tolist()
 
 
 def _pct_time_samples(run: Run, metric: MetricRef) -> list[float]:
-    op = str(metric.arg("op"))
-    if op not in (CHECK_DATA, CALIBRATE):
-        raise ValueError(f"pct_time op must be check_data or calibrate, got {op!r}")
     if run.meta.total_cycles <= 0:
         return []
     cols = run.columns.get(metric.node)
-    busy = int(cols.duration[cols.mask(op)].sum()) if cols is not None else 0
+    busy = int(cols.duration[cols.mask(metric.arg("op"))].sum()) if cols is not None else 0
     return [busy / run.meta.total_cycles]
 
 
@@ -216,10 +194,8 @@ def extract_metric(dataset: Dataset, metric: MetricRef) -> ExtractedSamples:
             vs = _param_samples(run, metric)
         elif metric.name == TIME_BETWEEN:
             vs = _time_between_samples(run, metric)
-        elif metric.name == PCT_TIME:
+        else:  # pct_time
             vs = _pct_time_samples(run, metric)
-        else:
-            raise ValueError(f"unknown metric {metric.name!r}")
         values.extend(vs)
     if metric.name == PARAM and not values and _calibrated(dataset, metric.node):
         raise UnknownParamError(
@@ -288,17 +264,7 @@ def evaluate_property(
     ci-mode property produces: a two-sided interval (default) or a
     one-sided bound.
     """
-    if isinstance(ast.body, Implication):
-        raise UnsupportedPropertyError(
-            "run-level implication properties parse but their evaluation is not implemented"
-        )
     if isinstance(ast.body, CondQuery):
-        if ast.mode == CI:
-            raise UnsupportedPropertyError(
-                "ci mode is defined for metric bodies only; wrap a test around the probability"
-            )
-        if ast.F is not None:
-            raise ValueError("prob queries fix F via the probability threshold; omit F=")
         samples = extract_condition_samples(dataset, ast.body)
         bools = list(samples.values)
         if ast.body.cmp == "<":

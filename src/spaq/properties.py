@@ -2,24 +2,27 @@
 
 Grammar::
 
-    property  := mode body "@" params
-    mode      := "test" | "ci"
-    body      := simple ("->" simple)?
-    simple    := metric cmp number
-               | "prob" "[" event "->" event "within" window "]" cmp number
+    property  := "ci" metric "@" params
+               | "test" metric cmp number "@" params
+               | "test" prob cmp number "@" "C=" float
     metric    := name "(" node ("," key "=" value)* ")"
+    prob      := "prob" "[" event "->" event "within" window "]"
     event     := ("fail" | "calibrate" | "shift") "(" node ("," key "=" value)* ")"
     window    := integer | "next_check"
     params    := ("F=" float)? "C=" float
     cmp       := ">" | "<"
 
-``F`` must lie in (0, 1) and ``C`` in (0.5, 1); a value outside its
-range raises PropertyRangeError at parse time.
+``F`` must lie in (0, 1) and ``C`` in (0.5, 1); a prob test has no
+``F``, since its threshold is the probability. In ``ci`` mode the
+comparator and number are omitted (the bound is what gets computed).
 
-In ``ci`` mode the comparator and number are omitted (the bound is what
-gets computed). A body of the form ``metric cmp number -> metric cmp
-number`` (run-level implication) parses into an AST but its evaluation
-is deliberately not implemented; callers receive UnsupportedPropertyError.
+Each metric and event takes the keyword arguments that its row of
+``_METRIC_ARGS`` or ``_EVENT_ARGS`` lists, with their allowed values
+and defaults. A ``MetricRef`` or ``EventPattern`` checks itself against
+that row when it is built, whether by the parser or directly: an
+unknown name or key, a repeated key or a missing required argument
+raises PropertySyntaxError, and a value the argument does not allow
+raises PropertyRangeError, as does any other value out of range.
 
 Examples::
 
@@ -34,6 +37,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import PropertyRangeError, PropertySyntaxError
+from .trace import CALIBRATE, CHECK_DATA
 
 TEST = "test"
 CI = "ci"
@@ -41,7 +45,6 @@ CI = "ci"
 FAIL_EVENT = "fail"
 CALIBRATE_EVENT = "calibrate"
 SHIFT_EVENT = "shift"
-EVENT_KINDS = (FAIL_EVENT, CALIBRATE_EVENT, SHIFT_EVENT)
 
 NEXT_CHECK = "next_check"
 
@@ -50,50 +53,107 @@ FAILURES = "failures"
 PARAM = "param"
 TIME_BETWEEN = "time_between"
 PCT_TIME = "pct_time"
-METRIC_NAMES = (TTF, FAILURES, PARAM, TIME_BETWEEN, PCT_TIME)
-
-# allowed argument keys and whether they are required
-_METRIC_ARGS: dict[str, dict[str, bool]] = {
-    TTF: {"anchor": False, "oracle": False},
-    FAILURES: {"window": True},
-    PARAM: {"name": True, "when": False},
-    TIME_BETWEEN: {"event": True},
-    PCT_TIME: {"op": True},
-}
-_EVENT_ARGS: dict[str, dict[str, bool]] = {
-    FAIL_EVENT: {},
-    CALIBRATE_EVENT: {},
-    SHIFT_EVENT: {"param": True, "by": True},
-}
 
 ArgValue = str | float | int
 Args = tuple[tuple[str, ArgValue], ...]
 
+# The argument table: key -> (allowed values, default), where a default
+# of None marks a required argument. Allowed values are a tuple of names,
+# or a type: int for a positive integer, float for a positive number,
+# str for a name.
+_KINDS = {int: "a positive integer", float: "a positive number", str: "a name"}
+_METRIC_ARGS: dict[str, dict[str, tuple]] = {
+    TTF: {
+        "anchor": (("verification", "calibration"), "verification"),
+        "oracle": (("true", "false"), "false"),
+    },
+    FAILURES: {"window": (int, None)},
+    PARAM: {"name": (str, None), "when": (("before", "after"), "after")},
+    TIME_BETWEEN: {"event": ((CALIBRATE_EVENT, FAIL_EVENT), None)},
+    PCT_TIME: {"op": ((CHECK_DATA, CALIBRATE), None)},
+}
+_EVENT_ARGS: dict[str, dict[str, tuple]] = {
+    FAIL_EVENT: {},
+    CALIBRATE_EVENT: {},
+    SHIFT_EVENT: {"param": (str, None), "by": (float, None)},
+}
 
-class _ArgLookup:
-    """Keyword-argument lookup shared by metric and event references."""
 
-    args: Args
+def _allows(allowed, value) -> bool:
+    if isinstance(allowed, tuple):
+        return value in allowed
+    if allowed is str:
+        return type(value) is str
+    # int admits only ints; float admits ints and floats (bool is neither)
+    return type(value) in (int, allowed) and value > 0
 
-    def arg(self, key: str, default: ArgValue | None = None) -> ArgValue | None:
-        for k, v in self.args:
-            if k == key:
-                return v
-        return default
+
+def _check_call(table, what: str, name: str, node: str, args: Args, text=None, at=()) -> None:
+    """Check a metric or event call against its row of the argument table.
+
+    A name or key error raises PropertySyntaxError with the caret at
+    ``at[i]`` in ``text``: item 0 is the name, item i the i-th argument
+    and the last item the closing parenthesis. Without ``text`` the
+    caret points into the call's canonical text. A value the argument
+    does not allow raises PropertyRangeError.
+    """
+
+    def syntax_error(i: int, message: str, expected: tuple[str, ...] = ()) -> PropertySyntaxError:
+        where, pos = (text, at) if text is not None else _call_text(name, node, args)
+        return PropertySyntaxError(message, where, pos[i], expected)
+
+    row = table.get(name)
+    if row is None:
+        raise syntax_error(0, f"unknown {what} {name!r}", tuple(table))
+    given: set[str] = set()
+    for i, (key, value) in enumerate(args, 1):
+        if key not in row:
+            raise syntax_error(i, f"{name} does not take argument {key!r}", tuple(row))
+        if key in given:
+            raise syntax_error(i, f"duplicate argument {key!r}")
+        given.add(key)
+        allowed = row[key][0]
+        if not _allows(allowed, value):
+            must = _KINDS.get(allowed) or " or ".join(allowed)
+            raise PropertyRangeError(f"{name} argument {key!r} must be {must}, got {value!r}")
+    missing = [k for k, (_, default) in row.items() if default is None and k not in given]
+    if missing:
+        raise syntax_error(-1, f"{name} is missing required argument(s): {', '.join(missing)}")
+
+
+def _arg(row: dict, args: Args, key: str) -> ArgValue:
+    for k, v in args:
+        if k == key:
+            return v
+    return row[key][1]
 
 
 @dataclass(frozen=True)
-class MetricRef(_ArgLookup):
+class MetricRef:
     name: str
     node: str
     args: Args = ()
 
+    def __post_init__(self) -> None:
+        _check_call(_METRIC_ARGS, "metric", self.name, self.node, self.args)
+
+    def arg(self, key: str) -> ArgValue:
+        """The argument's value, or its default from the table."""
+        return _arg(_METRIC_ARGS[self.name], self.args, key)
+
 
 @dataclass(frozen=True)
-class EventPattern(_ArgLookup):
+class EventPattern:
     kind: str
     node: str
     args: Args = ()
+
+    def __post_init__(self) -> None:
+        _check_call(_EVENT_ARGS, "event", self.kind, self.node, self.args)
+
+    def arg(self, key: str) -> ArgValue:
+        """The argument's value, or its default from the table."""
+        return _arg(_EVENT_ARGS[self.kind], self.args, key)
 
 
 @dataclass(frozen=True)
@@ -112,13 +172,7 @@ class CondQuery:
     probability: float | None = None
 
 
-@dataclass(frozen=True)
-class Implication:
-    antecedent: MetricQuery
-    consequent: MetricQuery
-
-
-Body = MetricQuery | CondQuery | Implication
+Body = MetricQuery | CondQuery
 
 
 @dataclass(frozen=True)
@@ -204,38 +258,21 @@ class _Parser:
 
     def parse(self) -> PropertyAst:
         mode = self.expect_ident(TEST, CI).text
-        body = self.parse_body(mode)
+        body: Body
+        if self.cur.kind == "ident" and self.cur.text == "prob":
+            if mode == CI:
+                raise self.fail("ci takes a metric; compare a prob[...] in a test instead", tuple(_METRIC_ARGS))
+            body = self.parse_cond()
+        else:
+            body = self.parse_metric_query(mode)
         self.expect_punct("@")
-        F, C = self.parse_params()
+        F, C = self.parse_params(isinstance(body, MetricQuery))
         if self.cur.kind != "end":
             raise self.fail(f"trailing input {self.cur.text!r}")
         return PropertyAst(mode=mode, body=body, C=C, F=F)
 
-    def parse_body(self, mode: str) -> Body:
-        first = self.parse_simple(mode)
-        if self.cur.kind == "arrow":
-            if not isinstance(first, MetricQuery):
-                raise self.fail("implication arms must be metric comparisons")
-            self.advance()
-            second = self.parse_simple(mode)
-            if not isinstance(second, MetricQuery):
-                raise self.fail("implication arms must be metric comparisons")
-            return Implication(antecedent=first, consequent=second)
-        return first
-
-    def parse_simple(self, mode: str) -> MetricQuery | CondQuery:
-        if self.cur.kind == "ident" and self.cur.text == "prob":
-            return self.parse_cond(mode)
-        return self.parse_metric_query(mode)
-
     def parse_metric_query(self, mode: str) -> MetricQuery:
-        name_tok = self.expect_ident()
-        if name_tok.text not in METRIC_NAMES:
-            raise PropertySyntaxError(
-                f"unknown metric {name_tok.text!r}", self.text, name_tok.pos, METRIC_NAMES
-            )
-        node, args = self.parse_call_args(name_tok.text, _METRIC_ARGS[name_tok.text])
-        metric = MetricRef(name=name_tok.text, node=node, args=args)
+        metric = self.parse_call(MetricRef, _METRIC_ARGS, "metric")
         if mode == CI:
             # ci mode carries no comparator/threshold: the bound is what gets computed
             return MetricQuery(metric=metric)
@@ -243,14 +280,14 @@ class _Parser:
         threshold = self.expect_number()
         return MetricQuery(metric=metric, cmp=cmp, threshold=threshold)
 
-    def parse_cond(self, mode: str) -> CondQuery:
+    def parse_cond(self) -> CondQuery:
         self.expect_ident("prob")
         self.expect_punct("[")
-        trigger = self.parse_event()
+        trigger = self.parse_call(EventPattern, _EVENT_ARGS, "event")
         if self.cur.kind != "arrow":
             raise self.fail("expected '->' between trigger and response", ("->",))
         self.advance()
-        response = self.parse_event()
+        response = self.parse_call(EventPattern, _EVENT_ARGS, "event")
         self.expect_ident("within")
         window: int | str
         if self.cur.kind == "number":
@@ -264,8 +301,6 @@ class _Parser:
             tok = self.expect_ident(NEXT_CHECK)
             window = NEXT_CHECK
         self.expect_punct("]")
-        if mode == CI:
-            return CondQuery(trigger=trigger, response=response, window=window)
         cmp = self.parse_cmp()
         probability = self.expect_number()
         if not 0.0 < probability < 1.0:
@@ -274,53 +309,43 @@ class _Parser:
             trigger=trigger, response=response, window=window, cmp=cmp, probability=probability
         )
 
-    def parse_event(self) -> EventPattern:
-        kind_tok = self.expect_ident(*EVENT_KINDS)
-        node, args = self.parse_call_args(kind_tok.text, _EVENT_ARGS[kind_tok.text])
-        if kind_tok.text == SHIFT_EVENT:
-            by = dict(args).get("by")
-            if not isinstance(by, (int, float)) or by <= 0:
-                raise PropertyRangeError(f"shift 'by' must be a positive number, got {by!r}")
-        return EventPattern(kind=kind_tok.text, node=node, args=args)
-
-    def parse_call_args(self, ctx: str, schema: dict[str, bool]) -> tuple[str, Args]:
+    def parse_call(self, cls, table, what: str):
+        """``name(node, key=value, ...)`` built as a ``cls``, which checks
+        it against ``table``."""
+        name_tok = self.expect_ident()
         self.expect_punct("(")
         node = self.expect_ident().text
-        args: list[tuple[str, ArgValue]] = []
+        pairs: list[tuple[str, ArgValue]] = []
+        at = [name_tok.pos]
         while self.cur.kind == "punct" and self.cur.text == ",":
             self.advance()
             key_tok = self.expect_ident()
-            if key_tok.text not in schema:
-                raise PropertySyntaxError(
-                    f"{ctx} does not take argument {key_tok.text!r}",
-                    self.text,
-                    key_tok.pos,
-                    tuple(schema),
-                )
-            if any(k == key_tok.text for k, _ in args):
-                raise PropertySyntaxError(
-                    f"duplicate argument {key_tok.text!r}", self.text, key_tok.pos
-                )
             self.expect_punct("=")
             if self.cur.kind == "number":
                 raw = self.advance().text
                 value: ArgValue = int(raw) if re.fullmatch(r"-?\d+", raw) else float(raw)
             else:
                 value = self.expect_ident().text
-            args.append((key_tok.text, value))
-        self.expect_punct(")")
-        missing = [k for k, required in schema.items() if required and all(a != k for a, _ in args)]
-        if missing:
-            raise self.fail(f"{ctx} is missing required argument(s): {', '.join(missing)}")
-        return node, tuple(args)
+            pairs.append((key_tok.text, value))
+            at.append(key_tok.pos)
+        at.append(self.expect_punct(")").pos)
+        args = tuple(pairs)
+        try:
+            return cls(name_tok.text, node, args)
+        except PropertySyntaxError:
+            # the same check again raises with the caret in the property text
+            _check_call(table, what, name_tok.text, node, args, self.text, at)
+            raise
 
     def parse_cmp(self) -> str:
         if self.cur.kind == "punct" and self.cur.text in (">", "<"):
             return self.advance().text
         raise self.fail(f"expected '>' or '<', found {self.cur.text or 'end of input'!r}", (">", "<"))
 
-    def parse_params(self) -> tuple[float | None, float]:
+    def parse_params(self, metric: bool) -> tuple[float | None, float]:
         F: float | None = None
+        if not metric and self.cur.text == "F":
+            raise self.fail("F= belongs to metric properties; a prob test's threshold is its probability", ("C",))
         key = self.expect_ident("F", "C")
         if key.text == "F":
             self.expect_punct("=")
@@ -344,11 +369,7 @@ def parse_property(text: str) -> PropertyAst:
 
 
 def _fmt_value(v: ArgValue) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, (int, float)) else str(v)
 
 
 def _fmt_call(name: str, node: str, args: Args) -> str:
@@ -356,7 +377,17 @@ def _fmt_call(name: str, node: str, args: Args) -> str:
     return f"{name}({', '.join(parts)})"
 
 
-def _fmt_simple(q: MetricQuery | CondQuery) -> str:
+def _call_text(name: str, node: str, args: Args) -> tuple[str, list[int]]:
+    """A call's canonical text, and where its name, each argument and its
+    closing parenthesis start in it."""
+    at, pos = [0], len(name) + 1 + len(node)
+    for k, v in args:
+        at.append(pos + 2)
+        pos += 2 + len(f"{k}={_fmt_value(v)}")
+    return _fmt_call(name, node, args), at + [pos]
+
+
+def _fmt_body(q: Body) -> str:
     if isinstance(q, MetricQuery):
         base = _fmt_call(q.metric.name, q.metric.node, q.metric.args)
         if q.cmp is None:
@@ -364,18 +395,10 @@ def _fmt_simple(q: MetricQuery | CondQuery) -> str:
         return f"{base} {q.cmp} {repr(q.threshold)}"
     trig = _fmt_call(q.trigger.kind, q.trigger.node, q.trigger.args)
     resp = _fmt_call(q.response.kind, q.response.node, q.response.args)
-    w = str(q.window)
-    base = f"prob[{trig} -> {resp} within {w}]"
-    if q.cmp is None:
-        return base
-    return f"{base} {q.cmp} {repr(q.probability)}"
+    return f"prob[{trig} -> {resp} within {q.window}] {q.cmp} {repr(q.probability)}"
 
 
 def property_to_text(ast: PropertyAst) -> str:
     """Canonical text form; reparsing it yields an equal AST."""
-    if isinstance(ast.body, Implication):
-        body = f"{_fmt_simple(ast.body.antecedent)} -> {_fmt_simple(ast.body.consequent)}"
-    else:
-        body = _fmt_simple(ast.body)
     params = f"C={repr(ast.C)}" if ast.F is None else f"F={repr(ast.F)} C={repr(ast.C)}"
-    return f"{ast.mode} {body} @ {params}"
+    return f"{ast.mode} {_fmt_body(ast.body)} @ {params}"

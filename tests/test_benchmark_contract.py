@@ -1,5 +1,6 @@
 """The benchmark's contract with spaq: every name ``perfbench`` wraps
-still resolves, and its workloads still build their inputs.
+still resolves, its workloads still build their inputs, and every
+property it evaluates still parses.
 
 Without this, a moved or renamed name fails only in a traced or
 all-workload benchmark run.
@@ -12,11 +13,12 @@ import sys
 from pathlib import Path
 
 import spaq
+from spaq.properties import parse_property, property_to_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from layers import PATCHES  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, PipelineXgate, property_suite  # noqa: E402
 
 
 def test_every_wrapped_name_resolves_to_a_callable():
@@ -32,3 +34,11 @@ def test_exp1_workload_builds_its_config(tmp_path):
     inputs = WORKLOADS["exp1_hf_oracle"].setup(0, tmp_path)
     assert isinstance(inputs["cfg"], spaq.Exp1Config)
     assert inputs["cfg"].jobs == 1
+
+
+def test_every_benchmark_property_parses_and_round_trips():
+    texts = property_suite(spaq.load_graph(spaq.builtin_config_path("xgate")))
+    texts += PipelineXgate.properties
+    for text in texts:
+        ast = parse_property(text)
+        assert parse_property(property_to_text(ast)) == ast, text

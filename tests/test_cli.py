@@ -71,6 +71,19 @@ class TestRunFlags:
         assert "expected a positive integer, got '0'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("scan", "--window"), ("exp3", "--window"), ("simulate", "--hf-timeout"), ("exp1", "--hf-timeout")],
+    )
+    def test_window_and_hf_timeout_take_positive_integers(self, capsys, tmp_path, command, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, value, "--runs", "1", "--cycles", "500", "-o", str(out)])
+        assert err.value.code == 2
+        assert f"expected a positive integer, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-3", "two", "1.5"])
     def test_non_positive_or_non_integer_runs_rejected(self, capsys, tmp_path, value):
         with pytest.raises(SystemExit) as err:
@@ -157,9 +170,19 @@ class TestCheck:
 
     def test_missing_traces_exit_two(self, capsys, tmp_path):
         code, _, err, _ = run_cli(
-            capsys, "check", "--traces", str(tmp_path / "none"), "--property", "ci ttf(A)",
+            capsys, "check", "--traces", str(tmp_path / "none"), "--property", "ci ttf(A) @ C=0.9",
         )
         assert code == 2
+
+    def test_property_is_parsed_before_any_trace_is_read(self, capsys, tmp_path):
+        not_a_trace = tmp_path / "notes.jsonl"
+        not_a_trace.write_text("this is not a trace\n")
+        code, _, err, _ = run_cli(
+            capsys, "check", "--traces", str(not_a_trace),
+            "--property", "ci ttf(A) @ C=0.9 trailing",
+        )
+        assert code == 2
+        assert "^" in err and "trailing" in err
 
     def test_property_file(self, capsys, trace_dir, tmp_path):
         pf = tmp_path / "prop.txt"

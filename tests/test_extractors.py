@@ -17,9 +17,10 @@ from oracles import (
 from datagen import random_dataset
 from spaq.errors import (
     NoSamplesError,
+    PropertyRangeError,
+    PropertySyntaxError,
     UnknownNodeError,
     UnknownParamError,
-    UnsupportedPropertyError,
 )
 from spaq.extractors import (
     evaluate_property,
@@ -130,9 +131,9 @@ class TestTtf:
         assert got.values == (20.0,)
 
     def test_bad_anchor_value_rejected(self):
-        ds = make_dataset([ev(10, "a", "check_data", "pass")])
-        with pytest.raises(ValueError):
-            extract_metric(ds, metric("ttf", "a", anchor="banana"))
+        # the argument table refuses the reference before any extraction
+        with pytest.raises(PropertyRangeError):
+            metric("ttf", "a", anchor="banana")
 
 
 # --- failures ---
@@ -394,17 +395,13 @@ class TestEvaluateProperty:
         assert res.verdict == HOLDS
         assert res.n_used == 30
 
-    def test_implication_parses_but_does_not_evaluate(self):
-        ds = make_dataset([ev(1, "a", "check_data", "pass")])
-        ast = parse_property("test ttf(a) > 5 -> failures(a, window=10) < 2 @ C=0.9")
-        with pytest.raises(UnsupportedPropertyError):
-            evaluate_property(ds, ast)
+    def test_implication_is_refused_at_parse_time(self):
+        with pytest.raises(PropertySyntaxError):
+            parse_property("test ttf(a) > 5 -> failures(a, window=10) < 2 @ C=0.9")
 
     def test_ci_cond_rejected(self):
-        ds = make_dataset([ev(1, "a", "check_data", "fail")])
-        ast = parse_property("ci prob[fail(a) -> fail(a) within 5] @ C=0.9")
-        with pytest.raises(UnsupportedPropertyError):
-            evaluate_property(ds, ast)
+        with pytest.raises(PropertySyntaxError):
+            parse_property("ci prob[fail(a) -> fail(a) within 5] @ C=0.9")
 
     def test_no_triggers_means_insufficient_data(self):
         ds = make_dataset([ev(1, "a", "check_data", "pass"),

@@ -4,12 +4,12 @@ from hypothesis import strategies as st
 
 from spaq.errors import PropertyRangeError, PropertySyntaxError
 from spaq.properties import (
+    _METRIC_ARGS,
     CI,
     NEXT_CHECK,
     TEST,
     CondQuery,
     EventPattern,
-    Implication,
     MetricQuery,
     MetricRef,
     PropertyAst,
@@ -73,11 +73,63 @@ class TestParseCondQueries:
 
 
 class TestParseImplication:
-    def test_parses_to_deferred_node(self):
-        ast = parse_property("test ttf(a) > 5 -> failures(b, window=10) > 2 @ C=0.9")
-        assert isinstance(ast.body, Implication)
-        assert ast.body.antecedent.metric.name == "ttf"
-        assert ast.body.consequent.metric.name == "failures"
+    def test_is_a_syntax_error_at_the_arrow(self):
+        text = "test ttf(a) > 5 -> failures(b, window=10) > 2 @ C=0.9"
+        with pytest.raises(PropertySyntaxError) as ei:
+            parse_property(text)
+        assert ei.value.pos == text.index("->")
+
+
+class TestArgumentTable:
+    @pytest.mark.parametrize(
+        "text, at",
+        [
+            ("ci prob[fail(a) -> fail(b) within 5] @ C=0.9", "prob"),
+            ("test prob[fail(a) -> fail(b) within 5] > 0.2 @ F=0.5 C=0.9", "F="),
+            ("test ttf(a, color=red) > 1 @ C=0.9", "color"),
+            ("test prob[fail(a) -> latency(b) within 5] > 0.2 @ C=0.9", "latency"),
+            ("test prob[shift(a, by=0.1) -> fail(b) within 5] > 0.2 @ C=0.9", ")"),
+        ],
+    )
+    def test_form_outside_the_grammar_is_a_syntax_error_with_caret(self, text, at):
+        with pytest.raises(PropertySyntaxError) as ei:
+            parse_property(text)
+        assert ei.value.pos == text.index(at)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MetricRef(name="ttf", node="a", args=(("oracle", "maybe"),)),
+            lambda: MetricRef(name="ttf", node="a", args=(("oracle", True),)),
+            lambda: MetricRef(name="failures", node="a", args=(("window", 0),)),
+            lambda: MetricRef(name="failures", node="a", args=(("window", 2.5),)),
+            lambda: MetricRef(name="param", node="a", args=(("name", 5),)),
+            lambda: EventPattern(kind="shift", node="a", args=(("param", "p"), ("by", 0))),
+        ],
+    )
+    def test_direct_construction_checks_values(self, build):
+        with pytest.raises(PropertyRangeError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, caret",
+        [
+            (lambda: MetricRef(name="latency", node="a"), 0),
+            (lambda: EventPattern(kind="drift", node="a"), 0),
+            (lambda: MetricRef(name="shift", node="a"), 0),
+            (lambda: MetricRef(name="ttf", node="a", args=(("oracle", "true"), ("color", "red"))), 20),
+            (lambda: MetricRef(name="failures", node="a"), 10),
+        ],
+    )
+    def test_direct_construction_checks_names_and_keys(self, build, caret):
+        with pytest.raises(PropertySyntaxError) as ei:
+            build()
+        assert ei.value.pos == caret
+
+    def test_omitted_argument_reads_its_default(self):
+        ref = parse_property("ci ttf(a) @ C=0.9").body.metric
+        assert (ref.arg("anchor"), ref.arg("oracle")) == ("verification", "false")
+        assert parse_property("ci param(a, name=k) @ C=0.9").body.metric.arg("when") == "after"
 
 
 class TestParseErrors:
@@ -140,11 +192,45 @@ class TestParseErrors:
             "test prob[fail(a) -> fail(b) within 0] > 0.2 @ C=0.9",
             "test prob[fail(a) -> fail(b) within 5] > 1.2 @ C=0.9",
             "test prob[shift(a, param=p, by=0) -> fail(b) within 5] > 0.2 @ C=0.9",
+            "ci ttf(x_gate, oracle=maybe) @ F=0.05 C=0.95",
+            "ci ttf(x_gate, oracle=1) @ F=0.05 C=0.95",
+            "ci ttf(x_gate, anchor=banana) @ F=0.05 C=0.95",
+            "test failures(a, window=0) < 2 @ C=0.9",
+            "test failures(a, window=2.5) < 2 @ C=0.9",
+            "test failures(a, window=-3) < 2 @ C=0.9",
+            "ci param(a, name=5) @ C=0.9",
+            "ci param(a, name=k, when=during) @ C=0.9",
+            "test time_between(a, event=check) > 1 @ C=0.9",
+            "test pct_time(a, op=drift_sample) < 0.1 @ C=0.9",
+            "test prob[shift(a, param=7, by=0.1) -> fail(b) within 5] > 0.2 @ C=0.9",
+            "test prob[shift(a, param=p, by=-0.1) -> fail(b) within 5] > 0.2 @ C=0.9",
         ],
     )
     def test_range_errors(self, text):
         with pytest.raises(PropertyRangeError):
             parse_property(text)
+
+
+node_names = st.sampled_from(["a", "b2", "x_gate", "drive_frequency"])
+
+
+@st.composite
+def metric_refs(draw):
+    """A metric call drawn from the argument table: each optional
+    argument given or left out, each value from what its row allows,
+    in any order."""
+    name = draw(st.sampled_from(sorted(_METRIC_ARGS)))
+    values = {
+        int: st.integers(1, 10**6),
+        float: st.floats(1e-6, 1e6) | st.integers(1, 1000),
+        str: st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+    }
+    args = [
+        (key, draw(st.sampled_from(allowed) if isinstance(allowed, tuple) else values[allowed]))
+        for key, (allowed, default) in _METRIC_ARGS[name].items()
+        if default is None or draw(st.booleans())
+    ]
+    return MetricRef(name=name, node=draw(node_names), args=tuple(draw(st.permutations(args))))
 
 
 class TestSerialisation:
@@ -156,15 +242,13 @@ class TestSerialisation:
             "test prob[shift(a, param=param_A, by=0.1) -> fail(b) within next_check] > 0.33 @ C=0.95",
             "test prob[fail(top_2) -> fail(bottom_2) within 25] > 0.33 @ C=0.9",
             "test failures(b, window=100) < 3 @ F=0.9 C=0.95",
-            "test ttf(a) > 5 -> failures(b, window=10) > 2 @ C=0.9",
+            "test ttf(a, oracle=true, anchor=calibration) > 5 @ C=0.9",
             "ci param(a, name=k) @ C=0.9",
         ],
     )
     def test_round_trip(self, text):
         ast = parse_property(text)
         assert parse_property(property_to_text(ast)) == ast
-
-    node_names = st.sampled_from(["a", "b2", "x_gate", "drive_frequency"])
 
     @given(
         node=node_names,
@@ -183,4 +267,18 @@ class TestSerialisation:
             probability=round(prob, 6),
         )
         ast = PropertyAst(mode=TEST, body=body, C=round(C, 6))
+        assert parse_property(property_to_text(ast)) == ast
+
+    @given(
+        metric=metric_refs(),
+        mode=st.sampled_from([TEST, CI]),
+        cmp=st.sampled_from([">", "<"]),
+        threshold=st.floats(-1e6, 1e6),
+        F=st.none() | st.floats(0.01, 0.99),
+        C=st.floats(0.51, 0.99),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_metric_round_trip_fuzz(self, metric, mode, cmp, threshold, F, C):
+        body = MetricQuery(metric=metric) if mode == CI else MetricQuery(metric=metric, cmp=cmp, threshold=threshold)
+        ast = PropertyAst(mode=mode, body=body, C=C, F=F)
         assert parse_property(property_to_text(ast)) == ast
