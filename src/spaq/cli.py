@@ -171,11 +171,11 @@ def cmd_simulate(ns) -> int:
                 "seed": run.meta.seed,
                 "trace": str(path),
                 "availability": rep.availability,
-                "events": len(run.events),
+                "events": len(run.time),
             }
         )
         print(
-            f"{run.meta.run_id}: {ns.cycles} cycles, {len(run.events)} events, "
+            f"{run.meta.run_id}: {ns.cycles} cycles, {len(run.time)} events, "
             f"availability {rep.availability:.4f}"
         )
     mean = fmean(r["availability"] for r in rows)
@@ -488,6 +488,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _open_interval(lo: float, hi: float):
+    """argparse type of a number in (lo, hi): ``--p0`` in (0, 1), and
+    ``--confidence`` in (0.5, 1), the range of a property's ``C``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"expected a number in ({lo:g}, {hi:g}), got {text!r}")
+        return value
+
+    return parse
+
+
+_probability = _open_interval(0.0, 1.0)
+_confidence = _open_interval(0.5, 1.0)
+
+
 def _add_sim_args(p, *, runs_default: int, cycles_default: int) -> None:
     p.add_argument("--cycles", type=_positive_int, default=cycles_default, help="cycles per run")
     p.add_argument("--runs", type=_positive_int, default=runs_default, help="number of independent runs")
@@ -526,15 +546,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", choices=_BUILTINS, default="hidden")
     _add_sim_args(p, runs_default=5, cycles_default=10_000)
     p.add_argument("--window", type=_positive_int, default=25)
-    p.add_argument("--p0", type=float, default=0.33)
-    p.add_argument("--confidence", type=float, default=0.90)
+    p.add_argument("--p0", type=_probability, default=0.33)
+    p.add_argument("--confidence", type=_confidence, default=0.90)
     p.add_argument("-o", "--outdir", default="spaq_scan", help="output directory")
 
     p = sub.add_parser("exp1", help="delayed-checks experiment (baseline/hf/adaptive)")
     p.add_argument("--config", help="graph config YAML (default: packaged xgate)")
     _add_sim_args(p, runs_default=20, cycles_default=10_000)
     p.add_argument("--hf-timeout", type=_positive_int, default=4)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=_confidence, default=0.95)
     p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                    help="config field override, repeatable")
     p.add_argument("-o", "--outdir", default="spaq_exp1")
@@ -543,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="graph config YAML (default: packaged internode)")
     _add_sim_args(p, runs_default=20, cycles_default=10_000)
     p.add_argument("--rel-shift", type=float, default=0.10)
-    p.add_argument("--p0", type=float, default=0.33)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--p0", type=_probability, default=0.33)
+    p.add_argument("--confidence", type=_confidence, default=0.95)
     p.add_argument("--no-coupling", action="store_true", help="strip cross-node observable terms")
     p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
     p.add_argument("-o", "--outdir", default="spaq_exp2")
@@ -553,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="graph config YAML (default: packaged hidden)")
     _add_sim_args(p, runs_default=20, cycles_default=10_000)
     p.add_argument("--window", type=_positive_int, default=25)
-    p.add_argument("--p0", type=float, default=0.33)
-    p.add_argument("--confidence", type=float, default=0.90)
+    p.add_argument("--p0", type=_probability, default=0.33)
+    p.add_argument("--confidence", type=_confidence, default=0.90)
     p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
     p.add_argument("-o", "--outdir", default="spaq_exp3")
 

@@ -61,6 +61,8 @@ from .smc import LOWER, TWO_SIDED, UPPER, SmcConfig, SmcResult, exact_binomial_t
 from .trace import CALIBRATE, CHECK_DATA, FAIL, ORACLE_OUT_OF_SPEC, PASS, SUCCESS, Dataset, Run
 
 REL_SHIFT_EPS = 1e-9
+# the op and outcome of the events that a fail or calibrate pattern matches
+_MATCHES = {FAIL_EVENT: (CHECK_DATA, FAIL), CALIBRATE_EVENT: (CALIBRATE, None)}
 _NO_TIMES = np.zeros(0, dtype=np.int64)
 _NEVER = np.iinfo(np.int64).max
 
@@ -109,10 +111,8 @@ def calibration_shifts(run: Run, node: str, param: str) -> tuple[np.ndarray, np.
 
 def _pattern_times(run: Run, pattern: EventPattern) -> np.ndarray:
     """Sorted times of the run's events that match the pattern."""
-    if pattern.kind == FAIL_EVENT:
-        return _node_times(run, pattern.node, CHECK_DATA, FAIL)
-    if pattern.kind == CALIBRATE_EVENT:
-        return _node_times(run, pattern.node, CALIBRATE)
+    if pattern.kind in _MATCHES:
+        return _node_times(run, pattern.node, *_MATCHES[pattern.kind])
     # shift: calibrations that move the parameter by more than ``by``
     times, shifts = calibration_shifts(run, pattern.node, pattern.arg("param"))
     # NaN compares false: a calibration without the parameter never matches
@@ -154,7 +154,7 @@ def _failures_samples(run: Run, metric: MetricRef) -> list[float]:
     n = run.meta.total_cycles // window
     if n == 0:
         return []
-    k = _pattern_times(run, EventPattern(kind=FAIL_EVENT, node=metric.node)) // window
+    k = _node_times(run, metric.node, CHECK_DATA, FAIL) // window
     return np.bincount(k[k < n], minlength=n).astype(np.float64).tolist()
 
 
@@ -166,7 +166,7 @@ def _param_samples(run: Run, metric: MetricRef) -> list[float]:
 
 
 def _time_between_samples(run: Run, metric: MetricRef) -> list[float]:
-    ts = _pattern_times(run, EventPattern(kind=metric.arg("event"), node=metric.node))
+    ts = _node_times(run, metric.node, *_MATCHES[metric.arg("event")])
     return np.diff(ts).astype(np.float64).tolist()
 
 
@@ -223,7 +223,7 @@ def _condition_samples(
     for run, t in zip(dataset.runs, triggers):
         if not len(t):
             continue
-        run_end = max(run.meta.total_cycles, run.events[-1].time)
+        run_end = max(run.meta.total_cycles, int(run.time[-1]))
         if window == NEXT_CHECK:
             checks = _node_times(run, response.node, CHECK_DATA)
             hi = np.append(checks, run_end)[np.searchsorted(checks, t, side="right")]

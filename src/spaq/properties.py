@@ -156,20 +156,71 @@ class EventPattern:
         return _arg(_EVENT_ARGS[self.kind], self.args, key)
 
 
+_CMPS = (">", "<")
+
+
+def _check_open(name: str, value, lo: float, hi: float) -> None:
+    """PropertyRangeError unless ``value`` is a number in (lo, hi)."""
+    if type(value) not in (int, float) or not lo < value < hi:
+        raise PropertyRangeError(f"{name} must be in ({lo:g}, {hi:g}), got {value}")
+
+
+def _check_comparison(cmp, number, head) -> None:
+    """A query's comparator and number, both or neither. ``head()`` gives
+    the query's canonical text before them, for the caret of an error."""
+    if (cmp is None and number is None) or (cmp in _CMPS and type(number) in (int, float)):
+        return
+    head = head()
+    text = f"{head} {cmp} {number!r}"
+    if cmp not in _CMPS:
+        raise PropertySyntaxError(f"expected '>' or '<', found {cmp!r}", text, len(head) + 1, _CMPS)
+    raise PropertySyntaxError(f"expected a number, found {number!r}", text, len(head) + 3, ("number",))
+
+
 @dataclass(frozen=True)
 class MetricQuery:
+    """A metric, and in a test the comparator and threshold its samples
+    are compared with. Checks itself when built."""
+
     metric: MetricRef
     cmp: str | None = None
     threshold: float | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.metric, MetricRef):
+            raise PropertySyntaxError(f"expected a metric, found {self.metric!r}", repr(self.metric), 0)
+        _check_comparison(self.cmp, self.threshold, lambda: _fmt_call(self.metric.name, self.metric.node, self.metric.args))
+
 
 @dataclass(frozen=True)
 class CondQuery:
+    """A trigger -> response query, and in a test the comparator and
+    probability threshold. Checks itself when built."""
+
     trigger: EventPattern
     response: EventPattern
     window: int | str = NEXT_CHECK
     cmp: str | None = None
     probability: float | None = None
+
+    def __post_init__(self) -> None:
+        for pattern in (self.trigger, self.response):
+            if not isinstance(pattern, EventPattern):
+                raise PropertySyntaxError(f"expected an event, found {pattern!r}", repr(pattern), 0)
+        if self.window != NEXT_CHECK and type(self.window) is not int:
+            head = self._head()
+            raise PropertySyntaxError("window must be a positive integer", f"{head}{self.window!r}]", len(head))
+        if self.window != NEXT_CHECK and self.window < 1:
+            raise PropertyRangeError(f"window must be >= 1, got {self.window}")
+        _check_comparison(self.cmp, self.probability, lambda: f"{self._head()}{self.window}]")
+        if self.probability is not None:
+            _check_open("probability threshold", self.probability, 0.0, 1.0)
+
+    def _head(self) -> str:
+        """The query's canonical text up to its window."""
+        trigger, response = self.trigger, self.response
+        return (f"prob[{_fmt_call(trigger.kind, trigger.node, trigger.args)} -> "
+                f"{_fmt_call(response.kind, response.node, response.args)} within ")
 
 
 Body = MetricQuery | CondQuery
@@ -177,10 +228,42 @@ Body = MetricQuery | CondQuery
 
 @dataclass(frozen=True)
 class PropertyAst:
+    """A whole property. Checks itself when built, with the parser's own
+    errors: a ci takes a metric and no comparator, a test takes a
+    comparator, ``F`` belongs to metric properties, and ``F`` and ``C``
+    lie in their ranges."""
+
     mode: str
     body: Body
     C: float
     F: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in (TEST, CI):
+            raise PropertySyntaxError(f"expected 'test' or 'ci', found {self.mode!r}", repr(self.mode), 0, (TEST, CI))
+        if not isinstance(self.body, (MetricQuery, CondQuery)):
+            raise PropertySyntaxError(f"expected a metric or a prob[...], found {self.body!r}", repr(self.body), 0)
+        if self.F is not None:
+            _check_open("F", self.F, 0.0, 1.0)
+        _check_open("C", self.C, 0.5, 1.0)
+        cond, cmp = isinstance(self.body, CondQuery), self.body.cmp
+        if self.mode == CI and cond:
+            raise self._refuse("ci takes a metric; compare a prob[...] in a test instead", "prob", tuple(_METRIC_ARGS))
+        if self.mode == CI and cmp is not None:
+            raise self._refuse("ci takes no comparator: the bound is what it computes", f" {cmp} ", (), 1)
+        if self.mode == TEST and cmp is None:
+            raise self._refuse("expected '>' or '<', found '@'", " @ ", _CMPS, 1)
+        if cond and self.F is not None:
+            raise self._refuse(_F_ON_PROB, "F=", ("C",))
+
+    def _refuse(self, message: str, at: str, expected: tuple[str, ...], skip: int = 0) -> PropertySyntaxError:
+        """A syntax error with the caret ``skip`` characters after the first
+        ``at`` in the property's canonical text."""
+        text = property_to_text(self)
+        return PropertySyntaxError(message, text, text.index(at) + skip, expected)
+
+
+_F_ON_PROB = "F= belongs to metric properties; a prob test's threshold is its probability"
 
 
 # --- tokenizer ---
@@ -295,16 +378,12 @@ class _Parser:
             if "." in tok.text or "e" in tok.text.lower() or tok.text.startswith("-"):
                 raise PropertySyntaxError("window must be a positive integer", self.text, tok.pos)
             window = int(tok.text)
-            if window < 1:
-                raise PropertyRangeError(f"window must be >= 1, got {window}")
         else:
             tok = self.expect_ident(NEXT_CHECK)
             window = NEXT_CHECK
         self.expect_punct("]")
         cmp = self.parse_cmp()
         probability = self.expect_number()
-        if not 0.0 < probability < 1.0:
-            raise PropertyRangeError(f"probability threshold must be in (0, 1), got {probability}")
         return CondQuery(
             trigger=trigger, response=response, window=window, cmp=cmp, probability=probability
         )
@@ -345,18 +424,14 @@ class _Parser:
     def parse_params(self, metric: bool) -> tuple[float | None, float]:
         F: float | None = None
         if not metric and self.cur.text == "F":
-            raise self.fail("F= belongs to metric properties; a prob test's threshold is its probability", ("C",))
+            raise self.fail(_F_ON_PROB, ("C",))
         key = self.expect_ident("F", "C")
         if key.text == "F":
             self.expect_punct("=")
             F = self.expect_number()
-            if not 0.0 < F < 1.0:
-                raise PropertyRangeError(f"F must be in (0, 1), got {F}")
             key = self.expect_ident("C")
         self.expect_punct("=")
         C = self.expect_number()
-        if not 0.5 < C < 1.0:
-            raise PropertyRangeError(f"C must be in (0.5, 1), got {C}")
         return F, C
 
 
@@ -393,9 +468,7 @@ def _fmt_body(q: Body) -> str:
         if q.cmp is None:
             return base
         return f"{base} {q.cmp} {repr(q.threshold)}"
-    trig = _fmt_call(q.trigger.kind, q.trigger.node, q.trigger.args)
-    resp = _fmt_call(q.response.kind, q.response.node, q.response.args)
-    return f"prob[{trig} -> {resp} within {q.window}] {q.cmp} {repr(q.probability)}"
+    return f"{q._head()}{q.window}] {q.cmp} {repr(q.probability)}"
 
 
 def property_to_text(ast: PropertyAst) -> str:

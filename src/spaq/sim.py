@@ -75,9 +75,10 @@ from .trace import (
     ORACLE_OUT_OF_SPEC,
     PASS,
     SUCCESS,
+    _KIND_CODE,
     Run,
     RunMeta,
-    TraceEvent,
+    run_from_rows,
 )
 
 BASELINE = "baseline"
@@ -161,7 +162,7 @@ class Simulator:
         self.run_id = run_id if run_id is not None else f"run-{cfg.seed}"
         self.t = 0
         self.calibration_failures: list[tuple[int, str]] = []
-        self._events: list[TraceEvent] = []
+        self._rows: list[tuple] = []  # one per event emitted, as run_from_rows takes them
         self._ep = 0
         self._ep_pending = False
         self._initialized = False
@@ -216,14 +217,10 @@ class Simulator:
         if self._ep_pending:
             self._ep += 1
             self._ep_pending = False
-        self._events.append(
-            TraceEvent(
-                self.run_id, time, node, op, outcome, dur, ep=self._ep,
-                value=value,
-                params_before=tuple(before.items()) if before is not None else None,
-                params_after=tuple(after.items()) if after is not None else None,
-            )
-        )
+        self._rows.append((
+            time, node, _KIND_CODE[op][outcome], dur, self._ep, value,
+            before.items() if before is not None else None, after.items() if after is not None else None,
+        ))
 
     # --- ground truth ---
 
@@ -420,7 +417,6 @@ class Simulator:
         return self.finish()
 
     def finish(self) -> Run:
-        events = sorted(self._events, key=lambda e: e.time)
         meta = RunMeta(
             run_id=self.run_id,
             seed=self.cfg.seed,
@@ -428,7 +424,8 @@ class Simulator:
             mode=self.cfg.mode,
             total_cycles=self.cfg.total_cycles,
         )
-        return Run(meta=meta, events=tuple(events))
+        # events in time order, and in the order they were emitted within a cycle
+        return run_from_rows(meta, self._rows, by_time=True)
 
 
 def _columns(objs, names) -> SimpleNamespace:

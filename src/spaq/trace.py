@@ -30,10 +30,24 @@ rules, so every file the writer produces reads back:
   ``value``, and on calibrate events alone both parameter sets, finite
   and with no repeated name. ``TraceWriter.append_event`` also checks the
   run id and that time does not go back, before it writes anything.
+  ``write_trace`` makes the same checks on a run's columns at once
+  (``_column_text``), and sends a run that fails one of them through
+  ``append_event``, which raises its error.
 * ``RunMeta.validate``, shared by both: every header field has its exact
   JSON type, the schema is known, the run id is not empty, ``seed`` is an
   int64 and ``total_cycles`` is in 0..2**63-1. ``TraceWriter`` calls it
   before it writes anything.
+* The reader's fast path, ``_canonical_columns``, reads a file whose
+  event lines are all the writer's own, in one pass of one regex,
+  ``_CANONICAL``, over their text. The regex takes the fields in the
+  writer's order, no whitespace, names without escapes, a known
+  (op, outcome), ints of at most 18 digits (so within int64) and
+  numbers in JSON's exact grammar, which a line may write another way
+  than the writer does (``1E2``, ``-0``). The pass then checks what the
+  regex leaves open: a finite value, params iff calibrate, each finite
+  and with no repeated name, and time order. A file with any line that
+  fails is read line by line through ``_event_from_line``, which finds
+  and reports the first fault.
 * ``_event_from_line`` checks one event line, once: it parses the line
   as ``json.loads`` would, rejects unknown fields, then applies the same
   rules to the JSON value with each field's exact JSON type.
@@ -42,16 +56,23 @@ rules, so every file the writer produces reads back:
   ``path:lineno``.
 
 How events are laid out. A pooled analysis holds a million events or
-more, so each is kept small and cheap to build:
+more, and reads them by node, op and time, so a run keeps them as
+columns (see ``Run``): flat per-run arrays in trace order, which the
+simulator and the reader build from one row per event
+(``run_from_rows``), or the reader's fast path straight from the file's
+text. Nothing builds a ``TraceEvent`` until ``Run.events`` is asked for:
 
+* ``Run.columns`` groups the arrays by node with one stable sort
+  (``event_columns``); the extractors and ``availability`` read only
+  these groups and the run's own arrays.
+* Strings are shared: each run lists its node names once, the
+  (op, outcome) pair is a code into ``_EVENT_KINDS``, and the reader
+  keeps one string per parameter name for the whole file, so a run read
+  back holds no more than the run that was simulated.
+* A run pickles as its arrays, a few buffers, and not as events.
 * ``TraceEvent`` has slots and no ``__dict__``. Its written-out
   ``__init__`` sets each field through the slot's member descriptor,
   bound once at import, instead of ``object.__setattr__``.
-* Events share their strings. The simulator passes the graph's node and
-  parameter names and this module's op and outcome constants. The
-  reader maps each op and outcome it accepts to the same constants, and
-  keeps one string per node and parameter name for the whole file, so a
-  run read back holds no more than the run that was simulated.
 """
 
 from __future__ import annotations
@@ -60,9 +81,11 @@ import csv
 import json
 import math
 import os
+import re
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -87,10 +110,13 @@ _ALLOWED_OUTCOMES = {
     DRIFT_SAMPLE: (PASS, FAIL),
     ORACLE_OUT_OF_SPEC: (FAIL,),
 }
-# each op and outcome to the one string above, for events read back to share
-_VOCABULARY = {name: name for name in (*_ALLOWED_OUTCOMES, PASS, FAIL, SUCCESS, FAILED)}
 
 Params = tuple[tuple[str, float], ...]
+
+
+def _sorted_params(params) -> Params:
+    # params are kept sorted by name so round-trips preserve equality
+    return tuple(sorted((str(k), float(v)) for k, v in params))
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -109,15 +135,14 @@ class TraceEvent:
     def __init__(self, run_id: str, time: int, node: str, op: str, outcome: str, duration: int = 0, ep: int = 0,
                  value: float | None = None, params_before: Params | None = None,
                  params_after: Params | None = None) -> None:
-        # params are kept sorted by name so round-trips preserve equality.
         # Written out because events are built by the thousand: each field
         # goes straight into its slot through the slot's own setter, where
         # the frozen dataclass's __init__ calls object.__setattr__ per field
         # and then __post_init__.
         if params_before is not None:
-            params_before = tuple(sorted((str(k), float(v)) for k, v in params_before))
+            params_before = _sorted_params(params_before)
         if params_after is not None:
-            params_after = tuple(sorted((str(k), float(v)) for k, v in params_after))
+            params_after = _sorted_params(params_after)
         _set_run_id(self, run_id)
         _set_time(self, time)
         _set_node(self, node)
@@ -142,11 +167,15 @@ class TraceEvent:
         if self.op == CALIBRATE:
             if self.params_before is None or self.params_after is None:
                 raise SchemaError("calibrate events carry both params_before and params_after")
-            for params in (self.params_before, self.params_after):
-                if len({k for k, _ in params}) < len(params):
-                    raise SchemaError(f"repeated parameter name in {params!r}")
-                for _, v in params:
-                    _number(v)
+            _check_params(self.params_before)
+            _check_params(self.params_after)
+
+
+def _check_params(params: Params) -> None:
+    if len({k for k, _ in params}) < len(params):
+        raise SchemaError(f"repeated parameter name in {params!r}")
+    for _, v in params:
+        _number(v)
 
 
 # each slot's setter, taken from the class that slots=True returned
@@ -189,35 +218,44 @@ class RunMeta:
 
 
 # every (op, outcome) a trace may carry, op by op, so that the codes of
-# one op form a range; NodeColumns.kind indexes this
+# one op form a range; Run.kind and NodeColumns.kind index this
 _EVENT_KINDS = tuple((op, outcome) for op, outcomes in _ALLOWED_OUTCOMES.items() for outcome in outcomes)
 _KIND_CODE = {
     op: {outcome: _EVENT_KINDS.index((op, outcome)) for outcome in outcomes}
     for op, outcomes in _ALLOWED_OUTCOMES.items()
 }
+_CALIBRATE_CODES = tuple(_KIND_CODE[CALIBRATE].values())
 
 
-def _param_columns(calibrations: list[TraceEvent], attr: str) -> dict[str, np.ndarray]:
-    rows = [dict(getattr(e, attr) or ()) for e in calibrations]
+def _is_calibrate(kind: np.ndarray) -> np.ndarray:
+    return (kind >= _CALIBRATE_CODES[0]) & (kind <= _CALIBRATE_CODES[-1])
+
+
+def _param_columns(calibrations: tuple, side: int) -> dict[str, np.ndarray]:
+    rows = [dict(pair[side] or ()) for pair in calibrations]
     names = sorted({name for row in rows for name in row})
     return {name: np.array([row.get(name, math.nan) for row in rows], dtype=np.float64) for name in names}
 
 
 @dataclass(frozen=True, eq=False)
 class NodeColumns:
-    """One node's events in a run as numpy columns.
+    """One node's events in a run, grouped out of the run's columns.
 
-    ``time`` (int64), ``kind`` and ``duration`` (int64) hold one entry per
-    event of ``events``, in trace order; ``kind`` indexes ``_EVENT_KINDS``.
-    ``params_before`` and ``params_after`` map each parameter that some
-    calibration of the node records to a float64 array with one entry per
-    calibrate event, in trace order, NaN where that calibration lacks it.
-    Every column but ``time`` and ``kind`` is built on first use.
+    ``time`` (int64), ``kind`` (int8, an index into ``_EVENT_KINDS``) and
+    ``duration`` (int64) hold one entry per event of the node, in trace
+    order: slices of the run's columns after one stable sort by node, so
+    the nodes of a run share three arrays. ``calibrations`` holds the
+    ``(params_before, params_after)`` of each of the node's calibrate
+    events, in trace order. ``params_before`` and ``params_after`` map
+    each parameter that some of those calibrations record to a float64
+    array with one entry per calibration, NaN where that calibration
+    lacks it; they are built on first use.
     """
 
-    events: tuple[TraceEvent, ...]
     time: np.ndarray
     kind: np.ndarray
+    duration: np.ndarray
+    calibrations: tuple[tuple[Params | None, Params | None], ...]
     _times: dict = field(default_factory=dict, repr=False)
 
     def mask(self, op: str, outcome: str | None = None) -> np.ndarray:
@@ -236,57 +274,199 @@ class NodeColumns:
         return self._times[key]
 
     @cached_property
-    def duration(self) -> np.ndarray:
-        return np.fromiter([e.duration for e in self.events], np.int64, len(self.events))
-
-    @cached_property
-    def _calibrations(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.op == CALIBRATE]
-
-    @cached_property
     def params_before(self) -> dict[str, np.ndarray]:
-        return _param_columns(self._calibrations, "params_before")
+        return _param_columns(self.calibrations, 0)
 
     @cached_property
     def params_after(self) -> dict[str, np.ndarray]:
-        return _param_columns(self._calibrations, "params_after")
+        return _param_columns(self.calibrations, 1)
 
 
 def event_columns(run: "Run") -> dict[str, NodeColumns]:
     """Each node's columns, in order of the node's first event, from one
-    pass over ``run.events`` and one over each node's events."""
-    grouped: dict[str, list[TraceEvent]] = {}
-    for e in run.events:
-        grouped.setdefault(e.node, []).append(e)
-    return {
-        node: NodeColumns(
-            events=tuple(events),
-            time=np.fromiter([e.time for e in events], np.int64, len(events)),
-            kind=np.fromiter([_KIND_CODE[e.op][e.outcome] for e in events], np.int8, len(events)),
-        )
-        for node, events in grouped.items()
-    }
+    stable sort of the run's columns by node."""
+    order = np.argsort(run.node, kind="stable")
+    ends = np.cumsum(np.bincount(run.node, minlength=len(run.names))).tolist()
+    time, kind, duration = run.time[order], run.kind[order], run.duration[order]
+    calibrations: list[list] = [[] for _ in run.names]
+    for n, params in zip(run.node[_is_calibrate(run.kind)].tolist(), run.params):
+        calibrations[n].append(params)
+    out = {}
+    start = 0
+    for name, end, node_calibrations in zip(run.names, ends, calibrations):
+        out[name] = NodeColumns(time[start:end], kind[start:end], duration[start:end], tuple(node_calibrations))
+        start = end
+    return out
 
 
-@dataclass(frozen=True)
+# a run's columns, in the order _from_columns takes them; every one but
+# names and params is an array with one entry per event
+_COLUMNS = ("names", "node", "kind", "time", "duration", "ep", "value", "has_value", "params")
+_ARRAYS = _COLUMNS[1:-1]
+
+
 class Run:
-    """One run's header and events.
+    """One run's header and its events as columns.
+
+    One entry per event, in trace order: ``time``, ``duration`` and
+    ``ep`` (int64), ``node`` (int32, an index into ``names``, which lists
+    each node once in order of its first event), ``kind`` (int8, the
+    (op, outcome) as an index into ``_EVENT_KINDS``), ``value`` (float64)
+    and ``has_value`` (bool), which keeps an event without a value apart
+    from one whose value is 0.0; ``value`` is 0.0 where it is False.
+    ``params`` holds each calibrate event's ``(params_before,
+    params_after)``, in trace order, as the events carry them.
 
     Events are in non-decreasing time order, as ``read_trace`` and
     ``Simulator.finish`` produce them. The analysis layer relies on that
     order and does not check it: it answers event patterns from each
     node's sorted time columns (``columns``) by binary search, and among
-    events at one cycle it follows trace order. ``columns`` is also the
-    one per-node view of the events: each node's ``NodeColumns.events``.
+    events at one cycle it follows trace order.
+
+    ``events`` gives the ``TraceEvent``s, built from the columns on first
+    use. ``Run(meta, events)`` builds the columns from events, and keeps
+    the events as if built from them. When the columns cannot give those
+    events back exactly (an event of another run id, an int value, a
+    field no trace line can hold), the run keeps the events as its data:
+    it compares, prints, pickles and writes them, and its columns, if any
+    can hold the events, serve the analysis. Runs compare equal when
+    their headers and events are equal.
     """
 
-    meta: RunMeta
-    events: tuple[TraceEvent, ...]
+    def __init__(self, meta: RunMeta, events) -> None:
+        events = tuple(events)
+        cols, exact = _columns_from_events(events, meta.run_id)
+        # exact columns are the run's data; the events, already built, are
+        # kept as if built from them
+        self.__dict__.update(cols or {}, meta=meta, events=events, _given=None if exact else events)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __getattr__(self, name):
+        # reached only for the columns of a run whose events fit none
+        if name in _COLUMNS:
+            raise SchemaError(f"run {self.meta.run_id!r} has events that no trace line can hold")
+        raise AttributeError(name)
+
+    @cached_property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """The run's events, built from its columns on first use."""
+        return self._events()
+
+    def _events(self) -> tuple[TraceEvent, ...]:
+        if self._given is not None:
+            return self._given
+        rid, names, kinds, params = self.meta.run_id, self.names, _EVENT_KINDS, iter(self.params)
+        out = []
+        for n, k, t, dur, ep, v, has in zip(self.node.tolist(), self.kind.tolist(), self.time.tolist(),
+                                            self.duration.tolist(), self.ep.tolist(), self.value.tolist(),
+                                            self.has_value.tolist()):
+            op, outcome = kinds[k]
+            before, after = next(params) if op == CALIBRATE else (None, None)
+            out.append(TraceEvent(rid, t, names[n], op, outcome, dur, ep, v if has else None, before, after))
+        return tuple(out)
 
     @cached_property
     def columns(self) -> dict[str, NodeColumns]:
         """Each node's events as numpy columns, built on first use."""
         return event_columns(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Run):
+            return NotImplemented
+        if self is other:
+            return True
+        if self.meta != other.meta:
+            return False
+        if self._given is not None or other._given is not None:
+            return self._events() == other._events()
+        return (self.names == other.names and self.params == other.params
+                and all(np.array_equal(self.__dict__[c], other.__dict__[c]) for c in _ARRAYS))
+
+    def __hash__(self) -> int:
+        return hash(self.meta)
+
+    def __repr__(self) -> str:
+        # events built only to be printed are not kept
+        events = self.__dict__.get("events")
+        return f"Run(meta={self.meta!r}, events={events if events is not None else self._events()!r})"
+
+    def __reduce__(self):
+        if self._given is not None:
+            return Run, (self.meta, self._given)
+        return _from_columns, (self.meta, {c: self.__dict__[c] for c in _COLUMNS})
+
+
+def _from_columns(meta: RunMeta, cols: dict) -> Run:
+    """The run with these columns, keyed as in ``_COLUMNS``."""
+    run = Run.__new__(Run)
+    run.__dict__.update(cols, meta=meta, _given=None)
+    return run
+
+
+def _columns_from_events(events: tuple, run_id: str) -> tuple[dict | None, bool]:
+    """Columns that hold ``events``, and whether they give them back
+    exactly; (None, False) when no columns can hold them."""
+    rows = []
+    exact = True
+    try:
+        for e in events:
+            code = _KIND_CODE[e.op][e.outcome]
+            if not isinstance(e.node, str):
+                return None, False
+            exact = (exact and e.run_id == run_id and type(e.node) is str and type(e.time) is int and type(e.duration) is int
+                     and type(e.ep) is int and (e.value is None or type(e.value) is float)
+                     and (code in _CALIBRATE_CODES or e.params_before is None and e.params_after is None))
+            rows.append((e.time, e.node, code, e.duration, e.ep, e.value, e.params_before, e.params_after))
+        return _row_columns(rows), exact
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None, False
+
+
+def _sorted_or_none(params) -> Params | None:
+    return None if params is None else _sorted_params(params)
+
+
+def _columns(node, kind, time, duration, ep, value, calibrations) -> dict:
+    """A run's columns, keyed as in ``_COLUMNS``, from one sequence per
+    field in trace order: ``node`` holds names, ``value`` None where an
+    event has none, and ``calibrations`` each calibrate event's
+    (before, after). The names are listed in order of each node's first
+    event, and the params sorted by name, as ``TraceEvent`` keeps them."""
+    names = tuple(dict.fromkeys(node))
+    return {
+        "names": names,
+        "node": np.array(list(map({name: i for i, name in enumerate(names)}.__getitem__, node)), np.int32),
+        "kind": np.asarray(kind, np.int8),
+        "time": np.asarray(time, np.int64),
+        "duration": np.asarray(duration, np.int64),
+        "ep": np.asarray(ep, np.int64),
+        "value": np.array([0.0 if v is None else v for v in value], np.float64),
+        "has_value": np.array([v is not None for v in value], np.bool_),
+        "params": tuple([(_sorted_or_none(b), _sorted_or_none(a)) for b, a in calibrations]),
+    }
+
+
+def _row_columns(rows: list[tuple], by_time: bool = False) -> dict:
+    """The columns (see ``_columns``) of events given as rows, ``(time,
+    node, code, duration, ep, value, before, after)``, where ``code``
+    indexes ``_EVENT_KINDS``, ``value`` is None when the event carries
+    none, and ``before`` and ``after`` are a calibrate event's (name,
+    value) pairs, None on any other event. The columns keep the rows'
+    order, or with ``by_time`` are sorted stably by time."""
+    if by_time:
+        rows = sorted(rows, key=itemgetter(0))
+    time, node, kind, duration, ep, value, before, after = zip(*rows) if rows else ((),) * 8
+    kind = np.array(kind, np.int8)
+    calibrations = [(before[i], after[i]) for i in np.flatnonzero(_is_calibrate(kind)).tolist()]
+    return _columns(node, kind, time, duration, ep, value, calibrations)
+
+
+def run_from_rows(meta: RunMeta, rows: list[tuple], by_time: bool = False) -> Run:
+    """The run of events given as rows (see ``_row_columns``): how the
+    simulator and the reader build theirs."""
+    return _from_columns(meta, _row_columns(rows, by_time))
 
 
 @dataclass(frozen=True)
@@ -298,7 +478,7 @@ class Dataset:
         return tuple(r.meta.run_id for r in self.runs)
 
     def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted({node for r in self.runs for node in r.columns}))
+        return tuple(sorted({node for r in self.runs for node in r.names}))
 
 
 # a string as json.dumps writes it, cached: traces repeat a few node and
@@ -322,6 +502,37 @@ def _event_to_line(e: TraceEvent) -> str:
     if e.op == CALIBRATE:
         line += f',"before":{_params_text(e.params_before)},"after":{_params_text(e.params_after)}'
     return line + "}"
+
+
+def _column_text(run: Run) -> str | None:
+    """The run's event lines, byte for byte what ``_event_to_line`` gives
+    for its events; None unless every event passes ``TraceEvent.validate``
+    and time never goes back, the checks ``append_event`` makes."""
+    time = run.time
+    if ((time < 0).any() or (run.duration < 0).any() or (time[1:] < time[:-1]).any()
+            or not np.isfinite(run.value[run.has_value]).all()):
+        return None
+    try:
+        for before, after in run.params:
+            _check_params(before)
+            _check_params(after)
+    except (SchemaError, TypeError):  # a repeated name, a number that is not finite, no params
+        return None
+    nodes = [_quote(name) for name in run.names]
+    kinds = [f'"op":"{op}","outcome":"{outcome}"' for op, outcome in _EVENT_KINDS]
+    params = iter(run.params)
+    lines = []
+    for n, k, t, dur, ep, v, has in zip(run.node.tolist(), run.kind.tolist(), time.tolist(),
+                                        run.duration.tolist(), run.ep.tolist(), run.value.tolist(),
+                                        run.has_value.tolist()):
+        line = f'{{"t":{t},"node":{nodes[n]},{kinds[k]},"dur":{dur},"ep":{ep}'
+        if has:
+            line += f',"value":{float.__repr__(v)}'
+        if k in _CALIBRATE_CODES:
+            before, after = next(params)
+            line += f',"before":{_params_text(before)},"after":{_params_text(after)}'
+        lines.append(line + "}\n")
+    return "".join(lines)
 
 
 _EVENT_FIELDS = frozenset(("t", "node", "op", "outcome", "dur", "ep", "value", "before", "after"))
@@ -374,26 +585,25 @@ def _number(raw) -> float:
     raise SchemaError(f"expected a finite number, got {raw!r}")
 
 
-def _params(raw, names: dict[str, str]) -> Params:
+def _params(raw, names: dict[str, str]) -> list:
     if type(raw) is not dict:
         raise SchemaError(f"calibrate events carry before and after objects, got {raw!r}")
-    return tuple([(names.setdefault(k, k), _number(v)) for k, v in raw.items()])
+    return [(names.setdefault(k, k), _number(v)) for k, v in raw.items()]
 
 
-def _event_from_line(line: str, run_id: str, names: dict[str, str]) -> TraceEvent:
-    """The event on one trace line. Every check of an event line is made
-    here, once: the JSON syntax, the field set, the scalar fields
-    (``_check_event``), finite numbers, and params iff calibrate.
+def _event_from_line(line: str, names: dict[str, str]) -> tuple:
+    """The row of the event on one trace line, as ``_row_columns`` takes
+    it. Every check of such a line is made here, once: the JSON
+    syntax, the field set, the scalar fields (``_check_event``), finite
+    numbers, and params iff calibrate.
 
-    The event holds the module's op and outcome strings, and the node and
-    parameter names from ``names``, which gains each name it lacks."""
+    Parameter names come from ``names``, which gains each name it lacks."""
     obj = _parse_line(line)
     if type(obj) is not dict or not obj.keys() <= _EVENT_FIELDS:
         raise SchemaError(f"malformed event line: {obj!r}")
     get = obj.get
     t, node, op, outcome, dur, ep = get("t"), get("node"), get("op"), get("outcome"), get("dur", 0), get("ep", 0)
     _check_event(t, node, op, outcome, dur, ep)
-    node, op, outcome = names.setdefault(node, node), _VOCABULARY[op], _VOCABULARY[outcome]
     value = _number(obj["value"]) if "value" in obj else None
     if op == CALIBRATE:
         before, after = _params(get("before"), names), _params(get("after"), names)
@@ -401,7 +611,77 @@ def _event_from_line(line: str, run_id: str, names: dict[str, str]) -> TraceEven
         raise SchemaError(f"only calibrate events carry before and after: {obj!r}")
     else:
         before = after = None
-    return TraceEvent(run_id, t, node, op, outcome, dur, ep, value, before, after)
+    return t, node, _KIND_CODE[op][outcome], dur, ep, value, before, after
+
+
+_KIND_TEXT = {f'{op}","outcome":"{outcome}': code for code, (op, outcome) in enumerate(_EVENT_KINDS)}
+# a JSON number in the exact grammar json.loads reads, ASCII digits only
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+# an int of at most 18 digits, so within int64; a longer one is read by
+# the strict path
+_INT = r"(?:0|[1-9][0-9]{0,17})"
+# the text of a JSON string with no escapes and no control characters,
+# which json.loads reads as it stands
+_TEXT = r'[^"\\\x00-\x1f]*'
+_OBJECT = rf'(\{{(?:"{_TEXT}":{_NUMBER}(?:,"{_TEXT}":{_NUMBER})*)?\}})'
+# a line as _event_to_line writes it, or with its numbers written another
+# way; findall gives one row per line that matches: t, node, the op and
+# outcome as one text, dur, ep, value, before and after, "" where absent
+_CANONICAL = re.compile(
+    rf'^\{{"t":({_INT}),"node":"({_TEXT})","op":"({"|".join(map(re.escape, _KIND_TEXT))})",'
+    rf'"dur":({_INT}),"ep":(-?{_INT})(?:,"value":({_NUMBER}))?(?:,"before":{_OBJECT},"after":{_OBJECT})?\}}$',
+    re.MULTILINE,
+)
+_pairs = re.compile(rf'"({_TEXT})":({_NUMBER})').findall
+
+
+def _json_float(text: str) -> float:
+    """A number that matched ``_NUMBER``, as ``_number`` reads its JSON
+    value: an int literal goes through int, so that -0 reads as 0.0, and
+    gives inf when it overflows."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    try:
+        return float(int(text))
+    except OverflowError:
+        return math.inf
+
+
+def _object_params(text: str, names: dict[str, str]) -> list | None:
+    """The pairs of a matched params object, or None if a name repeats or
+    a number is not finite."""
+    params = [(names.setdefault(k, k), _json_float(v)) for k, v in _pairs(text)]
+    if len({k for k, _ in params}) < len(params) or not all(map(math.isfinite, [v for _, v in params])):
+        return None
+    return params
+
+
+def _int64s(texts: tuple[str, ...]) -> np.ndarray:
+    # each text matched _INT, so numpy's own parser reads it exactly
+    return np.fromstring(" ".join(texts), dtype=np.int64, sep=" ")
+
+
+def _canonical_columns(text: str, names: dict[str, str]) -> dict | None:
+    """The columns of a file's event lines, read by one pass of
+    ``_CANONICAL`` over their whole text, when every line matches and
+    passes the checks that the regex leaves open, and time never goes
+    back; None otherwise, and the file is read line by line."""
+    rows = _CANONICAL.findall(text)
+    if not rows or len(rows) != text.count("\n") + (not text.endswith("\n")):
+        return None  # a line that is not canonical, or blank
+    t, node, kind, dur, ep, value, before, after = zip(*rows)
+    time = _int64s(t)
+    if (time[1:] < time[:-1]).any():
+        return None
+    kind = np.array(list(map(_KIND_TEXT.__getitem__, kind)), np.int8)
+    calibrate = np.flatnonzero(_is_calibrate(kind)).tolist()
+    if before.count("") != len(before) - len(calibrate) or not all([before[i] for i in calibrate]):
+        return None  # params on a line that is not calibrate, or none on one that is
+    calibrations = [(_object_params(before[i], names), _object_params(after[i], names)) for i in calibrate]
+    values = [_json_float(v) if v else None for v in value]
+    if any(None in pair for pair in calibrations) or not all([math.isfinite(v) for v in values if v is not None]):
+        return None
+    return _columns(node, kind, time, _int64s(dur), _int64s(ep), values, calibrations)
 
 
 @contextmanager
@@ -493,27 +773,38 @@ def _read_trace(path: str | Path) -> Run:
             meta.validate()
         except SchemaError as exc:
             raise SchemaError(f"{path}: malformed header: {exc}") from None
-        events: list[TraceEvent] = []
-        names: dict[str, str] = {}  # one string per node and parameter name
-        last_t = -1
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                ev = _event_from_line(line, meta.run_id, names)
-            except SchemaError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            if ev.time < last_t:
-                raise ClockError(f"{path}:{lineno}: time {ev.time} precedes previous {last_t}")
-            last_t = ev.time
-            events.append(ev)
-    return Run(meta=meta, events=tuple(events))
+        text = fh.read()
+    names: dict[str, str] = {}  # one string per parameter name
+    cols = _canonical_columns(text, names)
+    if cols is not None:
+        return _from_columns(meta, cols)
+    rows = []
+    last_t = -1
+    # the lines that iterating over the file gives, less their "\n"
+    for lineno, line in enumerate(text.split("\n"), start=2):
+        if not line.strip():
+            continue
+        try:
+            row = _event_from_line(line, names)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        if row[0] < last_t:
+            raise ClockError(f"{path}:{lineno}: time {row[0]} precedes previous {last_t}")
+        last_t = row[0]
+        rows.append(row)
+    return run_from_rows(meta, rows)
 
 
 def write_trace(path: str | Path, run: Run) -> None:
     with TraceWriter(path, run.meta) as w:
-        for e in run.events:
-            w.append_event(e)
+        text = _column_text(run) if run._given is None else None
+        if text is not None:
+            w._fh.write(text)
+        else:
+            # events kept as given, or columns that fail a check: each
+            # event is written, or raises the check's error, on its own
+            for e in run.events:
+                w.append_event(e)
 
 
 def merge_runs(runs: list[Run]) -> Dataset:

@@ -292,7 +292,7 @@ def test_criterion_09_scale(tmp_path):
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(
         f"CRITERION 9: PASS (100x100k runs + pooled analysis in {elapsed:.1f}s, "
-        f"{sum(len(r.events) for r in pooled.runs)} events, peak RSS {peak_mb:.0f} MB)"
+        f"{sum(len(r.time) for r in pooled.runs)} events, peak RSS {peak_mb:.0f} MB)"
     )
 
 

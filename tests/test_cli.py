@@ -84,6 +84,20 @@ class TestRunFlags:
         assert f"expected a positive integer, got '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "1", "1.5"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("scan", "--p0"), ("scan", "--confidence"), ("exp1", "--confidence"), ("exp2", "--p0"),
+         ("exp2", "--confidence"), ("exp3", "--p0"), ("exp3", "--confidence")],
+    )
+    def test_probability_flags_take_open_intervals(self, capsys, tmp_path, command, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, value, "--runs", "1", "--cycles", "500", "-o", str(out)])
+        assert err.value.code == 2
+        assert f"argument {flag}: expected a number in (" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-3", "two", "1.5"])
     def test_non_positive_or_non_integer_runs_rejected(self, capsys, tmp_path, value):
         with pytest.raises(SystemExit) as err:

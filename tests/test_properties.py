@@ -126,6 +126,54 @@ class TestArgumentTable:
             build()
         assert ei.value.pos == caret
 
+    def test_directly_built_ci_of_a_prob_query_is_a_syntax_error(self):
+        body = CondQuery(trigger=EventPattern(kind="fail", node="a"), response=EventPattern(kind="fail", node="b"))
+        with pytest.raises(PropertySyntaxError) as ei:
+            PropertyAst(mode=CI, body=body, C=0.9)
+        assert ei.value.text[ei.value.pos:].startswith("prob[")
+
+    def test_directly_built_prob_test_with_f_is_a_syntax_error(self):
+        body = CondQuery(trigger=EventPattern(kind="fail", node="a"), response=EventPattern(kind="fail", node="b"),
+                         window=5, cmp=">", probability=0.2)
+        with pytest.raises(PropertySyntaxError) as ei:
+            PropertyAst(mode=TEST, body=body, C=0.9, F=0.3)
+        assert ei.value.text[ei.value.pos:].startswith("F=")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PropertyAst(mode="verify", body=MetricQuery(metric=MetricRef("ttf", "a")), C=0.9),
+            lambda: PropertyAst(mode=TEST, body=MetricQuery(metric=MetricRef("ttf", "a")), C=0.9),
+            lambda: PropertyAst(mode=CI, body=MetricQuery(MetricRef("ttf", "a"), ">", 1.0), C=0.9),
+            lambda: PropertyAst(mode=TEST, body="ttf(a) > 1", C=0.9),
+            lambda: MetricQuery(metric=MetricRef("ttf", "a"), cmp=">"),
+            lambda: MetricQuery(metric=MetricRef("ttf", "a"), cmp=">=", threshold=1.0),
+            lambda: MetricQuery(metric=MetricRef("ttf", "a"), cmp=">", threshold="1"),
+            lambda: MetricQuery(metric="ttf(a)"),
+            lambda: CondQuery(trigger=EventPattern("fail", "a"), response="fail(b)"),
+            lambda: CondQuery(trigger=EventPattern("fail", "a"), response=EventPattern("fail", "b"), window=2.5),
+            lambda: CondQuery(trigger=EventPattern("fail", "a"), response=EventPattern("fail", "b"), probability=0.2),
+        ],
+    )
+    def test_direct_construction_checks_the_form(self, build):
+        with pytest.raises(PropertySyntaxError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PropertyAst(mode=CI, body=MetricQuery(metric=MetricRef("ttf", "a")), C=0.5),
+            lambda: PropertyAst(mode=CI, body=MetricQuery(metric=MetricRef("ttf", "a")), C=0.9, F=1.0),
+            lambda: PropertyAst(mode=CI, body=MetricQuery(metric=MetricRef("ttf", "a")), C=None),
+            lambda: CondQuery(trigger=EventPattern("fail", "a"), response=EventPattern("fail", "b"), window=0),
+            lambda: CondQuery(trigger=EventPattern("fail", "a"), response=EventPattern("fail", "b"),
+                              cmp=">", probability=1.5),
+        ],
+    )
+    def test_direct_construction_checks_the_ranges(self, build):
+        with pytest.raises(PropertyRangeError):
+            build()
+
     def test_omitted_argument_reads_its_default(self):
         ref = parse_property("ci ttf(a) @ C=0.9").body.metric
         assert (ref.arg("anchor"), ref.arg("oracle")) == ("verification", "false")

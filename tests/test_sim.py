@@ -47,6 +47,7 @@ from spaq.trace import (
     Run,
     RunMeta,
     TraceEvent,
+    run_from_rows,
     write_trace,
 )
 
@@ -87,6 +88,11 @@ def set_now(sim, nid, pname, value):
     sim._set_now(nid, pname, value)
 
 
+def emitted(sim):
+    """The events the simulator has emitted so far, in emission order."""
+    return run_from_rows(RunMeta(run_id=sim.run_id, seed=sim.cfg.seed, graph_hash=""), sim._rows).events
+
+
 def ops(run, since_ep=1):
     return [(e.op, e.node, e.outcome) for e in run.events if e.ep >= since_ep]
 
@@ -103,7 +109,7 @@ class TestEpisodeStructure:
         set_now(sim, "a", "p", 10.0)
         set_now(sim, "c", "p", 10.0)
         sim.step()
-        evs = [e for e in sim._events if e.ep == 1]
+        evs = [e for e in emitted(sim) if e.ep == 1]
         assert [(e.op, e.node, e.outcome) for e in evs] == [
             (CHECK_DATA, "c", FAIL),
             (CHECK_DATA, "b", PASS),
@@ -127,7 +133,7 @@ class TestEpisodeStructure:
         for nid in "abcd":
             set_now(sim, nid, "p", 10.0)
         sim.step()
-        evs = [e for e in sim._events if e.ep == 1]
+        evs = [e for e in emitted(sim) if e.ep == 1]
         cals = [e.node for e in evs if e.op == CALIBRATE]
         assert cals == ["a", "b", "c", "d"]
         assert sum(1 for e in evs if e.op == CHECK_DATA and e.node == "a") == 2
@@ -144,7 +150,7 @@ class TestEpisodeStructure:
         sim = Simulator(graph, SimConfig(total_cycles=100, seed=1))
         sim.initial_calibration()
         sim.step()
-        evs = [e for e in sim._events if e.ep == 1]
+        evs = [e for e in emitted(sim) if e.ep == 1]
         assert [(e.op, e.node, e.outcome) for e in evs] == [
             (CHECK_DATA, "a", PASS),
             (CHECK_DATA, "b", PASS),
@@ -159,10 +165,10 @@ class TestEpisodeStructure:
         ))
         sim = Simulator(graph, SimConfig(total_cycles=100, seed=1))
         sim.initial_calibration()
-        n_events = len(sim._events)
+        n_events = len(emitted(sim))
         sim.step()
         assert sim.maintain("c") == SKIPPED
-        assert len(sim._events) == n_events
+        assert len(emitted(sim)) == n_events
 
     def test_maintain_outcomes(self):
         graph = GraphSpec(nodes=(simple_node("a", timeout=1),))
@@ -184,7 +190,7 @@ class TestEpisodeStructure:
         ))
         sim = Simulator(graph, SimConfig(total_cycles=10, seed=1))
         sim.initial_calibration()
-        cals = [e for e in sim._events if e.op == CALIBRATE]
+        cals = [e for e in emitted(sim) if e.op == CALIBRATE]
         assert [e.node for e in cals] == topological_order(graph) == ["a", "b", "c", "d"]
         assert all(e.ep == 0 for e in cals)
 
@@ -552,7 +558,7 @@ class TestDriftEngine:
                 k = rng.randint(1, 30)
                 sim._advance(k)
                 ref.wait(k)
-                now = {e.node: e for e in sim._events if e.op == DRIFT_SAMPLE and e.time == sim.t}
+                now = {e.node: e for e in emitted(sim) if e.op == DRIFT_SAMPLE and e.time == sim.t}
                 for n in graph.nodes:
                     assert now[n.id].value == ref.reading(n.id, n.checks[0]), (i, step, n.id)
                     assert (now[n.id].outcome == PASS) == ref.in_spec(n.id), (i, step, n.id)

@@ -483,6 +483,141 @@ def test_event_line_matches_json_dumps(e):
     assert _event_to_line(e) == reference_event_line(e)
 
 
+@given(events=st.lists(_WRITABLE_EVENT, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_a_run_writes_each_events_line(fuzz_dir, events):
+    events = sorted(events, key=lambda e: e.time)
+    run = Run(meta=meta(), events=events)
+    path = fuzz_dir / "written.jsonl"
+    write_trace(path, run)
+    assert path.read_text().split("\n")[1:] == [_event_to_line(e) for e in events] + [""]
+    # an int value reads back as the float nearest to it
+    floats = [replace(e, value=None if e.value is None else float(e.value)) for e in events]
+    assert read_trace(path).events == tuple(floats)
+
+
+# field texts that a hand-written or corrupted line may carry instead of
+# the writer's: JSON that reads the same, JSON that reads otherwise, and
+# text that is not JSON
+_INT_TEXTS = ["0", "7", "007", "-0", "-1", "1.0", "1e2", "true", '"7"', "123456789012345678",
+              "1234567890123456789", str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1)]
+_FIELD_TEXTS = {
+    "t": _INT_TEXTS,
+    "dur": _INT_TEXTS,
+    "ep": _INT_TEXTS,
+    "node": ['"a"', '"\\u0061"', '"é"', '"\\u00e9"', '"a\\"b"', '"\\ud800"', '"a\\\\b"', '""', '"\\n"', "7"],
+    "op": ['"check_data"', '"calibrate"', '"drift_sample"', '"oracle_out_of_spec"', '"bogus"'],
+    "outcome": ['"pass"', '"fail"', '"success"', '"failed"'],
+    "value": ["-0", "-0.0", "0e0", "1E2", "1e+2", "1e-7", "1e400", "-1e400", "7", "12345678901234567890123",
+              "01", "1.", ".5", "NaN", '"x"', "null", "true"],
+    "before": ["{}", '{"p":0.5}', '{"p":01}', '{"p":1e400}', '{"p":1,"p":2}', '{"\\u0070":0.5}', '{"p":-0}',
+               '{"q":0.5,"p":-1E-3}', "[]"],
+    "after": ["{}", '{"p":0.5}', '{"p":-0.0}', '{"p":NaN}', '{"q":2}'],
+    "extra": ["1"],
+}
+_EDIT = st.one_of(
+    st.sampled_from(sorted(_FIELD_TEXTS)).flatmap(lambda k: st.tuples(st.just("set"), st.just(k),
+                                                                      st.sampled_from(_FIELD_TEXTS[k]))),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(_FIELD_TEXTS))),
+    st.tuples(st.just("swap"), st.integers(0, 8)),
+    st.tuples(st.just("space"), st.integers(0, 8)),
+)
+
+
+def _perturbed(e: TraceEvent, edits) -> str:
+    fields = [[k, json.dumps(v, separators=(",", ":"))] for k, v in json.loads(_event_to_line(e)).items()]
+    for edit in edits:
+        keys = [k for k, _ in fields]
+        if edit[0] == "set":
+            if edit[1] in keys:
+                fields[keys.index(edit[1])][1] = edit[2]
+            else:
+                fields.append([edit[1], edit[2]])
+        elif edit[0] == "drop" and edit[1] in keys:
+            del fields[keys.index(edit[1])]
+        elif edit[0] == "swap" and edit[1] + 1 < len(fields):
+            fields[edit[1]], fields[edit[1] + 1] = fields[edit[1] + 1], fields[edit[1]]
+        elif edit[0] == "space" and edit[1] < len(fields):
+            fields[edit[1]][1] = " " + fields[edit[1]][1]
+    return "{" + ",".join(f'"{k}":{v}' for k, v in fields) + "}"
+
+
+@given(
+    lines=st.lists(st.tuples(_WRITABLE_EVENT, st.lists(_EDIT, max_size=3)), min_size=1, max_size=3),
+)
+@settings(max_examples=400, deadline=None)
+def test_perturbed_writer_lines_read_as_the_reference_reads_them(fuzz_dir, lines):
+    """The fast paths read a line only as json.loads and the strict checks
+    would: the reader agrees with the reference reader on lines the writer
+    wrote and then had a field written another way, reordered, dropped or
+    added, less a run with a number outside int64, which it refuses."""
+    events = sorted((e for e, _ in lines), key=lambda e: e.time)
+    text = "".join(_perturbed(e, edits) + "\n" for e, (_, edits) in zip(events, lines))
+    src = fuzz_dir / "perturbed.jsonl"
+    src.write_text(HEADER + "\n" + text)
+    try:
+        expected = reference_read_trace(src)
+    except (SchemaError, ClockError):
+        expected = None
+    try:
+        run = read_trace(src)
+    except (SchemaError, ClockError):
+        assert expected is None or not _int64_safe(expected)
+        return
+    assert expected is not None and _int64_safe(expected)
+    assert run == expected and repr(run) == repr(expected)
+
+
+class TestColumnarRun:
+    def test_events_come_back_from_the_columns(self):
+        events = (
+            ev(0),
+            ev(1, op=DRIFT_SAMPLE, dur=0),
+            ev(1, op=DRIFT_SAMPLE, dur=0, value=0.0),
+            ev(2, op=DRIFT_SAMPLE, outcome=FAIL, dur=0, value=-0.0),
+            TraceEvent("r0", 3, "b", CALIBRATE, SUCCESS, 2, params_before=(), params_after=()),
+            cal(4),
+            ev(5, node="b", op=ORACLE_OUT_OF_SPEC, outcome=FAIL, dur=0, ep=-3),
+        )
+        run = Run(meta=meta(), events=events)
+        data = pickle.dumps(run)
+        assert b"TraceEvent" not in data
+        for r in (run, pickle.loads(data)):
+            assert r.events == events and repr(r.events) == repr(events)
+            assert [e.value for e in r.events[:4]] == [None, None, 0.0, -0.0]
+            assert math.copysign(1.0, r.events[3].value) == -1.0
+            assert r.events[4].params_before == ()
+
+    def test_simulated_and_read_back_runs_pickle_as_columns(self, tmp_path):
+        graph = load_graph(builtin_config_path("xgate"))
+        run = run_simulation(graph, SimConfig(total_cycles=3_000, seed=2))
+        path = tmp_path / "run.trace"
+        write_trace(path, run)
+        back = read_trace(path)
+        assert back == run and len(run.events) > 100  # the events are built, and kept
+        for r in (run, back):
+            data = pickle.dumps(r)
+            assert b"TraceEvent" not in data
+            again = pickle.loads(data)
+            assert again == r and repr(again) == repr(r)
+
+    def test_events_that_the_columns_cannot_give_back_are_kept_as_given(self, tmp_path):
+        foreign, int_value, too_late = ev(1, run_id="other"), ev(2, op=DRIFT_SAMPLE, dur=0, value=3), ev(2**63)
+        for e in (foreign, int_value, too_late):
+            run = Run(meta=meta(), events=(e,))
+            assert run.events == (e,) and repr(run) == f"Run(meta={meta()!r}, events=({e!r},))"
+        for e in (foreign, too_late):
+            with pytest.raises(SchemaError):
+                write_trace(tmp_path / "t", Run(meta=meta(), events=(e,)))
+        run = Run(meta=meta(), events=(int_value,))
+        assert run.time.tolist() == [2] and run.value.tolist() == [3.0]
+        write_trace(tmp_path / "t", run)
+        assert (tmp_path / "t").read_text().split("\n")[1] == _event_to_line(int_value)
+        assert read_trace(tmp_path / "t") == run
+        with pytest.raises(SchemaError):
+            Run(meta=meta(), events=(too_late,)).columns
+
+
 class TestMergeRuns:
     def test_merge(self):
         r1 = Run(meta=meta("r1"), events=(ev(0, run_id="r1"),))
