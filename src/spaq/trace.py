@@ -663,12 +663,15 @@ def _int64s(texts: tuple[str, ...]) -> np.ndarray:
 
 def _canonical_columns(text: str, names: dict[str, str]) -> dict | None:
     """The columns of a file's event lines, read by one pass of
-    ``_CANONICAL`` over their whole text, when every line matches and
-    passes the checks that the regex leaves open, and time never goes
-    back; None otherwise, and the file is read line by line."""
+    ``_CANONICAL`` over their whole text, when every line that is not
+    blank matches and passes the checks that the regex leaves open, and
+    time never goes back; None otherwise, and the file is read line by
+    line."""
     rows = _CANONICAL.findall(text)
-    if not rows or len(rows) != text.count("\n") + (not text.endswith("\n")):
-        return None  # a line that is not canonical, or blank
+    # each match is a whole line; blank lines are skipped, as line by line
+    if not rows or (len(rows) != text.count("\n") + (not text.endswith("\n"))
+                    and len(rows) != sum(1 for line in text.split("\n") if line.strip())):
+        return None
     t, node, kind, dur, ep, value, before, after = zip(*rows)
     time = _int64s(t)
     if (time[1:] < time[:-1]).any():

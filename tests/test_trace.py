@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_event_line, reference_read_trace
+from spaq import trace
 from spaq.errors import ClockError, SchemaError
 from spaq.graph import builtin_config_path, load_graph
 from spaq.sim import SimConfig, run_simulation
@@ -600,6 +601,19 @@ class TestColumnarRun:
             assert b"TraceEvent" not in data
             again = pickle.loads(data)
             assert again == r and repr(again) == repr(r)
+
+    def test_blank_lines_keep_a_writer_file_on_the_fast_path(self, tmp_path, monkeypatch):
+        run = Run(meta=meta(total_cycles=10), events=(ev(0), cal(1), ev(3, op=DRIFT_SAMPLE, dur=0, value=0.5)))
+        path = tmp_path / "run.trace"
+        write_trace(path, run)
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, lines[0], "", lines[1], "  \x0b", lines[2], "", ""]))
+
+        def strict(line, names):
+            raise AssertionError(f"read line by line: {line!r}")
+
+        monkeypatch.setattr(trace, "_event_from_line", strict)
+        assert read_trace(path) == run
 
     def test_events_that_the_columns_cannot_give_back_are_kept_as_given(self, tmp_path):
         foreign, int_value, too_late = ev(1, run_id="other"), ev(2, op=DRIFT_SAMPLE, dur=0, value=3), ev(2**63)
