@@ -59,7 +59,6 @@ from .trace import (
     Run,
     RunMeta,
     TraceEvent,
-    TraceWriter,
     extract_failures_from_timeseries,
     import_timeseries_csv,
     load_dataset,

@@ -19,7 +19,7 @@ import hashlib
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -516,6 +516,10 @@ def _node_to_dict(n: NodeSpec) -> dict:
     }
 
 
+# a node's config keys, as _node_to_dict writes them
+_NODE_KEYS = frozenset(f.name for f in fields(NodeSpec))
+
+
 def _exact_int(value, where: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{where} must be an integer, got {value!r}")
@@ -523,6 +527,11 @@ def _exact_int(value, where: str) -> int:
 
 
 def _node_from_dict(raw: dict, where: str) -> NodeSpec:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a mapping, got {raw!r}")
+    for key in raw:
+        if key not in _NODE_KEYS:
+            raise ValueError(f"{where}: unknown key {key!r}")
     params = tuple(
         (
             name,
@@ -581,7 +590,10 @@ def graph_from_dict(raw: dict) -> GraphSpec:
     schema = raw.get("schema")
     if schema != GRAPH_SCHEMA:
         raise ValueError(f"unsupported graph schema {schema!r}; expected {GRAPH_SCHEMA!r}")
-    nodes = tuple(_node_from_dict(n, f"nodes[{i}]") for i, n in enumerate(raw.get("nodes", [])))
+    raw_nodes = raw.get("nodes", [])
+    if not isinstance(raw_nodes, list):
+        raise ValueError(f"nodes must be a list, got {raw_nodes!r}")
+    nodes = tuple(_node_from_dict(n, f"nodes[{i}]") for i, n in enumerate(raw_nodes))
     disturbances = tuple(
         DisturbanceSpec(
             tag=d["tag"],

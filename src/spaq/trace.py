@@ -26,17 +26,18 @@ rules, so every file the writer produces reads back:
   and ``ep`` are exact ints (``true`` is not 1, ``1.7`` is not a time),
   ``t`` and ``dur`` in 0..2**63-1 and ``ep`` an int64. ``_number``
   accepts only a finite number.
-* ``TraceEvent.validate`` guards the writer: the above, a finite
-  ``value``, and on calibrate events alone both parameter sets, finite
-  and with no repeated name. ``TraceWriter.append_event`` also checks the
-  run id and that time does not go back, before it writes anything.
-  ``write_trace`` makes the same checks on a run's columns at once
-  (``_column_text``), and sends a run that fails one of them through
-  ``append_event``, which raises its error.
+* ``TraceEvent.validate``: the above, a finite ``value``, and on
+  calibrate events alone both parameter sets, finite and with no
+  repeated name. ``Run(meta, events)`` calls it on each event, and also
+  checks the run id and that time does not go back, so a run holds only
+  what a trace line can hold.
 * ``RunMeta.validate``, shared by both: every header field has its exact
   JSON type, the schema is known, the run id is not empty, ``seed`` is an
-  int64 and ``total_cycles`` is in 0..2**63-1. ``TraceWriter`` calls it
-  before it writes anything.
+  int64 and ``total_cycles`` is in 0..2**63-1.
+* ``write_trace`` calls ``RunMeta.validate``, and ``_column_text``, the
+  one formatter of event lines, checks the run's columns at once (time
+  order, times and durations not negative, finite values and params),
+  before a file is opened, so a refused run leaves no file.
 * The reader's fast path, ``_canonical_columns``, reads a file whose
   event lines are all the writer's own, in one pass of one regex,
   ``_CANONICAL``, over their text. The regex takes the fields in the
@@ -82,7 +83,7 @@ import json
 import math
 import os
 import re
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -324,30 +325,31 @@ class Run:
     events at one cycle it follows trace order.
 
     ``events`` gives the ``TraceEvent``s, built from the columns on first
-    use. ``Run(meta, events)`` builds the columns from events, and keeps
-    the events as if built from them. When the columns cannot give those
-    events back exactly (an event of another run id, an int value, a
-    field no trace line can hold), the run keeps the events as its data:
-    it compares, prints, pickles and writes them, and its columns, if any
-    can hold the events, serve the analysis. Runs compare equal when
-    their headers and events are equal.
+    use. ``Run(meta, events)`` checks each event as a trace line must
+    hold it (``TraceEvent.validate``, the run's id, time order) and
+    raises ``SchemaError`` or ``ClockError`` otherwise; it keeps only the
+    columns, with each value as a float, so a run holds exactly what
+    writing its events and reading them back gives. Runs compare equal
+    when their headers and columns are equal.
     """
 
     def __init__(self, meta: RunMeta, events) -> None:
-        events = tuple(events)
-        cols, exact = _columns_from_events(events, meta.run_id)
-        # exact columns are the run's data; the events, already built, are
-        # kept as if built from them
-        self.__dict__.update(cols or {}, meta=meta, events=events, _given=None if exact else events)
+        rows = []
+        last = 0
+        for e in events:
+            e.validate()
+            if e.run_id != meta.run_id:
+                raise SchemaError(f"event run_id {e.run_id!r} does not match run {meta.run_id!r}")
+            if e.time < last:
+                raise ClockError(f"event time {e.time} precedes previous {last}")
+            last = e.time
+            value = None if e.value is None else float(e.value)
+            rows.append((e.time, e.node, _KIND_CODE[e.op][e.outcome], e.duration, e.ep, value, e.params_before,
+                         e.params_after))
+        self.__dict__.update(_row_columns(rows), meta=meta)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __getattr__(self, name):
-        # reached only for the columns of a run whose events fit none
-        if name in _COLUMNS:
-            raise SchemaError(f"run {self.meta.run_id!r} has events that no trace line can hold")
-        raise AttributeError(name)
 
     @cached_property
     def events(self) -> tuple[TraceEvent, ...]:
@@ -355,8 +357,6 @@ class Run:
         return self._events()
 
     def _events(self) -> tuple[TraceEvent, ...]:
-        if self._given is not None:
-            return self._given
         rid, names, kinds, params = self.meta.run_id, self.names, _EVENT_KINDS, iter(self.params)
         out = []
         for n, k, t, dur, ep, v, has in zip(self.node.tolist(), self.kind.tolist(), self.time.tolist(),
@@ -379,8 +379,6 @@ class Run:
             return True
         if self.meta != other.meta:
             return False
-        if self._given is not None or other._given is not None:
-            return self._events() == other._events()
         return (self.names == other.names and self.params == other.params
                 and all(np.array_equal(self.__dict__[c], other.__dict__[c]) for c in _ARRAYS))
 
@@ -393,35 +391,14 @@ class Run:
         return f"Run(meta={self.meta!r}, events={events if events is not None else self._events()!r})"
 
     def __reduce__(self):
-        if self._given is not None:
-            return Run, (self.meta, self._given)
         return _from_columns, (self.meta, {c: self.__dict__[c] for c in _COLUMNS})
 
 
 def _from_columns(meta: RunMeta, cols: dict) -> Run:
     """The run with these columns, keyed as in ``_COLUMNS``."""
     run = Run.__new__(Run)
-    run.__dict__.update(cols, meta=meta, _given=None)
+    run.__dict__.update(cols, meta=meta)
     return run
-
-
-def _columns_from_events(events: tuple, run_id: str) -> tuple[dict | None, bool]:
-    """Columns that hold ``events``, and whether they give them back
-    exactly; (None, False) when no columns can hold them."""
-    rows = []
-    exact = True
-    try:
-        for e in events:
-            code = _KIND_CODE[e.op][e.outcome]
-            if not isinstance(e.node, str):
-                return None, False
-            exact = (exact and e.run_id == run_id and type(e.node) is str and type(e.time) is int and type(e.duration) is int
-                     and type(e.ep) is int and (e.value is None or type(e.value) is float)
-                     and (code in _CALIBRATE_CODES or e.params_before is None and e.params_after is None))
-            rows.append((e.time, e.node, code, e.duration, e.ep, e.value, e.params_before, e.params_after))
-        return _row_columns(rows), exact
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None, False
 
 
 def _sorted_or_none(params) -> Params | None:
@@ -490,34 +467,26 @@ def _params_text(params: Params) -> str:
     return "{" + ",".join([f"{_quote(k)}:{float.__repr__(v)}" for k, v in params]) + "}"
 
 
-def _event_to_line(e: TraceEvent) -> str:
-    """A validated event's line, byte for byte what ``json.dumps`` writes
-    for it: exact ints format as ``int.__repr__``, floats as
-    ``float.__repr__``, and the op and outcome need no escapes."""
-    line = (f'{{"t":{e.time},"node":{_quote(e.node)},"op":"{e.op}","outcome":"{e.outcome}",'
-            f'"dur":{e.duration},"ep":{e.ep}')
-    if e.value is not None:
-        value = float.__repr__(e.value) if isinstance(e.value, float) else int.__repr__(e.value)
-        line += f',"value":{value}'
-    if e.op == CALIBRATE:
-        line += f',"before":{_params_text(e.params_before)},"after":{_params_text(e.params_after)}'
-    return line + "}"
+def _column_text(run: Run) -> str:
+    """The run's event lines, each byte for byte what ``json.dumps``
+    writes for its event: ints format as ``int.__repr__``, floats as
+    ``float.__repr__``, and the op and outcome need no escapes.
 
-
-def _column_text(run: Run) -> str | None:
-    """The run's event lines, byte for byte what ``_event_to_line`` gives
-    for its events; None unless every event passes ``TraceEvent.validate``
-    and time never goes back, the checks ``append_event`` makes."""
+    Raises ClockError when time goes back, and SchemaError for a negative
+    time or duration, a value that is not finite, or params that
+    ``TraceEvent.validate`` would refuse."""
     time = run.time
-    if ((time < 0).any() or (run.duration < 0).any() or (time[1:] < time[:-1]).any()
-            or not np.isfinite(run.value[run.has_value]).all()):
-        return None
-    try:
-        for before, after in run.params:
-            _check_params(before)
-            _check_params(after)
-    except (SchemaError, TypeError):  # a repeated name, a number that is not finite, no params
-        return None
+    if (time[1:] < time[:-1]).any():
+        raise ClockError(f"run {run.meta.run_id!r} has an event time that precedes the previous one")
+    if (time < 0).any() or (run.duration < 0).any():
+        raise SchemaError("event times and durations must be in 0..2**63-1")
+    if not np.isfinite(run.value[run.has_value]).all():
+        raise SchemaError("event values must be finite")
+    for pair in run.params:
+        if None in pair:
+            raise SchemaError("calibrate events carry both params_before and params_after")
+        for params in pair:
+            _check_params(params)
     nodes = [_quote(name) for name in run.names]
     kinds = [f'"op":"{op}","outcome":"{outcome}"' for op, outcome in _EVENT_KINDS]
     params = iter(run.params)
@@ -624,7 +593,7 @@ _INT = r"(?:0|[1-9][0-9]{0,17})"
 # which json.loads reads as it stands
 _TEXT = r'[^"\\\x00-\x1f]*'
 _OBJECT = rf'(\{{(?:"{_TEXT}":{_NUMBER}(?:,"{_TEXT}":{_NUMBER})*)?\}})'
-# a line as _event_to_line writes it, or with its numbers written another
+# a line as _column_text writes it, or with its numbers written another
 # way; findall gives one row per line that matches: t, node, the op and
 # outcome as one text, dur, ep, value, before and after, "" where absent
 _CANONICAL = re.compile(
@@ -706,49 +675,6 @@ def atomic_write(path: str | Path, newline: str | None = None):
         raise
 
 
-class TraceWriter:
-    """Append-only writer for a single run's trace file.
-
-    The file appears at ``path`` when the writer closes, or, used as a
-    context manager, when its block exits without an exception.
-    """
-
-    def __init__(self, path: str | Path, meta: RunMeta):
-        meta.validate()
-        self.meta = meta
-        self._last_time = -1
-        header = {
-            "schema": meta.schema,
-            "run_id": meta.run_id,
-            "seed": meta.seed,
-            "graph_hash": meta.graph_hash,
-            "mode": meta.mode,
-            "total_cycles": meta.total_cycles,
-        }
-        with ExitStack() as stack:
-            self._fh = stack.enter_context(atomic_write(path))
-            self._fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-            self._file = stack.pop_all()
-
-    def append_event(self, event: TraceEvent) -> None:
-        event.validate()
-        if event.run_id != self.meta.run_id:
-            raise SchemaError(f"event run_id {event.run_id!r} does not match writer {self.meta.run_id!r}")
-        if event.time < self._last_time:
-            raise ClockError(f"event time {event.time} precedes previous {self._last_time}")
-        self._last_time = event.time
-        self._fh.write(_event_to_line(event) + "\n")
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._file.__exit__(*exc)
-
-
 def read_trace(path: str | Path) -> Run:
     """Parse and validate one run. Raises SchemaError / ClockError."""
     try:
@@ -799,15 +725,14 @@ def _read_trace(path: str | Path) -> Run:
 
 
 def write_trace(path: str | Path, run: Run) -> None:
-    with TraceWriter(path, run.meta) as w:
-        text = _column_text(run) if run._given is None else None
-        if text is not None:
-            w._fh.write(text)
-        else:
-            # events kept as given, or columns that fail a check: each
-            # event is written, or raises the check's error, on its own
-            for e in run.events:
-                w.append_event(e)
+    """Write one run's trace file, whole or not at all; a run that fails
+    a check raises before any file is opened."""
+    run.meta.validate()
+    text = _column_text(run)
+    header = {key: getattr(run.meta, key) for key in _HEADER_TYPES}
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        fh.write(text)
 
 
 def merge_runs(runs: list[Run]) -> Dataset:

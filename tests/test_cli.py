@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from spaq.cli import main
+from spaq.graph import builtin_config_path
 from spaq.trace import read_trace
 
 
@@ -147,6 +148,15 @@ class TestSimulate:
             capsys, "simulate", "--config", str(tmp_path / "ghost.yaml"), "-o", str(tmp_path),
         )
         assert code == 2
+
+    def test_misspelled_node_key_is_a_config_error(self, capsys, tmp_path):
+        config = tmp_path / "g.yaml"
+        config.write_text(builtin_config_path("xgate").read_text().replace("timeout:", "timout:", 1))
+        out_dir = tmp_path / "out"
+        code, out, err, _ = run_cli(capsys, "simulate", "--config", str(config), "-o", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: nodes[0]: unknown key 'timout'") and "Traceback" not in err
+        assert out == "" and not out_dir.exists()
 
 
 class TestCheck:

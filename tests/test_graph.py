@@ -236,6 +236,21 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=rf"^nodes\[1\]\.{key} must be an integer"):
             graph_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw["nodes"].__setitem__(0, 5), r"^nodes\[0\] must be a mapping"),
+            (lambda raw: raw["nodes"][0].__setitem__("timout", 7), r"^nodes\[0\]: unknown key 'timout'$"),
+            (lambda raw: raw.__setitem__("nodes", 5), r"^nodes must be a list"),
+        ],
+        ids=["node_not_a_mapping", "unknown_node_key", "nodes_not_a_list"],
+    )
+    def test_malformed_nodes_are_rejected_with_their_path(self, diamond_graph, edit, message):
+        raw = graph_to_dict(diamond_graph)
+        edit(raw)
+        with pytest.raises(ValueError, match=message):
+            graph_from_dict(raw)
+
     def test_disturbance_listing_a_node_twice_is_rejected(self):
         # the simulator would otherwise add the disturbance to top_2 twice
         raw = yaml.safe_load(builtin_config_path("hidden").read_text())

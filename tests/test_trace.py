@@ -29,8 +29,6 @@ from spaq.trace import (
     Run,
     RunMeta,
     TraceEvent,
-    TraceWriter,
-    _event_to_line,
     extract_failures_from_timeseries,
     import_timeseries_csv,
     merge_runs,
@@ -137,7 +135,7 @@ class TestFileRoundTrip:
         p = tmp_path / "run.trace"
         write_trace(p, Run(meta=meta(), events=(ev(0), cal(1))))
         old = p.read_bytes()
-        bad = Run(meta=meta(), events=(ev(3), ev(4, outcome=SUCCESS), ev(5)))
+        bad = Run(meta=RunMeta("r0", True, "abc"), events=(ev(3), ev(5)))
         with pytest.raises(SchemaError):
             write_trace(p, bad)
         assert p.read_bytes() == old
@@ -146,12 +144,9 @@ class TestFileRoundTrip:
             write_trace(tmp_path / "new.trace", bad)
         assert [f.name for f in tmp_path.iterdir()] == ["run.trace"]
 
-    def test_writer_rejects_time_regression(self, tmp_path):
-        w = TraceWriter(tmp_path / "t", meta())
-        w.append_event(ev(5))
+    def test_writer_rejects_time_regression(self):
         with pytest.raises(ClockError):
-            w.append_event(ev(4))
-        w.close()
+            Run(meta(), (ev(5), ev(4)))
 
     @pytest.mark.parametrize(
         "bad",
@@ -176,27 +171,39 @@ class TestFileRoundTrip:
         ],
     )
     def test_writer_rejects_what_the_reader_would_reject(self, tmp_path, bad):
-        p = tmp_path / "t"
+        # a bad event is refused when the run is built, a bad header when
+        # it is written, before any file is opened
         if isinstance(bad, RunMeta):
-            with pytest.raises(SchemaError):
-                TraceWriter(p, bad)
-            assert not any(tmp_path.iterdir())
             run = Run(meta=bad, events=(ev(1),))
-        else:
-            with TraceWriter(p, meta()) as w:
-                w.append_event(ev(1))
-                with pytest.raises(SchemaError):
-                    w.append_event(bad)
-            assert p.read_text().splitlines()[1:] == [_event_to_line(ev(1))]
-            run = Run(meta=meta(), events=(bad,))
-        with pytest.raises(SchemaError):
-            write_trace(tmp_path / "u", run)
-        assert not (tmp_path / "u").exists()
-
-    def test_writer_rejects_foreign_run_id(self, tmp_path):
-        with TraceWriter(tmp_path / "t", meta()) as w:
             with pytest.raises(SchemaError):
-                w.append_event(ev(0, run_id="other"))
+                write_trace(tmp_path / "t", run)
+            assert not any(tmp_path.iterdir())
+        else:
+            with pytest.raises(SchemaError):
+                Run(meta(), (ev(1), bad))
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([(-1, "a", 0, 1, 0, None, None, None)], SchemaError),
+            ([(1, "a", 0, -1, 0, None, None, None)], SchemaError),
+            ([(1, "a", 0, 1, 0, math.nan, None, None)], SchemaError),
+            ([(1, "a", 2, 1, 0, None, (("p", 0.0),), None)], SchemaError),
+            ([(1, "a", 2, 1, 0, None, (("p", 0.0), ("p", 1.0)), (("p", 0.0),))], SchemaError),
+            ([(1, "a", 2, 1, 0, None, (("p", 0.0),), (("p", math.inf),))], SchemaError),
+            ([(5, "a", 0, 1, 0, None, None, None), (4, "a", 0, 1, 0, None, None, None)], ClockError),
+        ],
+    )
+    def test_writer_rejects_columns_that_no_line_can_hold(self, tmp_path, rows, error):
+        # rows as the simulator emits them (kind 0 is check_data/pass, 2 is
+        # calibrate/success), which Run(meta, events) does not check
+        with pytest.raises(error):
+            write_trace(tmp_path / "t", trace.run_from_rows(meta(), rows))
+        assert not any(tmp_path.iterdir())
+
+    def test_writer_rejects_foreign_run_id(self):
+        with pytest.raises(SchemaError):
+            Run(meta(), (ev(0, run_id="other"),))
 
     def test_reader_rejects_bad_schema(self, tmp_path):
         p = tmp_path / "bad"
@@ -477,24 +484,19 @@ _WRITABLE_EVENT = st.one_of(
 )
 
 
-@given(e=_WRITABLE_EVENT)
-@settings(max_examples=300, deadline=None)
-def test_event_line_matches_json_dumps(e):
-    e.validate()
-    assert _event_to_line(e) == reference_event_line(e)
-
-
 @given(events=st.lists(_WRITABLE_EVENT, max_size=6))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_a_run_writes_each_events_line(fuzz_dir, events):
+    """A run holds an int value as the float nearest to it, writes each
+    event's line as json.dumps writes that event, and reads it back."""
     events = sorted(events, key=lambda e: e.time)
+    held = tuple(replace(e, value=None if e.value is None else float(e.value)) for e in events)
     run = Run(meta=meta(), events=events)
+    assert repr(run.events) == repr(held)
     path = fuzz_dir / "written.jsonl"
     write_trace(path, run)
-    assert path.read_text().split("\n")[1:] == [_event_to_line(e) for e in events] + [""]
-    # an int value reads back as the float nearest to it
-    floats = [replace(e, value=None if e.value is None else float(e.value)) for e in events]
-    assert read_trace(path).events == tuple(floats)
+    assert path.read_text().split("\n")[1:] == [reference_event_line(e) for e in held] + [""]
+    assert repr(read_trace(path).events) == repr(held)
 
 
 # field texts that a hand-written or corrupted line may carry instead of
@@ -526,7 +528,7 @@ _EDIT = st.one_of(
 
 
 def _perturbed(e: TraceEvent, edits) -> str:
-    fields = [[k, json.dumps(v, separators=(",", ":"))] for k, v in json.loads(_event_to_line(e)).items()]
+    fields = [[k, json.dumps(v, separators=(",", ":"))] for k, v in json.loads(reference_event_line(e)).items()]
     for edit in edits:
         keys = [k for k, _ in fields]
         if edit[0] == "set":
@@ -615,21 +617,17 @@ class TestColumnarRun:
         monkeypatch.setattr(trace, "_event_from_line", strict)
         assert read_trace(path) == run
 
-    def test_events_that_the_columns_cannot_give_back_are_kept_as_given(self, tmp_path):
-        foreign, int_value, too_late = ev(1, run_id="other"), ev(2, op=DRIFT_SAMPLE, dur=0, value=3), ev(2**63)
-        for e in (foreign, int_value, too_late):
-            run = Run(meta=meta(), events=(e,))
-            assert run.events == (e,) and repr(run) == f"Run(meta={meta()!r}, events=({e!r},))"
-        for e in (foreign, too_late):
+    def test_a_run_holds_only_what_a_trace_line_can_hold(self, tmp_path):
+        for bad in (ev(1, run_id="other"), ev(2**63)):
             with pytest.raises(SchemaError):
-                write_trace(tmp_path / "t", Run(meta=meta(), events=(e,)))
-        run = Run(meta=meta(), events=(int_value,))
-        assert run.time.tolist() == [2] and run.value.tolist() == [3.0]
+                Run(meta=meta(), events=(bad,))
+        run = Run(meta=meta(), events=(ev(2, op=DRIFT_SAMPLE, dur=0, value=3),))
+        held = ev(2, op=DRIFT_SAMPLE, dur=0, value=3.0)
+        assert run.value.tolist() == [3.0] and repr(run) == f"Run(meta={meta()!r}, events=({held!r},))"
         write_trace(tmp_path / "t", run)
-        assert (tmp_path / "t").read_text().split("\n")[1] == _event_to_line(int_value)
-        assert read_trace(tmp_path / "t") == run
-        with pytest.raises(SchemaError):
-            Run(meta=meta(), events=(too_late,)).columns
+        assert (tmp_path / "t").read_text().split("\n")[1].endswith(',"value":3.0}')
+        back = read_trace(tmp_path / "t")
+        assert back == run and repr(back) == repr(run)
 
 
 class TestMergeRuns:
