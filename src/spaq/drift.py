@@ -29,8 +29,6 @@ import numpy as np
 LOGISTIC = "logistic"
 EXPONENTIAL = "exponential"
 
-DRIFT_MODELS = (LOGISTIC, EXPONENTIAL)
-
 
 @dataclass(frozen=True)
 class LogisticDriftCfg:
@@ -53,10 +51,6 @@ class LogisticDriftCfg:
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
-    @property
-    def model(self) -> str:
-        return LOGISTIC
-
 
 @dataclass(frozen=True)
 class ExponentialDriftCfg:
@@ -77,26 +71,11 @@ class ExponentialDriftCfg:
         if self.rate < 0.0:
             raise ValueError(f"rate must be >= 0, got {self.rate}")
 
-    @property
-    def model(self) -> str:
-        return EXPONENTIAL
-
 
 DriftCfg = LogisticDriftCfg | ExponentialDriftCfg
 
-
-def drift_cfg_from_dict(raw: dict) -> DriftCfg:
-    """Parse a drift model mapping from a config file.
-
-    Unknown model names are a load-time error.
-    """
-    data = dict(raw)
-    model = data.pop("model", None)
-    if model == LOGISTIC:
-        return LogisticDriftCfg(**data)
-    if model == EXPONENTIAL:
-        return ExponentialDriftCfg(**data)
-    raise ValueError(f"unknown drift model {model!r}; expected one of {DRIFT_MODELS}")
+# each drift model's config name and class
+DRIFT_MODELS = {LOGISTIC: LogisticDriftCfg, EXPONENTIAL: ExponentialDriftCfg}
 
 
 def drift_cfg_to_dict(cfg: DriftCfg) -> dict:

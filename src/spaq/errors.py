@@ -59,10 +59,14 @@ class PropertySyntaxError(SpaqError):
         self.expected = expected
 
     def caret_diagnostic(self) -> str:
-        line = self.text.splitlines()[0] if self.text else ""
-        caret = " " * self.pos + "^"
+        """The line of ``text`` that holds ``pos``, a caret under it, and
+        the message."""
+        # the line's text before pos and from pos on; the "^" sentinel
+        # makes a line break just before pos start an empty line
+        before = (self.text[: self.pos] + "^").splitlines()[-1][:-1]
+        after = (self.text[self.pos :].splitlines() or [""])[0]
         hint = f" (expected {', '.join(self.expected)})" if self.expected else ""
-        return f"{line}\n{caret}\n{self}{hint}"
+        return f"{before}{after}\n{' ' * len(before)}^\n{self}{hint}"
 
 
 class PropertyRangeError(SpaqError):

@@ -19,13 +19,13 @@ import hashlib
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .drift import DriftCfg, LogisticDriftCfg, drift_cfg_from_dict, drift_cfg_to_dict
+from .drift import DRIFT_MODELS, DriftCfg, LogisticDriftCfg, drift_cfg_to_dict
 from .errors import CycleError, DuplicateIdError, UnknownNodeError
 from .trace import atomic_write
 
@@ -224,10 +224,6 @@ class GraphSpec:
             if n.id == node_id:
                 return n
         raise UnknownNodeError(f"no node {node_id!r} in graph")
-
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
 
     def dependents(self) -> dict[str, tuple[str, ...]]:
         """node id -> sorted ids of nodes that depend on it."""
@@ -443,7 +439,8 @@ def _term_to_dict(t: Term) -> dict:
     return out
 
 
-def _term_from_dict(raw: dict) -> Term:
+def _term_from_dict(raw, where: str) -> Term:
+    _entry(raw, where, Term)
     return Term(param=raw["param"], node=raw.get("node"), weight=float(raw.get("weight", 1.0)))
 
 
@@ -471,13 +468,14 @@ def _observable_to_dict(o: ObservableSpec) -> dict:
     return out
 
 
-def _observable_from_dict(raw: dict) -> ObservableSpec:
-    kind = raw.get("kind", LINEAR)
+def _observable_from_dict(raw, where: str) -> ObservableSpec:
+    _entry(raw, where, ObservableSpec)
+
     def terms(key: str) -> tuple[Term, ...]:
-        return tuple(_term_from_dict(t) for t in raw.get(key, []))
+        return tuple(_term_from_dict(t, f"{where}.{key}[{i}]") for i, t in enumerate(raw.get(key, [])))
 
     return ObservableSpec(
-        kind=kind,
+        kind=raw.get("kind", LINEAR),
         offset=float(raw.get("offset", 0.0)),
         noise=float(raw.get("noise", 0.0)),
         compensate=raw.get("compensate"),
@@ -516,8 +514,22 @@ def _node_to_dict(n: NodeSpec) -> dict:
     }
 
 
-# a node's config keys, as _node_to_dict writes them
-_NODE_KEYS = frozenset(f.name for f in fields(NodeSpec))
+def _entry(raw, where: str, cls=None, extra: tuple[str, ...] = ()) -> dict:
+    """``raw``, once it is a mapping whose keys are ``cls``'s field names
+    and ``extra``, with every ``extra`` key and every field that has no
+    default; else ValueError naming ``where``. Without ``cls`` any keys
+    are allowed. A class's fields are the keys its writer emits."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a mapping, got {raw!r}")
+    if cls is not None:
+        required = {f.name: f.default is MISSING for f in fields(cls)} | dict.fromkeys(extra, True)
+        for key in raw:
+            if key not in required:
+                raise ValueError(f"{where}: unknown key {key!r}")
+        for key, needed in required.items():
+            if needed and key not in raw:
+                raise ValueError(f"{where}: missing key {key!r}")
+    return raw
 
 
 def _exact_int(value, where: str) -> int:
@@ -526,36 +538,41 @@ def _exact_int(value, where: str) -> int:
     return value
 
 
-def _node_from_dict(raw: dict, where: str) -> NodeSpec:
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a mapping, got {raw!r}")
-    for key in raw:
-        if key not in _NODE_KEYS:
-            raise ValueError(f"{where}: unknown key {key!r}")
-    params = tuple(
-        (
-            name,
-            ParamSpec(
-                optimal=float(p["optimal"]),
-                tolerance=float(p["tolerance"]),
-                drift=drift_cfg_from_dict(p["drift"]),
-                cal_noise=p.get("cal_noise"),
-                stream_tag=p.get("stream_tag"),
-            ),
-        )
-        for name, p in raw.get("params", {}).items()
-    )
-    checks = tuple(
-        CheckSpec(
-            observable=_observable_from_dict(c["observable"]),
-            rule=Rule(
-                op=c["rule"]["op"],
-                bound=float(c["rule"]["bound"]),
-                center=float(c["rule"].get("center", 0.0)),
-            ),
-        )
-        for c in raw.get("checks", [])
-    )
+def drift_cfg_from_dict(raw, where: str = "drift") -> DriftCfg:
+    """Read a drift model mapping: its ``model`` and that model's fields,
+    each a number."""
+    model = _entry(raw, where).get("model")
+    cls = DRIFT_MODELS.get(model) if isinstance(model, str) else None
+    if cls is None:
+        raise ValueError(f"{where}: unknown drift model {model!r}; expected one of {tuple(DRIFT_MODELS)}")
+    values = {k: v for k, v in _entry(raw, where, cls, ("model",)).items() if k != "model"}
+    for key, value in values.items():
+        if type(value) not in (int, float):
+            raise ValueError(f"{where}.{key} must be a number, got {value!r}")
+    return cls(**values)
+
+
+def _node_from_dict(raw, where: str) -> NodeSpec:
+    _entry(raw, where, NodeSpec)
+    params = []
+    for name, p in _entry(raw.get("params", {}), f"{where}.params").items():
+        at = f"{where}.params.{name}"
+        _entry(p, at, ParamSpec)
+        params.append((name, ParamSpec(
+            optimal=float(p["optimal"]),
+            tolerance=float(p["tolerance"]),
+            drift=drift_cfg_from_dict(p["drift"], f"{at}.drift"),
+            cal_noise=p.get("cal_noise"),
+            stream_tag=p.get("stream_tag"),
+        )))
+    checks = []
+    for i, c in enumerate(raw.get("checks", [])):
+        at = f"{where}.checks[{i}]"
+        rule = _entry(_entry(c, at, CheckSpec)["rule"], f"{at}.rule", Rule)
+        checks.append(CheckSpec(
+            observable=_observable_from_dict(c["observable"], f"{at}.observable"),
+            rule=Rule(op=rule["op"], bound=float(rule["bound"]), center=float(rule.get("center", 0.0))),
+        ))
     return NodeSpec(
         id=raw["id"],
         check_cost=_exact_int(raw["check_cost"], f"{where}.check_cost"),
@@ -563,8 +580,8 @@ def _node_from_dict(raw: dict, where: str) -> NodeSpec:
         timeout=_exact_int(raw["timeout"], f"{where}.timeout"),
         post_cal_delay=_exact_int(raw.get("post_cal_delay", 0), f"{where}.post_cal_delay"),
         dependencies=tuple(raw.get("dependencies", [])),
-        params=params,
-        checks=checks,
+        params=tuple(params),
+        checks=tuple(checks),
     )
 
 
@@ -587,23 +604,24 @@ def graph_to_dict(graph: GraphSpec) -> dict:
 
 
 def graph_from_dict(raw: dict) -> GraphSpec:
-    schema = raw.get("schema")
+    schema = _entry(raw, "graph config").get("schema")
     if schema != GRAPH_SCHEMA:
         raise ValueError(f"unsupported graph schema {schema!r}; expected {GRAPH_SCHEMA!r}")
-    raw_nodes = raw.get("nodes", [])
+    raw_nodes = _entry(raw, "graph config", GraphSpec, ("schema",))["nodes"]
     if not isinstance(raw_nodes, list):
         raise ValueError(f"nodes must be a list, got {raw_nodes!r}")
     nodes = tuple(_node_from_dict(n, f"nodes[{i}]") for i, n in enumerate(raw_nodes))
-    disturbances = tuple(
-        DisturbanceSpec(
+    disturbances = []
+    for i, d in enumerate(raw.get("disturbances", [])):
+        at = f"disturbances[{i}]"
+        _entry(d, at, DisturbanceSpec)
+        disturbances.append(DisturbanceSpec(
             tag=d["tag"],
             affected=tuple(d["affected"]),
             strength=float(d["strength"]),
-            drift=drift_cfg_from_dict(d["drift"]),
-        )
-        for d in raw.get("disturbances", [])
-    )
-    graph = GraphSpec(nodes=nodes, disturbances=disturbances)
+            drift=drift_cfg_from_dict(d["drift"], f"{at}.drift"),
+        ))
+    graph = GraphSpec(nodes=nodes, disturbances=tuple(disturbances))
     validate_graph(graph)
     return graph
 

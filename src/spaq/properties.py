@@ -33,6 +33,7 @@ Examples::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -84,8 +85,8 @@ def _allows(allowed, value) -> bool:
         return value in allowed
     if allowed is str:
         return type(value) is str
-    # int admits only ints; float admits ints and floats (bool is neither)
-    return type(value) in (int, allowed) and value > 0
+    # int admits only ints; float admits ints and finite floats (bool is neither)
+    return type(value) in (int, allowed) and 0 < value < math.inf
 
 
 def _check_call(table, what: str, name: str, node: str, args: Args, text=None, at=()) -> None:
@@ -190,6 +191,8 @@ class MetricQuery:
         if not isinstance(self.metric, MetricRef):
             raise PropertySyntaxError(f"expected a metric, found {self.metric!r}", repr(self.metric), 0)
         _check_comparison(self.cmp, self.threshold, lambda: _fmt_call(self.metric.name, self.metric.node, self.metric.args))
+        if self.threshold is not None and not -math.inf < self.threshold < math.inf:
+            raise PropertyRangeError(f"threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -266,173 +269,138 @@ class PropertyAst:
 _F_ON_PROB = "F= belongs to metric properties; a prob test's threshold is its probability"
 
 
-# --- tokenizer ---
+# --- tokens and parser ---
 
+# Every character falls in some match: whitespace before a token is
+# skipped, and any other character the grammar has no token for is "bad".
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
+    r"""\s*(?:
+    (?P<arrow>->)
   | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[()\[\],=@><])
-    """,
+  | (?P<bad>\S)
+    )""",
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # arrow | number | ident | punct | end
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise PropertySyntaxError(f"unexpected character {text[i]!r}", text, i)
-        i = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append(_Token(kind=kind, text=m.group(), pos=m.start()))
-    tokens.append(_Token(kind="end", text="", pos=len(text)))
-    return tokens
+# what an ``expect`` of a kind with any text reports it wanted
+_ANY = {"ident": ("a name", ()), "number": ("a number", ("number",))}
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
+        self.tokens.append(("end", "", len(text)))
         self.i = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.i += 1
-        return tok
+        for kind, tok, pos in self.tokens:
+            if kind == "bad":
+                raise PropertySyntaxError(f"unexpected character {tok!r}", text, pos)
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> PropertySyntaxError:
-        return PropertySyntaxError(message, self.text, self.cur.pos, expected)
+        return PropertySyntaxError(message, self.text, self.tokens[self.i][2], expected)
 
-    def expect_punct(self, ch: str) -> _Token:
-        if self.cur.kind == "punct" and self.cur.text == ch:
-            return self.advance()
-        raise self.fail(f"expected {ch!r}, found {self.cur.text or 'end of input'!r}", (ch,))
+    def at(self, kind: str, *texts: str) -> bool:
+        """Whether the next token is a ``kind`` token with one of ``texts``
+        (with any text when none are given)."""
+        tok_kind, tok, _ = self.tokens[self.i]
+        return tok_kind == kind and (not texts or tok in texts)
 
-    def expect_ident(self, *names: str) -> _Token:
-        if self.cur.kind == "ident" and (not names or self.cur.text in names):
-            return self.advance()
-        what = " or ".join(repr(n) for n in names) if names else "a name"
-        raise self.fail(f"expected {what}, found {self.cur.text or 'end of input'!r}", names)
+    def expect(self, kind: str, *texts: str) -> tuple[str, int]:
+        """Take the next token, which must be as ``at`` says; its text and
+        position."""
+        _, tok, pos = self.tokens[self.i]
+        if self.at(kind, *texts):
+            self.i += 1
+            return tok, pos
+        what, expected = (" or ".join(map(repr, texts)), texts) if texts else _ANY[kind]
+        raise self.fail(f"expected {what}, found {tok or 'end of input'!r}", expected)
 
-    def expect_number(self) -> float:
-        if self.cur.kind == "number":
-            return float(self.advance().text)
-        raise self.fail(f"expected a number, found {self.cur.text or 'end of input'!r}", ("number",))
+    def number(self, ints: bool = False) -> float | int:
+        """Take a number token: an int if ``ints`` and it is written as one,
+        else a float."""
+        tok, _ = self.expect("number")
+        if not (ints and tok.lstrip("-").isdigit()):
+            return float(tok)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise PropertyRangeError(f"integer {tok[:12]}... is too long ({len(tok)} characters)") from None
+
+    def cmp(self) -> str:
+        return self.expect("punct", *_CMPS)[0]
 
     # --- grammar ---
 
     def parse(self) -> PropertyAst:
-        mode = self.expect_ident(TEST, CI).text
+        mode, _ = self.expect("ident", TEST, CI)
         body: Body
-        if self.cur.kind == "ident" and self.cur.text == "prob":
+        if self.at("ident", "prob"):
             if mode == CI:
                 raise self.fail("ci takes a metric; compare a prob[...] in a test instead", tuple(_METRIC_ARGS))
             body = self.parse_cond()
         else:
-            body = self.parse_metric_query(mode)
-        self.expect_punct("@")
-        F, C = self.parse_params(isinstance(body, MetricQuery))
-        if self.cur.kind != "end":
-            raise self.fail(f"trailing input {self.cur.text!r}")
+            metric = self.parse_call(MetricRef, _METRIC_ARGS, "metric")
+            # ci mode carries no comparator/threshold: the bound is what gets computed
+            body = MetricQuery(metric) if mode == CI else MetricQuery(metric, self.cmp(), self.number())
+        self.expect("punct", "@")
+        F: float | None = None
+        key, pos = self.expect("ident", "F", "C")
+        if key == "F":
+            if isinstance(body, CondQuery):
+                raise PropertySyntaxError(_F_ON_PROB, self.text, pos, ("C",))
+            self.expect("punct", "=")
+            F = self.number()
+            self.expect("ident", "C")
+        self.expect("punct", "=")
+        C = self.number()
+        if not self.at("end"):
+            raise self.fail(f"trailing input {self.tokens[self.i][1]!r}")
         return PropertyAst(mode=mode, body=body, C=C, F=F)
 
-    def parse_metric_query(self, mode: str) -> MetricQuery:
-        metric = self.parse_call(MetricRef, _METRIC_ARGS, "metric")
-        if mode == CI:
-            # ci mode carries no comparator/threshold: the bound is what gets computed
-            return MetricQuery(metric=metric)
-        cmp = self.parse_cmp()
-        threshold = self.expect_number()
-        return MetricQuery(metric=metric, cmp=cmp, threshold=threshold)
-
     def parse_cond(self) -> CondQuery:
-        self.expect_ident("prob")
-        self.expect_punct("[")
+        self.expect("ident", "prob")
+        self.expect("punct", "[")
         trigger = self.parse_call(EventPattern, _EVENT_ARGS, "event")
-        if self.cur.kind != "arrow":
+        if not self.at("arrow"):
             raise self.fail("expected '->' between trigger and response", ("->",))
-        self.advance()
+        self.i += 1
         response = self.parse_call(EventPattern, _EVENT_ARGS, "event")
-        self.expect_ident("within")
-        window: int | str
-        if self.cur.kind == "number":
-            tok = self.advance()
-            if "." in tok.text or "e" in tok.text.lower() or tok.text.startswith("-"):
-                raise PropertySyntaxError("window must be a positive integer", self.text, tok.pos)
-            window = int(tok.text)
+        self.expect("ident", "within")
+        window: int | str = NEXT_CHECK
+        if self.at("number"):
+            _, tok, pos = self.tokens[self.i]
+            if not tok.isdigit():
+                raise PropertySyntaxError("window must be a positive integer", self.text, pos)
+            window = self.number(ints=True)
         else:
-            tok = self.expect_ident(NEXT_CHECK)
-            window = NEXT_CHECK
-        self.expect_punct("]")
-        cmp = self.parse_cmp()
-        probability = self.expect_number()
-        return CondQuery(
-            trigger=trigger, response=response, window=window, cmp=cmp, probability=probability
-        )
+            self.expect("ident", NEXT_CHECK)
+        self.expect("punct", "]")
+        return CondQuery(trigger, response, window, self.cmp(), self.number())
 
     def parse_call(self, cls, table, what: str):
         """``name(node, key=value, ...)`` built as a ``cls``, which checks
         it against ``table``."""
-        name_tok = self.expect_ident()
-        self.expect_punct("(")
-        node = self.expect_ident().text
+        name, name_pos = self.expect("ident")
+        self.expect("punct", "(")
+        node, _ = self.expect("ident")
         pairs: list[tuple[str, ArgValue]] = []
-        at = [name_tok.pos]
-        while self.cur.kind == "punct" and self.cur.text == ",":
-            self.advance()
-            key_tok = self.expect_ident()
-            self.expect_punct("=")
-            if self.cur.kind == "number":
-                raw = self.advance().text
-                value: ArgValue = int(raw) if re.fullmatch(r"-?\d+", raw) else float(raw)
-            else:
-                value = self.expect_ident().text
-            pairs.append((key_tok.text, value))
-            at.append(key_tok.pos)
-        at.append(self.expect_punct(")").pos)
+        at = [name_pos]
+        while self.at("punct", ","):
+            self.i += 1
+            key, pos = self.expect("ident")
+            self.expect("punct", "=")
+            pairs.append((key, self.number(ints=True) if self.at("number") else self.expect("ident")[0]))
+            at.append(pos)
+        at.append(self.expect("punct", ")")[1])
         args = tuple(pairs)
         try:
-            return cls(name_tok.text, node, args)
+            return cls(name, node, args)
         except PropertySyntaxError:
             # the same check again raises with the caret in the property text
-            _check_call(table, what, name_tok.text, node, args, self.text, at)
+            _check_call(table, what, name, node, args, self.text, at)
             raise
-
-    def parse_cmp(self) -> str:
-        if self.cur.kind == "punct" and self.cur.text in (">", "<"):
-            return self.advance().text
-        raise self.fail(f"expected '>' or '<', found {self.cur.text or 'end of input'!r}", (">", "<"))
-
-    def parse_params(self, metric: bool) -> tuple[float | None, float]:
-        F: float | None = None
-        if not metric and self.cur.text == "F":
-            raise self.fail(_F_ON_PROB, ("C",))
-        key = self.expect_ident("F", "C")
-        if key.text == "F":
-            self.expect_punct("=")
-            F = self.expect_number()
-            key = self.expect_ident("C")
-        self.expect_punct("=")
-        C = self.expect_number()
-        return F, C
 
 
 def parse_property(text: str) -> PropertyAst:

@@ -450,10 +450,6 @@ def run_from_rows(meta: RunMeta, rows: list[tuple], by_time: bool = False) -> Ru
 class Dataset:
     runs: tuple[Run, ...]
 
-    @property
-    def run_ids(self) -> tuple[str, ...]:
-        return tuple(r.meta.run_id for r in self.runs)
-
     def nodes(self) -> tuple[str, ...]:
         return tuple(sorted({node for r in self.runs for node in r.names}))
 

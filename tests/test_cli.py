@@ -158,6 +158,15 @@ class TestSimulate:
         assert err.startswith("error: nodes[0]: unknown key 'timout'") and "Traceback" not in err
         assert out == "" and not out_dir.exists()
 
+    def test_misspelled_drift_field_is_a_config_error(self, capsys, tmp_path):
+        config = tmp_path / "g.yaml"
+        config.write_text(builtin_config_path("xgate").read_text().replace("sigma:", "sigmaa:", 1))
+        out_dir = tmp_path / "out"
+        code, out, err, _ = run_cli(capsys, "simulate", "--config", str(config), "-o", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: nodes[0].params.") and "drift: unknown key 'sigmaa'" in err
+        assert "Traceback" not in err and out == "" and not out_dir.exists()
+
 
 class TestCheck:
     def test_bound_produced_exits_zero(self, capsys, trace_dir):

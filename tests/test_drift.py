@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from spaq.drift import (
     ExponentialDriftCfg,
     LogisticDriftCfg,
-    drift_cfg_from_dict,
     drift_cfg_to_dict,
     exponential_decay_value,
     logistic_drift_path,
     logistic_rate,
     transfer_probability,
 )
+from spaq.graph import drift_cfg_from_dict
 
 from oracles import logistic_drift_step
 

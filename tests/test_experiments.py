@@ -85,7 +85,7 @@ class TestRunBatch:
     def test_run_ids_and_seeds(self):
         g = make_graph(make_node("a", sigma=0.0, timeout=50))
         ds = run_batch(g, 200, [3, 9], run_prefix="blk")
-        assert ds.run_ids == ("blk-3", "blk-9")
+        assert tuple(r.meta.run_id for r in ds.runs) == ("blk-3", "blk-9")
         assert [r.meta.seed for r in ds.runs] == [3, 9]
 
     def test_jobs_do_not_change_results(self):
@@ -228,7 +228,7 @@ class TestVerdictMatrix:
         pairwise_cofailure_scan(ds, window=25, p0=0.33, C=0.9)
         for run in ds.runs:
             availability(run, graph=graph)
-        assert sorted(built) == sorted(ds.run_ids)
+        assert sorted(built) == sorted(r.meta.run_id for r in ds.runs)
 
 
 class TestReportValidation:
@@ -333,7 +333,7 @@ class TestSerialization:
 
         # every stored trace path resolves and parses back to its run
         for label, rows in doc["datasets"].items():
-            assert tuple(r["run_id"] for r in rows) == rep.datasets[label].run_ids
+            assert tuple(r["run_id"] for r in rows) == tuple(r.meta.run_id for r in rep.datasets[label].runs)
             for row in rows:
                 run = read_trace(tmp_path / "out" / row["trace"])
                 assert run.meta.seed == row["seed"]

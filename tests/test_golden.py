@@ -67,7 +67,7 @@ def trace_digest(config: str, mode: str, seed: int, path: Path, delay: int = 0) 
     """``delay`` > 0 sets every node's post-calibration delay to it."""
     graph = load_graph(builtin_config_path(config))
     if delay:
-        graph = with_delays(graph, {nid: delay for nid in graph.node_ids})
+        graph = with_delays(graph, {n.id: delay for n in graph.nodes})
     write_trace(path, run_simulation(graph, SimConfig(total_cycles=CYCLES, seed=seed, **MODES[mode])))
     return _sha(path)
 

@@ -23,6 +23,8 @@ from spaq.graph import (
 )
 from tests.conftest import make_graph, make_node
 
+from test_sim import rich_graph
+
 
 class TestValidation:
     def test_valid_chain(self, chain_graph):
@@ -151,7 +153,7 @@ class TestMergeNodes:
     def test_siblings_merge(self, diamond_graph):
         merged = make_node("bc", deps=("ignored",))
         g2 = merge_nodes(diamond_graph, "b", "c", merged)
-        assert set(g2.node_ids) == {"a", "bc", "d"}
+        assert {n.id for n in g2.nodes} == {"a", "bc", "d"}
         assert g2.node("bc").dependencies == ("a",)  # recomputed union
         assert g2.node("d").dependencies == ("bc",)  # re-pointed, deduplicated
 
@@ -250,6 +252,54 @@ class TestConfigRoundTrip:
         edit(raw)
         with pytest.raises(ValueError, match=message):
             graph_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw.__setitem__("nodse", []), r"^graph config: unknown key 'nodse'$"),
+            (lambda raw: raw["nodes"][0].pop("timeout"), r"^nodes\[0\]: missing key 'timeout'$"),
+            (lambda raw: raw["nodes"][0].__setitem__("params", [1, 2]), r"^nodes\[0\]\.params must be a mapping"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"].__setitem__("bogus", 1),
+             r"^nodes\[0\]\.params\.p1: unknown key 'bogus'$"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"]["drift"].__setitem__("sigmaa", 0.1),
+             r"^nodes\[0\]\.params\.p1\.drift: unknown key 'sigmaa'$"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"]["drift"].__setitem__("sigma", "0.05"),
+             r"^nodes\[0\]\.params\.p1\.drift\.sigma must be a number, got '0.05'$"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"]["drift"].pop("model"),
+             r"^nodes\[0\]\.params\.p1\.drift: unknown drift model None"),
+            (lambda raw: raw["nodes"][0]["checks"][0].__setitem__("weight", 1), r"^nodes\[0\]\.checks\[0\]: unknown key 'weight'$"),
+            (lambda raw: raw["nodes"][0]["checks"][0]["observable"].__setitem__("noize", 0.1),
+             r"^nodes\[0\]\.checks\[0\]\.observable: unknown key 'noize'$"),
+            (lambda raw: raw["nodes"][0]["checks"][0]["observable"]["terms"][0].__setitem__("wieght", 2.0),
+             r"^nodes\[0\]\.checks\[0\]\.observable\.terms\[0\]: unknown key 'wieght'$"),
+            (lambda raw: raw["nodes"][0]["checks"][0]["rule"].__setitem__("bnd", 0.4),
+             r"^nodes\[0\]\.checks\[0\]\.rule: unknown key 'bnd'$"),
+            (lambda raw: raw["nodes"][0]["checks"][0]["rule"].pop("bound"),
+             r"^nodes\[0\]\.checks\[0\]\.rule: missing key 'bound'$"),
+            (lambda raw: raw["disturbances"][0].__setitem__("strenght", 0.5), r"^disturbances\[0\]: unknown key 'strenght'$"),
+            (lambda raw: raw["disturbances"][0].__setitem__("drift", 5), r"^disturbances\[0\]\.drift must be a mapping"),
+        ],
+        ids=[
+            "top_level_key", "missing_node_key", "params_not_a_mapping", "param_key", "drift_key",
+            "drift_field_not_a_number", "drift_without_model", "check_key", "observable_key", "term_key",
+            "rule_key", "missing_rule_key", "disturbance_key", "disturbance_drift_not_a_mapping",
+        ],
+    )
+    def test_malformed_entries_are_rejected_with_their_path(self, edit, message):
+        raw = yaml.safe_load(builtin_config_path("hidden").read_text())
+        edit(raw)
+        with pytest.raises(ValueError, match=message):
+            graph_from_dict(raw)
+
+    @pytest.mark.parametrize("name", ["xgate", "internode", "hidden", "rich_graph"])
+    def test_every_key_the_writer_emits_reads_back(self, name):
+        if name == "rich_graph":
+            graph = rich_graph()
+        else:
+            path = builtin_config_path(name)
+            graph = load_graph(path)
+            assert graph_to_dict(graph) == yaml.safe_load(path.read_text())
+        assert graph_from_dict(graph_to_dict(graph)) == graph
 
     def test_disturbance_listing_a_node_twice_is_rejected(self):
         # the simulator would otherwise add the disturbance to top_2 twice

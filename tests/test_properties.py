@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spaq.errors import PropertyRangeError, PropertySyntaxError
@@ -168,6 +170,10 @@ class TestArgumentTable:
             lambda: CondQuery(trigger=EventPattern("fail", "a"), response=EventPattern("fail", "b"), window=0),
             lambda: CondQuery(trigger=EventPattern("fail", "a"), response=EventPattern("fail", "b"),
                               cmp=">", probability=1.5),
+            lambda: MetricQuery(metric=MetricRef("ttf", "a"), cmp=">", threshold=math.inf),
+            lambda: MetricQuery(metric=MetricRef("ttf", "a"), cmp="<", threshold=-math.inf),
+            lambda: MetricQuery(metric=MetricRef("ttf", "a"), cmp=">", threshold=math.nan),
+            lambda: EventPattern("shift", "a", (("param", "p"), ("by", math.inf))),
         ],
     )
     def test_direct_construction_checks_the_ranges(self, build):
@@ -182,26 +188,44 @@ class TestArgumentTable:
 
 class TestParseErrors:
     @pytest.mark.parametrize(
-        "text",
+        "text, message, pos, expected",
         [
-            "",
-            "verify ttf(a) > 1 @ C=0.9",
-            "test ttf(a) >= 1 @ C=0.9",
-            "test ttf(a) > 1 @ C",
-            "test ttf(a) > 1",
-            "test ttf(a) > 1 @ C=0.9 garbage",
-            "test ttf(a > 1 @ C=0.9",
-            "test prob[fail(a) fail(b) within 5] > 0.2 @ C=0.9",
-            "test prob[fail(a) -> fail(b) within] > 0.2 @ C=0.9",
-            "test prob[fail(a) -> fail(b) within 5.5] > 0.2 @ C=0.9",
-            "ci ttf(a) > 1 @ C=0.9",
-            "test ttf(a) > 1 @ C=0.9 F=0.5",   # fixed param order: F before C
-            "test shift(a) > 1 @ C=0.9",        # events are not metrics
+            ("", "expected 'test' or 'ci', found 'end of input'", 0, (TEST, CI)),
+            ("verify ttf(a) > 1 @ C=0.9", "expected 'test' or 'ci', found 'verify'", 0, (TEST, CI)),
+            ("test ttf(a) >= 1 @ C=0.9", "expected a number, found '='", 13, ("number",)),
+            ("test ttf(a) > 1 @ C", "expected '=', found 'end of input'", 19, ("=",)),
+            ("test ttf(a) > 1", "expected '@', found 'end of input'", 15, ("@",)),
+            ("test ttf(a) > 1 @ C=0.9 garbage", "trailing input 'garbage'", 24, ()),
+            ("test ttf(a > 1 @ C=0.9", "expected ')', found '>'", 11, (")",)),
+            ("test prob[fail(a) fail(b) within 5] > 0.2 @ C=0.9",
+             "expected '->' between trigger and response", 18, ("->",)),
+            ("test prob[fail(a) -> fail(b) within] > 0.2 @ C=0.9",
+             "expected 'next_check', found ']'", 35, (NEXT_CHECK,)),
+            ("test prob[fail(a) -> fail(b) within 5.5] > 0.2 @ C=0.9", "window must be a positive integer", 36, ()),
+            ("ci ttf(a) > 1 @ C=0.9", "expected '@', found '>'", 10, ("@",)),
+            # fixed param order: F before C
+            ("test ttf(a) > 1 @ C=0.9 F=0.5", "trailing input 'F'", 24, ()),
+            # events are not metrics
+            ("test shift(a) > 1 @ C=0.9", "unknown metric 'shift'", 5, tuple(_METRIC_ARGS)),
+            (">>", "expected 'test' or 'ci', found '>'", 0, (TEST, CI)),
+            ("! ", "unexpected character '!'", 0, ()),
+            ("- fail(b)", "unexpected character '-'", 0, ()),
+            ("test prob[fail(a) -> fail(b) within -3] > 0.2 @ C=0.9", "window must be a positive integer", 36, ()),
+            ("ci prob[fail(a) -> fail(b) within 5] @ C=0.9",
+             "ci takes a metric; compare a prob[...] in a test instead", 3, tuple(_METRIC_ARGS)),
+            ("test prob[fail(a) -> fail(b) within 5] > 0.2 @ F=0.5 C=0.9",
+             "F= belongs to metric properties; a prob test's threshold is its probability", 47, ("C",)),
+            ("  test   ttf( a ,oracle = true )>1@C=0.9  x", "trailing input 'x'", 42, ()),
+            ("test ttf(a, oracle=) > 1 @ C=0.9", "expected a name, found ')'", 19, ()),
+            ("test ttf(a) > 1 @ F=0.5 D=1", "expected 'C', found 'D'", 24, ("C",)),
+            ("ci ttf(a) @", "expected 'F' or 'C', found 'end of input'", 11, ("F", "C")),
+            ("test prob[fail(a) -> fail(b) within 5] 0.2", "expected '>' or '<', found '0.2'", 39, (">", "<")),
         ],
     )
-    def test_rejects(self, text):
-        with pytest.raises(PropertySyntaxError):
+    def test_rejects(self, text, message, pos, expected):
+        with pytest.raises(PropertySyntaxError) as ei:
             parse_property(text)
+        assert (str(ei.value), ei.value.pos, ei.value.expected) == (message, pos, expected)
 
     def test_unknown_metric_lists_choices(self):
         with pytest.raises(PropertySyntaxError) as ei:
@@ -231,6 +255,20 @@ class TestParseErrors:
             pytest.fail("expected a syntax error")
 
     @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("test ttf(a) > 1 @ C=0.9\ntest ttf(b) > 1 @ C=0.9", "test ttf(b) > 1 @ C=0.9", 0),
+            ("test\r\n  ttf(a) >> 1 @ C=0.9", "  ttf(a) >> 1 @ C=0.9", 10),
+            ("test ttf(a) > 1\n\n@ C=0.9 x\nmore", "@ C=0.9 x", 8),
+        ],
+    )
+    def test_caret_diagnostic_shows_the_line_that_holds_the_error(self, text, line, column):
+        with pytest.raises(PropertySyntaxError) as ei:
+            parse_property(text)
+        shown, caret, _ = ei.value.caret_diagnostic().splitlines()
+        assert (shown, caret) == (line, " " * column + "^")
+
+    @pytest.mark.parametrize(
         "text",
         [
             "test ttf(a) > 1 @ F=1.5 C=0.9",
@@ -252,6 +290,11 @@ class TestParseErrors:
             "test pct_time(a, op=drift_sample) < 0.1 @ C=0.9",
             "test prob[shift(a, param=7, by=0.1) -> fail(b) within 5] > 0.2 @ C=0.9",
             "test prob[shift(a, param=p, by=-0.1) -> fail(b) within 5] > 0.2 @ C=0.9",
+            "test ttf(a) > 1e999 @ C=0.9",
+            "test ttf(a) < -1e999 @ C=0.9",
+            "test prob[shift(a, param=p, by=1e999) -> fail(b) within 5] > 0.2 @ C=0.9",
+            pytest.param("test prob[fail(a) -> fail(b) within %s] > 0.2 @ C=0.9" % ("9" * 5000), id="window_5000_digits"),
+            pytest.param("test failures(a, window=%s) < 2 @ C=0.9" % ("9" * 5000), id="int_arg_5000_digits"),
         ],
     )
     def test_range_errors(self, text):
@@ -330,3 +373,56 @@ class TestSerialisation:
         body = MetricQuery(metric=metric) if mode == CI else MetricQuery(metric=metric, cmp=cmp, threshold=threshold)
         ast = PropertyAst(mode=mode, body=body, C=C, F=F)
         assert parse_property(property_to_text(ast)) == ast
+
+
+# Valid properties, split into tokens, that property_texts() edits.
+_SEED_TOKENS = [
+    text.split()
+    for text in (
+        "test ttf ( a , anchor = calibration , oracle = true ) > 120 @ F = 0.8 C = 0.9",
+        "ci failures ( b , window = 5 ) @ C = 0.95",
+        "ci param ( a , name = k , when = before ) @ F = 0.05 C = 0.95",
+        "test time_between ( a , event = fail ) < 3.5 @ C = 0.9",
+        "test pct_time ( a , op = calibrate ) < 0.1 @ C = 0.9",
+        "test prob [ shift ( a , param = p , by = 0.1 ) -> fail ( b ) within next_check ] > 0.33 @ C = 0.95",
+        "test prob [ calibrate ( a ) -> fail ( b ) within 25 ] < 0.5 @ C = 0.9",
+    )
+]
+_TOKENS = sorted({tok for seed in _SEED_TOKENS for tok in seed} | {
+    "-", "!", ".", "0", "-3", "1e3", "2.5", "1e999", "-1e999", "1e-999", "9" * 5000, "F", "C", "ci", "x",
+})
+
+
+@st.composite
+def property_texts(draw):
+    """A valid property with up to four tokens inserted, replaced or
+    deleted, joined by no, some or line-breaking whitespace."""
+    tokens = list(draw(st.sampled_from(_SEED_TOKENS)))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            tokens.insert(i, draw(st.sampled_from(_TOKENS)))
+        elif i < len(tokens):
+            tokens[i : i + 1] = [draw(st.sampled_from(_TOKENS))] if edit == "replace" else []
+    gaps = draw(st.lists(st.sampled_from(["", " ", "  ", "\n", " \t"]), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(gap + tok for gap, tok in zip(gaps, tokens)) + gaps[-1]
+
+
+class TestAnyText:
+    @given(text=property_texts())
+    @example(text="test ttf(a) > 1e999 @ C=0.9")
+    @example(text="test ttf(a) > -1e999 @ C=0.9")
+    @example(text="test prob[shift(a, param=p, by=1e999) -> fail(b) within 5] > 0.2 @ C=0.9")
+    @example(text="test prob[fail(a) -> fail(b) within %s] > 0.2 @ C=0.9" % ("9" * 5000))
+    @example(text="test failures(a, window=%s) < 2 @ C=0.9" % ("9" * 5000))
+    @settings(max_examples=500, deadline=None)
+    def test_parses_to_a_round_trip_or_raises_a_typed_error(self, text):
+        try:
+            ast = parse_property(text)
+        except PropertySyntaxError as e:
+            assert e.text == text and 0 <= e.pos <= len(text)
+        except PropertyRangeError:
+            pass
+        else:
+            assert parse_property(property_to_text(ast)) == ast

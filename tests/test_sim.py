@@ -442,7 +442,7 @@ class TestDeterminism:
                 check_all(run1, graph)
                 rep = availability(run1, graph=graph)
                 assert 0.0 <= rep.availability <= 1.0
-                assert set(rep.per_node_cost) == set(graph.node_ids)
+                assert set(rep.per_node_cost) == {n.id for n in graph.nodes}
 
 
 TRACKING_OPS = (ORACLE_OUT_OF_SPEC, DRIFT_SAMPLE)
@@ -541,7 +541,7 @@ class TestDriftEngine:
                 sim.step()
                 for owner, pname in rng.sample(keys, rng.randint(0, len(keys))):
                     sim._get_now(owner, pname)
-                sim._dist_now(rng.choice(graph.node_ids))
+                sim._dist_now(rng.choice([n.id for n in graph.nodes]))
             assert sim.finish() == expected, i
 
     def test_tracked_paths_equal_readings_at_every_cycle(self):
@@ -563,7 +563,7 @@ class TestDriftEngine:
                     assert now[n.id].value == ref.reading(n.id, n.checks[0]), (i, step, n.id)
                     assert (now[n.id].outcome == PASS) == ref.in_spec(n.id), (i, step, n.id)
                 if step % 5 == 0:
-                    nid = rng.choice(graph.node_ids)
+                    nid = rng.choice([n.id for n in graph.nodes])
                     sim._calibrate(nid)
                     ref.calibrate(nid)
 

@@ -635,7 +635,7 @@ class TestMergeRuns:
         r1 = Run(meta=meta("r1"), events=(ev(0, run_id="r1"),))
         r2 = Run(meta=meta("r2"), events=(ev(0, run_id="r2"),))
         ds = merge_runs([r1, r2])
-        assert ds.run_ids == ("r1", "r2")
+        assert tuple(r.meta.run_id for r in ds.runs) == ("r1", "r2")
         assert ds.nodes() == ("a",)
 
     def test_duplicate_run_id_rejected(self):
