@@ -9,6 +9,7 @@ effects, all with finite-sample confidence guarantees.
 
 from .errors import (
     ClockError,
+    ConfigError,
     CycleError,
     DuplicateIdError,
     EmptySamplesError,
@@ -88,7 +89,6 @@ from .experiments import (
     VerdictMatrix,
     pairwise_cofailure_scan,
     param_shift_failure_test,
-    recommend_delays,
     run_batch,
     run_delayed_checks_experiment,
     run_hidden_dependency_experiment,

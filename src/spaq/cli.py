@@ -30,6 +30,7 @@ from pathlib import Path
 from statistics import fmean
 
 from .errors import (
+    ConfigError,
     InsufficientDataError,
     NoSamplesError,
     PropertySyntaxError,
@@ -96,28 +97,26 @@ def _trace_files(paths) -> list[Path]:
     return files
 
 
+# the value ``--set`` expects for a field of each type
+_EXPECTS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
 def _apply_overrides(cfg, pairs):
     """Apply ``--set key=value`` overrides to an experiment config, typed per field."""
     names = {f.name for f in fields(cfg)}
     kwargs = {}
     for item in pairs or ():
         if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in names:
-            raise ValueError(f"unknown config field {key!r} for {type(cfg).__name__}")
-        current = getattr(cfg, key)
-        if isinstance(current, bool):
-            if raw.lower() not in ("true", "false"):
-                raise ValueError(f"{key} expects true/false, got {raw!r}")
-            kwargs[key] = raw.lower() == "true"
-        elif isinstance(current, int):
-            kwargs[key] = int(raw)
-        elif isinstance(current, float):
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = raw
+            raise ConfigError(f"unknown config field {key!r} for {type(cfg).__name__}")
+        kind = type(getattr(cfg, key))
+        try:
+            kwargs[key] = {"true": True, "false": False}[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"--set {key} expects {_EXPECTS[kind]}, got {raw!r}") from None
     return replace(cfg, **kwargs)
 
 

@@ -78,18 +78,6 @@ DriftCfg = LogisticDriftCfg | ExponentialDriftCfg
 DRIFT_MODELS = {LOGISTIC: LogisticDriftCfg, EXPONENTIAL: ExponentialDriftCfg}
 
 
-def drift_cfg_to_dict(cfg: DriftCfg) -> dict:
-    if isinstance(cfg, LogisticDriftCfg):
-        return {
-            "model": LOGISTIC,
-            "r_max": cfg.r_max,
-            "tau_mid": cfg.tau_mid,
-            "tau_scale": cfg.tau_scale,
-            "sigma": cfg.sigma,
-        }
-    return {"model": EXPONENTIAL, "rate": cfg.rate, "limit": cfg.limit, "v0": cfg.v0}
-
-
 def logistic_rate(tau, cfg: LogisticDriftCfg):
     """Step-scale ramp at time-since-calibration ``tau``. Accepts arrays."""
     return cfg.r_max / (1.0 + np.exp(-(np.asarray(tau, dtype=float) - cfg.tau_mid) / cfg.tau_scale))

@@ -33,6 +33,12 @@ class CycleError(GraphError):
     pass
 
 
+class ConfigError(SpaqError, ValueError):
+    """A graph config or a config override is malformed; the message
+    names the entry's path. Also a ValueError, so callers that catch
+    ValueError keep catching it."""
+
+
 # --- traces ---
 
 class SchemaError(SpaqError):
@@ -66,7 +72,9 @@ class PropertySyntaxError(SpaqError):
         before = (self.text[: self.pos] + "^").splitlines()[-1][:-1]
         after = (self.text[self.pos :].splitlines() or [""])[0]
         hint = f" (expected {', '.join(self.expected)})" if self.expected else ""
-        return f"{before}{after}\n{' ' * len(before)}^\n{self}{hint}"
+        # tabs expanded to 8-column stops, so the caret lines up in a terminal
+        line, column = (before + after).expandtabs(), len(before.expandtabs())
+        return f"{line}\n{' ' * column}^\n{self}{hint}"
 
 
 class PropertyRangeError(SpaqError):

@@ -313,7 +313,10 @@ def _report(
 
 def recommend_delay_details(dataset: Dataset, C: float) -> tuple[Recommendation, ...]:
     """Per-node delay recommendation plus the bound (or insufficient-data
-    note) behind it; ``payload["delay"]`` is the delay in cycles."""
+    note) behind it. ``payload["delay"]`` is the delay in cycles: the
+    lower confidence bound on the 5th-percentile time to failure anchored
+    at calibrations, floored to whole cycles; 0 where the bound cannot be
+    formed."""
     out = []
     for node in dataset.nodes():
         text = f"ci ttf({node}, anchor=calibration) @ F={RECOMMEND_F:g} C={C:g}"
@@ -332,18 +335,12 @@ def recommend_delay_details(dataset: Dataset, C: float) -> tuple[Recommendation,
     return tuple(out)
 
 
-def recommend_delays(dataset: Dataset, C: float) -> dict[str, int]:
-    """Post-calibration delay per node: the lower confidence bound on
-    the 5th-percentile time to failure anchored at calibrations, floored
-    to whole cycles; 0 where the bound cannot be formed."""
-    return {r.target: r.payload["delay"] for r in recommend_delay_details(dataset, C)}
-
-
 def run_delayed_checks_experiment(graph: GraphSpec, cfg: Exp1Config) -> ExperimentReport:
     """Baseline vs high-frequency vs delay-informed scheduling.
 
     The high-frequency phase supplies TTF samples; the rewritten graph
-    applies ``recommend_delays`` as each node's post-calibration delay.
+    applies each ``recommend_delay_details`` delay as that node's
+    post-calibration delay.
     All three scenarios run the same seed block.
     """
     hf = cfg.batch(graph, "hf", mode=HIGH_FREQUENCY, hf_timeout=cfg.hf_timeout)

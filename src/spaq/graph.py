@@ -19,14 +19,17 @@ import hashlib
 import heapq
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .drift import DRIFT_MODELS, DriftCfg, LogisticDriftCfg, drift_cfg_to_dict
-from .errors import CycleError, DuplicateIdError, UnknownNodeError
+from .drift import DRIFT_MODELS, DriftCfg
+from .errors import ConfigError, CycleError, DuplicateIdError, UnknownNodeError
 from .trace import atomic_write
 
 GRAPH_SCHEMA = "spaq-graph-1"
@@ -211,7 +214,7 @@ class DisturbanceSpec:
     tag: str
     affected: tuple[str, ...]
     strength: float
-    drift: LogisticDriftCfg
+    drift: DriftCfg
 
 
 @dataclass(frozen=True)
@@ -265,16 +268,16 @@ def validate_graph(graph: GraphSpec) -> None:
                     raise UnknownNodeError(f"{n.id}: observable term references unknown node {term.node!r}")
                 owner = n if term.node is None or term.node == n.id else graph.node(owner_id)
                 if term.param not in {name for name, _ in owner.params}:
-                    raise ValueError(
+                    raise ConfigError(
                         f"{n.id}: observable term references unknown parameter "
                         f"{term.param!r} of node {owner_id!r}"
                     )
             if obs.compensate is not None:
                 if obs.compensate not in own_params:
-                    raise ValueError(f"{n.id}: compensate parameter {obs.compensate!r} is not an own parameter")
+                    raise ConfigError(f"{n.id}: compensate parameter {obs.compensate!r} is not an own parameter")
                 own_terms = {t.param for t in obs.terms if t.node is None or t.node == n.id}
                 if obs.compensate not in own_terms:
-                    raise ValueError(
+                    raise ConfigError(
                         f"{n.id}: compensate parameter {obs.compensate!r} must appear "
                         "as an own term of the observable it corrects"
                     )
@@ -428,200 +431,140 @@ def merged_node_spec(a: NodeSpec, b: NodeSpec, merged_id: str) -> NodeSpec:
 
 
 # --- config file I/O ---
+#
+# One reader and one writer walk the config dataclasses. A level's keys
+# are its class's fields, each read by its annotated type; the writer
+# emits them in declaration order and leaves out a field at its default
+# unless ``_ALWAYS`` lists it. graph_hash hashes what the writer emits.
+
+# a node's params, written as a mapping from each name to its spec
+_PARAMS = tuple[tuple[str, ParamSpec], ...]
+
+# the observable fields each kind reads and writes, in the order written
+_OBSERVABLE_KEYS = {
+    LINEAR: ("kind", "offset", "terms", "compensate", "noise"),
+    **dict.fromkeys(
+        (TRANSITION, GATE),
+        ("kind", "omega", "t_nominal", "detuning_terms", "time_terms", "phase_terms", "background_terms", "noise"),
+    ),
+}
+
+# fields written even at their default
+_ALWAYS = {
+    *((NodeSpec, f.name) for f in fields(NodeSpec)),
+    *((cls, f.name) for cls in DRIFT_MODELS.values() for f in fields(cls)),
+    *((ObservableSpec, name) for name in ("kind", "offset", "terms", "omega")),
+}
+
+_MODEL_NAMES = {cls: name for name, cls in DRIFT_MODELS.items()}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _term_to_dict(t: Term) -> dict:
-    out: dict = {"param": t.param}
-    if t.node is not None:
-        out["node"] = t.node
-    if t.weight != 1.0:
-        out["weight"] = t.weight
-    return out
+@cache
+def _fields(cls) -> dict:
+    """``cls``'s field names, in declaration order, -> (type, default)."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
 
 
-def _term_from_dict(raw, where: str) -> Term:
-    _entry(raw, where, Term)
-    return Term(param=raw["param"], node=raw.get("node"), weight=float(raw.get("weight", 1.0)))
-
-
-def _observable_to_dict(o: ObservableSpec) -> dict:
-    out: dict = {"kind": o.kind}
-    if o.kind == LINEAR:
-        out["offset"] = o.offset
-        out["terms"] = [_term_to_dict(t) for t in o.terms]
-        if o.compensate is not None:
-            out["compensate"] = o.compensate
-    else:
-        out["omega"] = o.omega
-        if o.t_nominal is not None:
-            out["t_nominal"] = o.t_nominal
-        if o.detuning_terms:
-            out["detuning_terms"] = [_term_to_dict(t) for t in o.detuning_terms]
-        if o.time_terms:
-            out["time_terms"] = [_term_to_dict(t) for t in o.time_terms]
-        if o.phase_terms:
-            out["phase_terms"] = [_term_to_dict(t) for t in o.phase_terms]
-        if o.background_terms:
-            out["background_terms"] = [_term_to_dict(t) for t in o.background_terms]
-    if o.noise:
-        out["noise"] = o.noise
-    return out
-
-
-def _observable_from_dict(raw, where: str) -> ObservableSpec:
-    _entry(raw, where, ObservableSpec)
-
-    def terms(key: str) -> tuple[Term, ...]:
-        return tuple(_term_from_dict(t, f"{where}.{key}[{i}]") for i, t in enumerate(raw.get(key, [])))
-
-    return ObservableSpec(
-        kind=raw.get("kind", LINEAR),
-        offset=float(raw.get("offset", 0.0)),
-        noise=float(raw.get("noise", 0.0)),
-        compensate=raw.get("compensate"),
-        omega=float(raw.get("omega", math.pi)),
-        t_nominal=raw.get("t_nominal"),
-        **{name: terms(name) for name in _TERM_FIELDS},
-    )
-
-
-def _node_to_dict(n: NodeSpec) -> dict:
-    return {
-        "id": n.id,
-        "check_cost": n.check_cost,
-        "calibrate_cost": n.calibrate_cost,
-        "timeout": n.timeout,
-        "post_cal_delay": n.post_cal_delay,
-        "dependencies": list(n.dependencies),
-        "params": {
-            name: {
-                "optimal": p.optimal,
-                "tolerance": p.tolerance,
-                "drift": drift_cfg_to_dict(p.drift),
-                **({"cal_noise": p.cal_noise} if p.cal_noise is not None else {}),
-                **({"stream_tag": p.stream_tag} if p.stream_tag is not None else {}),
-            }
-            for name, p in n.params
-        },
-        "checks": [
-            {"observable": _observable_to_dict(c.observable), "rule": {
-                "op": c.rule.op,
-                "bound": c.rule.bound,
-                **({"center": c.rule.center} if c.rule.center else {}),
-            }}
-            for c in n.checks
-        ],
-    }
+def _keys(cls, kind) -> tuple[str, ...]:
+    """The keys of a ``cls`` entry in the order written; an observable's
+    follow its ``kind``, and an unknown kind allows every field."""
+    if cls is ObservableSpec and isinstance(kind, str) and kind in _OBSERVABLE_KEYS:
+        return _OBSERVABLE_KEYS[kind]
+    return tuple(_fields(cls))
 
 
 def _entry(raw, where: str, cls=None, extra: tuple[str, ...] = ()) -> dict:
-    """``raw``, once it is a mapping whose keys are ``cls``'s field names
-    and ``extra``, with every ``extra`` key and every field that has no
-    default; else ValueError naming ``where``. Without ``cls`` any keys
-    are allowed. A class's fields are the keys its writer emits."""
+    """``raw``, once it is a mapping whose keys are ``cls``'s and
+    ``extra``, with every field of ``cls`` that has no default; else
+    ConfigError naming ``where`` (the top level's is ""). Without
+    ``cls`` any keys are allowed."""
+    name = where or "graph config"
     if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a mapping, got {raw!r}")
+        raise ConfigError(f"{name} must be a mapping, got {raw!r}")
     if cls is not None:
-        required = {f.name: f.default is MISSING for f in fields(cls)} | dict.fromkeys(extra, True)
+        keys = _keys(cls, raw.get("kind", LINEAR))
         for key in raw:
-            if key not in required:
-                raise ValueError(f"{where}: unknown key {key!r}")
-        for key, needed in required.items():
-            if needed and key not in raw:
-                raise ValueError(f"{where}: missing key {key!r}")
+            if key not in keys and key not in extra:
+                raise ConfigError(f"{name}: unknown key {key!r}")
+        for key in keys:
+            if _fields(cls)[key][1] is MISSING and key not in raw:
+                raise ConfigError(f"{name}: missing key {key!r}")
     return raw
 
 
-def _exact_int(value, where: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return value
+def _read(tp, raw, where: str):
+    """``raw`` read as a value of type ``tp``; else ConfigError naming
+    ``where``. A float field takes an int too, kept as written."""
+    if tp == DriftCfg:
+        model = _entry(raw, where).get("model")
+        cls = DRIFT_MODELS.get(model) if isinstance(model, str) else None
+        if cls is None:
+            raise ConfigError(f"{where}: unknown drift model {model!r}; expected one of {tuple(DRIFT_MODELS)}")
+        return _read_entry(cls, raw, where, ("model",))
+    if is_dataclass(tp):
+        return _read_entry(tp, raw, where)
+    if tp == _PARAMS:
+        for name in _entry(raw, where):
+            if type(name) is not str:
+                raise ConfigError(f"{where}: parameter name {name!r} is not a string")
+        return tuple((name, _read(ParamSpec, p, f"{where}.{name}")) for name, p in raw.items())
+    if get_origin(tp) is tuple:
+        if type(raw) is not list:
+            raise ConfigError(f"{where} must be a list, got {raw!r}")
+        return tuple(_read(get_args(tp)[0], x, f"{where}[{i}]") for i, x in enumerate(raw))
+    if get_origin(tp) is UnionType:  # X | None
+        return None if raw is None else _read(get_args(tp)[0], raw, where)
+    # a bool is neither an int nor a float here, and NaN is not a number
+    if type(raw) not in ((int, float) if tp is float else (tp,)) or raw != raw:
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[tp]}, got {raw!r}")
+    return raw
 
 
-def drift_cfg_from_dict(raw, where: str = "drift") -> DriftCfg:
-    """Read a drift model mapping: its ``model`` and that model's fields,
-    each a number."""
-    model = _entry(raw, where).get("model")
-    cls = DRIFT_MODELS.get(model) if isinstance(model, str) else None
-    if cls is None:
-        raise ValueError(f"{where}: unknown drift model {model!r}; expected one of {tuple(DRIFT_MODELS)}")
-    values = {k: v for k, v in _entry(raw, where, cls, ("model",)).items() if k != "model"}
-    for key, value in values.items():
-        if type(value) not in (int, float):
-            raise ValueError(f"{where}.{key} must be a number, got {value!r}")
-    return cls(**values)
-
-
-def _node_from_dict(raw, where: str) -> NodeSpec:
-    _entry(raw, where, NodeSpec)
-    params = []
-    for name, p in _entry(raw.get("params", {}), f"{where}.params").items():
-        at = f"{where}.params.{name}"
-        _entry(p, at, ParamSpec)
-        params.append((name, ParamSpec(
-            optimal=float(p["optimal"]),
-            tolerance=float(p["tolerance"]),
-            drift=drift_cfg_from_dict(p["drift"], f"{at}.drift"),
-            cal_noise=p.get("cal_noise"),
-            stream_tag=p.get("stream_tag"),
-        )))
-    checks = []
-    for i, c in enumerate(raw.get("checks", [])):
-        at = f"{where}.checks[{i}]"
-        rule = _entry(_entry(c, at, CheckSpec)["rule"], f"{at}.rule", Rule)
-        checks.append(CheckSpec(
-            observable=_observable_from_dict(c["observable"], f"{at}.observable"),
-            rule=Rule(op=rule["op"], bound=float(rule["bound"]), center=float(rule.get("center", 0.0))),
-        ))
-    return NodeSpec(
-        id=raw["id"],
-        check_cost=_exact_int(raw["check_cost"], f"{where}.check_cost"),
-        calibrate_cost=_exact_int(raw["calibrate_cost"], f"{where}.calibrate_cost"),
-        timeout=_exact_int(raw["timeout"], f"{where}.timeout"),
-        post_cal_delay=_exact_int(raw.get("post_cal_delay", 0), f"{where}.post_cal_delay"),
-        dependencies=tuple(raw.get("dependencies", [])),
-        params=tuple(params),
-        checks=tuple(checks),
-    )
-
-
-def graph_to_dict(graph: GraphSpec) -> dict:
-    out: dict = {
-        "schema": GRAPH_SCHEMA,
-        "nodes": [_node_to_dict(n) for n in graph.nodes],
+def _read_entry(cls, raw, where: str, extra: tuple[str, ...] = ()):
+    """A ``cls`` from its entry ``raw``; a range check of ``cls`` fails
+    as a ConfigError naming ``where``."""
+    _entry(raw, where, cls, extra)
+    values = {
+        key: _read(_fields(cls)[key][0], value, f"{where}.{key}" if where else key)
+        for key, value in raw.items()
+        if key not in extra
     }
-    if graph.disturbances:
-        out["disturbances"] = [
-            {
-                "tag": d.tag,
-                "affected": list(d.affected),
-                "strength": d.strength,
-                "drift": drift_cfg_to_dict(d.drift),
-            }
-            for d in graph.disturbances
-        ]
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _to_dict(obj) -> dict:
+    """A config dataclass as the mapping ``_read`` reads back."""
+    cls = type(obj)
+    out = {"model": _MODEL_NAMES[cls]} if cls in _MODEL_NAMES else {}
+    for key in _keys(cls, getattr(obj, "kind", LINEAR)):
+        tp, default = _fields(cls)[key]
+        value = getattr(obj, key)
+        if value == default and (cls, key) not in _ALWAYS:
+            continue
+        if tp == _PARAMS:
+            value = {name: _to_dict(p) for name, p in value}
+        elif isinstance(value, tuple):
+            value = [_to_dict(x) if is_dataclass(x) else x for x in value]
+        elif is_dataclass(value):
+            value = _to_dict(value)
+        out[key] = value
     return out
 
 
+def graph_to_dict(graph: GraphSpec) -> dict:
+    return {"schema": GRAPH_SCHEMA, **_to_dict(graph)}
+
+
 def graph_from_dict(raw: dict) -> GraphSpec:
-    schema = _entry(raw, "graph config").get("schema")
+    schema = _entry(raw, "").get("schema")
     if schema != GRAPH_SCHEMA:
-        raise ValueError(f"unsupported graph schema {schema!r}; expected {GRAPH_SCHEMA!r}")
-    raw_nodes = _entry(raw, "graph config", GraphSpec, ("schema",))["nodes"]
-    if not isinstance(raw_nodes, list):
-        raise ValueError(f"nodes must be a list, got {raw_nodes!r}")
-    nodes = tuple(_node_from_dict(n, f"nodes[{i}]") for i, n in enumerate(raw_nodes))
-    disturbances = []
-    for i, d in enumerate(raw.get("disturbances", [])):
-        at = f"disturbances[{i}]"
-        _entry(d, at, DisturbanceSpec)
-        disturbances.append(DisturbanceSpec(
-            tag=d["tag"],
-            affected=tuple(d["affected"]),
-            strength=float(d["strength"]),
-            drift=drift_cfg_from_dict(d["drift"], f"{at}.drift"),
-        ))
-    graph = GraphSpec(nodes=nodes, disturbances=tuple(disturbances))
+        raise ConfigError(f"unsupported graph schema {schema!r}; expected {GRAPH_SCHEMA!r}")
+    graph = _read_entry(GraphSpec, raw, "", ("schema",))
     validate_graph(graph)
     return graph
 
@@ -632,9 +575,13 @@ def save_graph(graph: GraphSpec, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> GraphSpec:
-    raw = yaml.safe_load(Path(path).read_text())
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: graph config must be a mapping")
+        raise ConfigError(f"{path}: graph config must be a mapping")
     return graph_from_dict(raw)
 
 

@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from spaq.cli import main
 from spaq.graph import builtin_config_path
@@ -158,6 +159,24 @@ class TestSimulate:
         assert err.startswith("error: nodes[0]: unknown key 'timout'") and "Traceback" not in err
         assert out == "" and not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (lambda raw: yaml.safe_dump({**raw, "nodes": [{**raw["nodes"][0], "checks": 5}]}),
+             "error: nodes[0].checks must be a list, got 5"),
+            (lambda raw: "nodes: [\n", "error: {config}: not valid YAML: "),
+        ],
+        ids=["checks_not_a_list", "bad_yaml"],
+    )
+    def test_malformed_config_is_a_config_error(self, capsys, tmp_path, text, message):
+        config = tmp_path / "g.yaml"
+        config.write_text(text(yaml.safe_load(builtin_config_path("xgate").read_text())))
+        out_dir = tmp_path / "out"
+        code, out, err, _ = run_cli(capsys, "simulate", "--config", str(config), "-o", str(out_dir))
+        assert code == 2
+        assert err.startswith(message.format(config=config)) and "Traceback" not in err
+        assert out == "" and not out_dir.exists()
+
     def test_misspelled_drift_field_is_a_config_error(self, capsys, tmp_path):
         config = tmp_path / "g.yaml"
         config.write_text(builtin_config_path("xgate").read_text().replace("sigma:", "sigmaa:", 1))
@@ -278,6 +297,13 @@ class TestExperimentCommands:
         )
         assert code == 2
         assert "unknown config field" in err
+
+    def test_override_of_the_wrong_type_names_the_field(self, capsys, tmp_path):
+        code, _, err, _ = run_cli(
+            capsys, "exp1", "--set", "n_runs=abc", "-o", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == "error: --set n_runs expects an integer, got 'abc'\n"
 
 
 class TestReport:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,15 +10,15 @@ from hypothesis import strategies as st
 from spaq.drift import (
     ExponentialDriftCfg,
     LogisticDriftCfg,
-    drift_cfg_to_dict,
     exponential_decay_value,
     logistic_drift_path,
     logistic_rate,
     transfer_probability,
 )
-from spaq.graph import drift_cfg_from_dict
+from spaq.graph import DisturbanceSpec, graph_from_dict, graph_to_dict
 
 from oracles import logistic_drift_step
+from tests.conftest import make_graph, make_node
 
 
 class TestLogistic:
@@ -205,9 +206,11 @@ class TestCfgSerialisation:
         ],
     )
     def test_round_trip(self, cfg):
-        assert drift_cfg_from_dict(drift_cfg_to_dict(cfg)) == cfg
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            drift_cfg_from_dict({"model": "levy"})
+        # through a graph, as a parameter's drift and as a disturbance's
+        node = make_node("a")
+        graph = make_graph(
+            replace(node, params=(("p", replace(node.params[0][1], drift=cfg)),)),
+            disturbances=(DisturbanceSpec(tag="d", affected=("a",), strength=0.5, drift=cfg),),
+        )
+        assert graph_from_dict(graph_to_dict(graph)) == graph
 

@@ -28,7 +28,6 @@ from spaq.experiments import (
     pairwise_cofailure_scan,
     param_shift_failure_test,
     recommend_delay_details,
-    recommend_delays,
     report_to_dict,
     run_batch,
     run_delayed_checks_experiment,
@@ -121,7 +120,6 @@ class TestDelayRecommendation:
         details = recommend_delay_details(ds, 0.95)
         assert [(d.kind, d.target, d.payload) for d in details] == [("delay", "a", {"delay": 0})]
         assert details[0].result.verdict == INSUFFICIENT_DATA
-        assert recommend_delays(ds, 0.95) == {"a": 0}
 
     def test_property_text_parses_back(self, small_pair_ds):
         _, ds = small_pair_ds

@@ -1,13 +1,23 @@
-from dataclasses import replace
+import copy
+from dataclasses import fields, replace
+from functools import reduce
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spaq.errors import CycleError, DuplicateIdError, UnknownNodeError
+from spaq.drift import DRIFT_MODELS
+from spaq.errors import ConfigError, CycleError, DuplicateIdError, SpaqError, UnknownNodeError
 from spaq.graph import (
+    CheckSpec,
+    DisturbanceSpec,
     GraphSpec,
+    NodeSpec,
+    ObservableSpec,
+    ParamSpec,
+    Rule,
+    Term,
     add_edge,
     builtin_config_path,
     graph_from_dict,
@@ -278,17 +288,45 @@ class TestConfigRoundTrip:
              r"^nodes\[0\]\.checks\[0\]\.rule: missing key 'bound'$"),
             (lambda raw: raw["disturbances"][0].__setitem__("strenght", 0.5), r"^disturbances\[0\]: unknown key 'strenght'$"),
             (lambda raw: raw["disturbances"][0].__setitem__("drift", 5), r"^disturbances\[0\]\.drift must be a mapping"),
+            (lambda raw: raw["nodes"][0].__setitem__("checks", 5), r"^nodes\[0\]\.checks must be a list, got 5$"),
+            (lambda raw: raw["nodes"][2].__setitem__("dependencies", "top_1"),
+             r"^nodes\[2\]\.dependencies must be a list, got 'top_1'$"),
+            (lambda raw: raw["nodes"][0].__setitem__("id", 7), r"^nodes\[0\]\.id must be a string, got 7$"),
+            (lambda raw: raw["nodes"][0]["checks"][0]["rule"].__setitem__("bound", "x"),
+             r"^nodes\[0\]\.checks\[0\]\.rule\.bound must be a number, got 'x'$"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"].__setitem__("cal_noise", "x"),
+             r"^nodes\[0\]\.params\.p1\.cal_noise must be a number, got 'x'$"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"].__setitem__("optimal", True),
+             r"^nodes\[0\]\.params\.p1\.optimal must be a number, got True$"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"].__setitem__("optimal", float("nan")),
+             r"^nodes\[0\]\.params\.p1\.optimal must be a number, got nan$"),
+            (lambda raw: raw["nodes"][0]["checks"][0]["observable"]["terms"][0].__setitem__("weight", "2"),
+             r"^nodes\[0\]\.checks\[0\]\.observable\.terms\[0\]\.weight must be a number, got '2'$"),
+            (lambda raw: raw["nodes"][0]["checks"][0].__setitem__("observable", {"kind": "transition", "t_nominal": "x"}),
+             r"^nodes\[0\]\.checks\[0\]\.observable\.t_nominal must be a number, got 'x'$"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"].__setitem__("stream_tag", 5),
+             r"^nodes\[0\]\.params\.p1\.stream_tag must be a string, got 5$"),
+            (lambda raw: raw["nodes"][0]["checks"][0]["observable"].__setitem__("omega", 2.0),
+             r"^nodes\[0\]\.checks\[0\]\.observable: unknown key 'omega'$"),
+            (lambda raw: raw["nodes"][0]["params"].__setitem__(5, raw["nodes"][0]["params"]["p1"]),
+             r"^nodes\[0\]\.params: parameter name 5 is not a string$"),
+            (lambda raw: raw["nodes"][0]["params"]["p1"].__setitem__("tolerance", 0),
+             r"^nodes\[0\]\.params\.p1: tolerance must be > 0, got 0$"),
         ],
         ids=[
             "top_level_key", "missing_node_key", "params_not_a_mapping", "param_key", "drift_key",
             "drift_field_not_a_number", "drift_without_model", "check_key", "observable_key", "term_key",
             "rule_key", "missing_rule_key", "disturbance_key", "disturbance_drift_not_a_mapping",
+            "checks_not_a_list", "dependencies_a_string", "id_not_a_string", "bound_not_a_number",
+            "cal_noise_not_a_number", "optimal_a_bool", "optimal_nan", "weight_a_string", "t_nominal_not_a_number",
+            "stream_tag_not_a_string", "key_of_another_observable_kind", "param_name_not_a_string",
+            "range_check",
         ],
     )
     def test_malformed_entries_are_rejected_with_their_path(self, edit, message):
         raw = yaml.safe_load(builtin_config_path("hidden").read_text())
         edit(raw)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ConfigError, match=message):
             graph_from_dict(raw)
 
     @pytest.mark.parametrize("name", ["xgate", "internode", "hidden", "rich_graph"])
@@ -299,6 +337,8 @@ class TestConfigRoundTrip:
             path = builtin_config_path(name)
             graph = load_graph(path)
             assert graph_to_dict(graph) == yaml.safe_load(path.read_text())
+            # the packaged files are what save_graph writes, key order included
+            assert yaml.safe_dump(graph_to_dict(graph), sort_keys=False) == path.read_text()
         assert graph_from_dict(graph_to_dict(graph)) == graph
 
     def test_disturbance_listing_a_node_twice_is_rejected(self):
@@ -307,6 +347,82 @@ class TestConfigRoundTrip:
         raw["disturbances"][0]["affected"] = ["top_2", "top_2", "bottom_2"]
         with pytest.raises(DuplicateIdError, match="'stray_field'.*'top_2' listed twice"):
             graph_from_dict(raw)
+
+
+_PACKAGED = {name: yaml.safe_load(builtin_config_path(name).read_text()) for name in ("xgate", "internode", "hidden")}
+_DROP = object()
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+# a value of the same type as the one it replaces, so that some corrupted configs still load
+_LIKE = {int: st.integers(), float: st.floats(), str: st.text(max_size=6), list: st.lists(_SCALARS, max_size=3)}
+# a key an entry may gain: any config field name, the tags, or any text
+_KEYS = st.sampled_from(sorted(
+    {f.name for cls in (GraphSpec, NodeSpec, ParamSpec, CheckSpec, ObservableSpec, Rule, Term, DisturbanceSpec,
+                        *DRIFT_MODELS.values()) for f in fields(cls)} | {"model", "schema"}
+)) | st.text(max_size=6)
+
+
+def _at(raw, path):
+    return reduce(lambda entry, key: entry[key], path, raw)
+
+
+def _places(raw, path=()):
+    """The path of every entry of a nested config, depth first."""
+    items = raw.items() if isinstance(raw, dict) else enumerate(raw) if isinstance(raw, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _places(value, path + (key,))
+
+
+@st.composite
+def _corruptions(draw):
+    """(config name, path, value): a packaged config's entry at ``path``
+    replaced, dropped (``_DROP``) or added."""
+    name = draw(st.sampled_from(sorted(_PACKAGED)))
+    raw = _PACKAGED[name]
+    places = list(_places(raw))
+    action = draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "add":
+        mappings = [()] + [p for p in places if isinstance(_at(raw, p), dict)]
+        return name, draw(st.sampled_from(mappings)) + (draw(_KEYS),), draw(_VALUES)
+    path = draw(st.sampled_from(places))
+    if action == "drop":
+        return name, path, _DROP
+    old = _at(raw, path)
+    return name, path, draw(st.one_of(_LIKE.get(type(old), _VALUES), _VALUES))
+
+
+@given(corruption=_corruptions())
+@settings(max_examples=300, deadline=None)
+@example(corruption=("xgate", ("nodes", 0, "checks"), 5))
+@example(corruption=("xgate", ("nodes", 1, "dependencies"), "state_init"))
+@example(corruption=("xgate", ("nodes", 0, "id"), 7))
+@example(corruption=("xgate", ("nodes", 0, "checks", 0, "rule", "bound"), "x"))
+@example(corruption=("xgate", ("nodes", 0, "params", "bias", "cal_noise"), "x"))
+@example(corruption=("xgate", ("nodes", 0, "params", "bias", "optimal"), True))
+@example(corruption=("xgate", ("nodes", 0, "checks", 0, "observable", "terms", 0, "weight"), "2"))
+@example(corruption=("xgate", ("nodes", 2, "checks", 0, "observable", "t_nominal"), "x"))
+@example(corruption=("xgate", ("nodes", 0, "params", "bias", "stream_tag"), 5))
+@example(corruption=("xgate", ("nodes", 0, "checks", 0, "observable", "omega"), 2.0))
+@example(corruption=("xgate", ("nodes", 2, "checks", 0, "observable", "kind"), _DROP))  # reads as linear
+def test_corrupted_configs_round_trip_or_raise_a_typed_error(corruption):
+    name, path, value = corruption
+    raw = copy.deepcopy(_PACKAGED[name])
+    *head, last = path
+    parent = _at(raw, head)
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    try:
+        graph = graph_from_dict(raw)
+    except SpaqError:
+        return
+    again = graph_from_dict(yaml.safe_load(yaml.safe_dump(graph_to_dict(graph), sort_keys=False)))
+    assert again == graph and graph_hash(again) == graph_hash(graph)
 
 
 class TestGraphHash:

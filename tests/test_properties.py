@@ -260,6 +260,8 @@ class TestParseErrors:
             ("test ttf(a) > 1 @ C=0.9\ntest ttf(b) > 1 @ C=0.9", "test ttf(b) > 1 @ C=0.9", 0),
             ("test\r\n  ttf(a) >> 1 @ C=0.9", "  ttf(a) >> 1 @ C=0.9", 10),
             ("test ttf(a) > 1\n\n@ C=0.9 x\nmore", "@ C=0.9 x", 8),
+            # a tab is expanded to the next 8-column stop in the line and the caret
+            ("test\tttf(a) >> 1 @ C=0.9", "test    ttf(a) >> 1 @ C=0.9", 16),
         ],
     )
     def test_caret_diagnostic_shows_the_line_that_holds_the_error(self, text, line, column):
