@@ -80,7 +80,9 @@ DRIFT_MODELS = {LOGISTIC: LogisticDriftCfg, EXPONENTIAL: ExponentialDriftCfg}
 
 def logistic_rate(tau, cfg: LogisticDriftCfg):
     """Step-scale ramp at time-since-calibration ``tau``. Accepts arrays."""
-    return cfg.r_max / (1.0 + np.exp(-(np.asarray(tau, dtype=float) - cfg.tau_mid) / cfg.tau_scale))
+    # tau_mid - tau is -(tau - tau_mid) bit for bit, up to the sign of a
+    # zero, which exp does not see
+    return cfg.r_max / (1.0 + np.exp(np.subtract(cfg.tau_mid, tau, dtype=float) / cfg.tau_scale))
 
 
 def logistic_drift_path(value, cycles_since_cal, cfg: LogisticDriftCfg, zs: np.ndarray) -> np.ndarray:
@@ -93,10 +95,19 @@ def logistic_drift_path(value, cycles_since_cal, cfg: LogisticDriftCfg, zs: np.n
     column i is then an independent walk with its own start and drift
     parameters, computed by the same elementwise operations.
     """
-    if len(zs) == 0:
-        return np.empty(np.shape(zs), dtype=float)
     steps = np.arange(len(zs), dtype=float).reshape((-1,) + (1,) * (np.ndim(zs) - 1))
-    increments = zs * cfg.sigma * logistic_rate(cycles_since_cal + steps, cfg)
+    # tau is laid out in memory as zs is, and so is every array made from
+    # them, so that no operation below mixes layouts
+    tau = np.add(cycles_since_cal, steps, out=np.empty_like(zs, dtype=float))
+    return drift_walk(value, zs * cfg.sigma * logistic_rate(tau, cfg))
+
+
+def drift_walk(value, increments: np.ndarray) -> np.ndarray:
+    """``value`` plus the running sums of ``increments`` (one row per
+    cycle, written over): the walk of ``logistic_drift_path``, for a caller
+    that has the rows ``zs * sigma * rate(tau)`` at hand."""
+    if len(increments) == 0:
+        return increments
     # accumulate from the starting value so results are bit-identical to
     # the per-step recurrence regardless of how cycles are chunked
     increments[0] += value
@@ -133,7 +144,9 @@ def transfer_probability(omega: float, t_nominal: float | None, detuning, time_e
     # squares as x * x: numpy computes ``** 2`` on an array that way but
     # not always on a scalar, and a reading must equal its tracked path
     s = np.sin(np.sqrt(g2) * (t_nom + time_err) / 2.0)
-    p = np.clip((w2 / g2) * (s * s), 0.0, 1.0)
+    # np.maximum and np.minimum give np.clip's bits at less cost: the
+    # product is never -0.0, and a NaN passes through all three alike
+    p = np.minimum(np.maximum((w2 / g2) * (s * s), 0.0), 1.0)
     if phase_err is not None:
         c = np.cos(phase_err / 2.0)
         p = p * (c * c)

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
 
-from .errors import CycleError, NoSamplesError
+from .errors import ConfigError, CycleError, NoSamplesError
 from .extractors import _calibrated, _condition_samples, calibration_shifts, evaluate_property
 from .graph import (
     GraphSpec,
@@ -75,7 +76,7 @@ EVIDENCE_DATASET = {
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise ValueError(msg)
+        raise ConfigError(msg)
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,14 @@ class Exp3Config(_SeedBlock):
 # --- batched simulation ---
 
 
+# workers fork where the platform allows it, as Linux pools did by default
+# before Python 3.14, and spawn elsewhere: named, the start method no
+# longer changes with the interpreter's default
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+
 def _sim_job(args: tuple[GraphSpec, SimConfig, str]) -> Run:
     graph, cfg, run_id = args
     return run_simulation(graph, cfg, run_id=run_id)
@@ -174,7 +183,7 @@ def run_batch(
     ]
     args = [(graph, c, f"{run_prefix}-{c.seed}") for c in cfgs]
     if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=_POOL_CONTEXT) as pool:
             runs = list(pool.map(_sim_job, args))
     else:
         runs = [_sim_job(a) for a in args]

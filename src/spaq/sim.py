@@ -15,26 +15,33 @@ only check outcomes (which carry measurement noise) and timestamps.
 
 Drift is computed a block of cycles ahead of the clock (``_Tracker``).
 A block holds, for ``_BLOCK`` + 1 consecutive cycles, the values of all
-parameters and disturbances stacked one column per state, every check's
-noiseless reading and every node's ground-truth verdict; the tracker's
-arrays are the one copy of the states. Advancing the clock only moves
-the clock (and, under ground-truth tracking, emits the block's events it
-passes); a check reads its row of the block, and a read past the
-block's end builds the next block. A calibration writes its parameters'
-new values into the row of its cycle and has the rest of the block
-redone for those parameters and the checks that read them only. So the
-cost of a run follows its blocks and calibrations, not its advances or
-its reads. Ground-truth tracking (``oracle_ttf``,
-``drift_sample_every``) logs the same rows the checks read, so its
-verdicts are exactly what a noiseless check would see.
+parameters and disturbances stacked one column per state and every
+check's noiseless reading; the tracker's arrays are the one copy of the
+states. Advancing the clock only moves the clock; a check reads its row
+of the block, and a read past the block's end builds the next block. A
+calibration writes its parameters' new values into the row of its cycle
+and has the rest of the block redone for those parameters and the checks
+that read them only, and its verdict is its node's rules applied to the
+readings of that row, as a check applies them. So the cost of a run
+follows its blocks and calibrations, not its advances or its reads.
+Ground-truth tracking (``oracle_ttf``, ``drift_sample_every``) adds every
+node's verdict to each row and emits the block's events as the clock
+passes them; it logs the same rows the checks read, so its verdicts are
+exactly what a noiseless check would see.
 
 Randomness is split into named substreams keyed by (purpose, node,
 parameter), and every drift substream draws exactly one normal per
 elapsed cycle, in cycle order, however the cycles fall into blocks, so
 two runs with the same seed but different scheduling see identical
 drift cycle for cycle: availability deltas between scheduling modes are
-then paired comparisons, not resampling noise. Checks measure the state
-at the cycle they start; their cost is paid afterwards.
+then paired comparisons, not resampling noise. Each stream is drawn in
+chunks ahead of its use, which gives the same bits as drawing one
+normal at a time. Checks measure the state at the cycle they start;
+their cost is paid afterwards.
+
+What depends only on the graph (the scheduler's tables, each state's
+column and each check's probe, the block plans, the graph's hash) is
+worked out once per graph and shared by its runs (``_Layout``).
 
 The run loop jumps the clock directly between maintenance due times in
 one batch per idle stretch, and asks a sink to maintain itself only when
@@ -53,7 +60,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .drift import LogisticDriftCfg, exponential_decay_value, logistic_drift_path, transfer_probability
+from .drift import (
+    LogisticDriftCfg,
+    drift_walk,
+    exponential_decay_value,
+    logistic_drift_path,
+    logistic_rate,
+    transfer_probability,
+)
 from .errors import SchemaError, UnknownNodeError
 from .graph import (
     GATE,
@@ -131,6 +145,17 @@ def _substream(seed: int, *labels: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _U64, *words])))
 
 
+# standard normals a measurement or calibration stream draws at a time
+_NOISE = 256
+
+
+def _normals(rng: np.random.Generator):
+    """The stream's standard normals one at a time, drawn ``_NOISE`` at a
+    time: a chunked draw gives the same bits as single draws."""
+    while True:
+        yield from rng.standard_normal(_NOISE).tolist()
+
+
 def _stream_tag(key: tuple[str, str], spec) -> str:
     """The label of a parameter's drift and calibration streams."""
     return spec.stream_tag or "/".join(key)
@@ -152,11 +177,15 @@ def _observable(o, term_sum, external):
     return p - term_sum("background_terms") + external
 
 
+# a check's event code, indexed by whether it passed
+_CHECK_CODE = (_KIND_CODE[CHECK_DATA][FAIL], _KIND_CODE[CHECK_DATA][PASS])
+
+
 class Simulator:
     """Mutable state of one run; produces an in-memory event trace."""
 
     def __init__(self, graph: GraphSpec, cfg: SimConfig, run_id: str | None = None):
-        validate_graph(graph)
+        lay = self._layout = _layout(graph)
         self.graph = graph
         self.cfg = cfg
         self.run_id = run_id if run_id is not None else f"run-{cfg.seed}"
@@ -167,28 +196,28 @@ class Simulator:
         self._ep_pending = False
         self._initialized = False
 
-        self._nodes: dict[str, NodeSpec] = {n.id: n for n in graph.nodes}
-        self._deps = {n.id: tuple(sorted(n.dependencies)) for n in graph.nodes}
-        self._sinks = graph.sink_ids()
-        # a sink's episode does work only if it or an ancestor is due
-        ancestry: dict[str, frozenset] = {}
-        for nid in topological_order(graph):
-            ancestry[nid] = frozenset({nid}).union(*(ancestry[d] for d in self._deps[nid]))
-        self._ancestry = {s: tuple(ancestry[s]) for s in self._sinks}
-        self._last_verified = {n.id: 0 for n in graph.nodes}
+        self._nodes, self._deps, self._sinks_of = lay.nodes, lay.deps, lay.sinks_of
+        self._param_spec, self._affecting = lay.param_spec, lay.affecting
+        hf = cfg.hf_timeout if cfg.mode == HIGH_FREQUENCY else None
+        self._timeout = {nid: n.timeout if hf is None else hf for nid, n in lay.nodes.items()}
+        self._last_verified = {nid: 0 for nid in lay.nodes}
         self._far_past = -(1 << 60)
-        self._last_cal_end = {n.id: self._far_past for n in graph.nodes}
-        self._cooldown = {n.id: self._far_past for n in graph.nodes}
-        self._due: dict[str, int] = {}
-        for nid in self._nodes:
+        self._last_cal_end = {nid: self._far_past for nid in lay.nodes}
+        self._cooldown = {nid: self._far_past for nid in lay.nodes}
+        self._due = {nid: 0 for nid in lay.nodes}
+        # each sink's first due time over its ancestry
+        self._sink_due = {s: 0 for s, _ in lay.sinks}
+        for nid in lay.nodes:
             self._update_due(nid)
 
-        self._param_spec = {(n.id, pname): pspec for n in graph.nodes for pname, pspec in n.params}
-        self._meas_rng = {n.id: _substream(cfg.seed, "meas", n.id) for n in graph.nodes}
-        self._cal_rng = {k: _substream(cfg.seed, "cal", _stream_tag(k, p)) for k, p in self._param_spec.items()}
-        dists = list(enumerate(graph.disturbances))
-        self._affecting = {n.id: [i for i, d in dists if n.id in d.affected] for n in graph.nodes}
-        self._tracker = _Tracker(self)
+        # each node's probes, check cost and measurement noise stream
+        self._checks = {
+            nid: (lay.probes[nid], n.check_cost, _normals(_substream(cfg.seed, "meas", nid)))
+            for nid, n in lay.nodes.items()
+        }
+        self._cal = {k: _normals(_substream(cfg.seed, "cal", _stream_tag(k, p))) for k, p in lay.param_spec.items()}
+        self._tracker = _Tracker(lay, cfg)
+        self._emits = self._tracker.emits
 
     # --- plumbing ---
 
@@ -198,29 +227,29 @@ class Simulator:
         except KeyError:
             raise UnknownNodeError(f"no node {nid!r} in graph") from None
 
-    def _timeout(self, node: NodeSpec) -> int:
-        if self.cfg.mode == HIGH_FREQUENCY and self.cfg.hf_timeout is not None:
-            return self.cfg.hf_timeout
-        return node.timeout
-
     def _update_due(self, nid: str) -> None:
         """Recompute the first cycle at which check_state stops skipping the
         node; called whenever one of its three inputs changes."""
-        node = self._nodes[nid]
-        self._due[nid] = max(
-            self._last_verified[nid] + self._timeout(node),
-            self._last_cal_end[nid] + node.post_cal_delay,
+        due, sink_due = self._due, self._sink_due
+        old = due[nid]
+        new = due[nid] = max(
+            self._last_verified[nid] + self._timeout[nid],
+            self._last_cal_end[nid] + self._nodes[nid].post_cal_delay,
             self._cooldown[nid],
         )
+        # a sink's due time is the least over its ancestry: it falls to a
+        # lower time, and is looked up again only when the node held it
+        for s, ancestry in self._sinks_of[nid]:
+            if new <= sink_due[s]:
+                sink_due[s] = new
+            elif old == sink_due[s]:
+                sink_due[s] = min(map(due.__getitem__, ancestry))
 
     def _emit(self, time, node, op, outcome, dur=0, value=None, before=None, after=None):
         if self._ep_pending:
             self._ep += 1
             self._ep_pending = False
-        self._rows.append((
-            time, node, _KIND_CODE[op][outcome], dur, self._ep, value,
-            before.items() if before is not None else None, after.items() if after is not None else None,
-        ))
+        self._rows.append((time, node, _KIND_CODE[op][outcome], dur, self._ep, value, before, after))
 
     # --- ground truth ---
 
@@ -237,18 +266,23 @@ class Simulator:
         tr, dists = self._tracker, self.graph.disturbances
         return sum(dists[i].strength * tr.value(tr.column[i], self.t) for i in self._affecting[nid])
 
+    def _in_spec(self, nid: str) -> bool:
+        """Whether every check of ``nid`` passes on its noiseless reading
+        now, by the predicate a check applies."""
+        tr = self._tracker
+        j = tr.cover(self.t)
+        return all(rule.in_spec(tr.obs.item(j, col)) for col, _, rule in self._layout.probes[nid])
+
     def _advance(self, k: int) -> None:
         """Move the clock k cycles; under ground-truth tracking, emit the
         events of the cycles passed."""
         self.t += k
-        if self._tracker.emits:
+        if self._emits:
             self._tracker.cover(self.t, self._emit)
 
     def _flag_recheck(self, was) -> None:
         """Emit, in node id order, the ground-truth transitions a calibration
         caused, from every node's verdicts ``was`` just before its reset."""
-        if not self.cfg.oracle_ttf:
-            return
         tr = self._tracker
         now, readings = tr.verdicts(self.t), tr.readings(self.t)
         for m in sorted(np.flatnonzero(now != was).tolist(), key=tr.ids.__getitem__):
@@ -260,30 +294,34 @@ class Simulator:
     # --- operations ---
 
     def _check_data(self, nid: str) -> bool:
-        node = self._nodes[nid]
         start = self.t
         tr = self._tracker
-        readings = tr.readings(self.t)
+        j = tr.cover(start)
+        probes, cost, noise_draws = self._checks[nid]
         ok = True
-        for col, check in zip(tr.spans[tr.index[nid]], node.checks):
-            obs = readings.item(col)
-            if check.observable.noise > 0.0:
-                obs += float(self._meas_rng[nid].standard_normal()) * check.observable.noise
-            if not check.rule.in_spec(obs):
+        for col, noise, rule in probes:
+            obs = tr.obs.item(j, col)
+            if noise > 0.0:
+                obs += next(noise_draws) * noise
+            if not rule.in_spec(obs):
                 ok = False
-        self._emit(start, nid, CHECK_DATA, PASS if ok else FAIL, dur=node.check_cost)
-        self._advance(node.check_cost)
+        if self._ep_pending:
+            self._ep += 1
+            self._ep_pending = False
+        self._rows.append((start, nid, _CHECK_CODE[ok], cost, self._ep, None, None, None))
+        self.t = start + cost
+        if self._emits:
+            tr.cover(self.t, self._emit)
         if ok:
             self._last_verified[nid] = self.t
             self._update_due(nid)
         return ok
 
     def _reset_params(self, nid: str) -> None:
-        node = self._nodes[nid]
-        for pname, pspec in node.params:
-            z = float(self._cal_rng[(nid, pname)].standard_normal())
-            self._set_now(nid, pname, pspec.optimal + z * pspec.effective_cal_noise)
-        for check in node.checks:
+        tr = self._tracker
+        for pname, col, optimal, cal_noise in self._layout.params[nid]:
+            tr.reset(col, optimal + next(self._cal[(nid, pname)]) * cal_noise, self.t)
+        for check in self._nodes[nid].checks:
             o = check.observable
             if o.kind != LINEAR or o.compensate is None:
                 continue
@@ -306,26 +344,30 @@ class Simulator:
 
     def _calibrate(self, nid: str) -> bool:
         node = self._nodes[nid]
+        tr = self._tracker
+        params = self._layout.params[nid]
         for _ in range(self.cfg.max_retries):
             start = self.t
-            before = {p: self._get_now(nid, p) for p, _ in node.params}
+            before = [(pname, tr.value(col, start)) for pname, col, _, _ in params]
             self._advance(node.calibrate_cost)
-            was = self._tracker.verdicts(self.t).copy()
+            # every node's verdicts are read only to flag the changes
+            was = tr.verdicts(self.t).copy() if self.cfg.oracle_ttf else None
             self._reset_params(nid)
-            ok = bool(self._tracker.verdicts(self.t)[self._tracker.index[nid]])
-            after = {p: self._get_now(nid, p) for p, _ in node.params}
+            ok = self._in_spec(nid)
+            after = [(pname, tr.value(col, self.t)) for pname, col, _, _ in params]
             self._emit(
                 start, nid, CALIBRATE, SUCCESS if ok else FAILED,
                 dur=node.calibrate_cost, before=before, after=after,
             )
-            self._flag_recheck(was)
+            if was is not None:
+                self._flag_recheck(was)
             if ok:
                 self._last_verified[nid] = self.t
                 self._last_cal_end[nid] = self.t
                 self._update_due(nid)
                 return True
         self.calibration_failures.append((self.t, nid))
-        self._cooldown[nid] = self.t + self._timeout(node)
+        self._cooldown[nid] = self.t + self._timeout[nid]
         self._update_due(nid)
         return False
 
@@ -379,13 +421,13 @@ class Simulator:
     def initial_calibration(self) -> None:
         """Calibrate every node once, dependencies first (episode 0)."""
         self._initialized = True
-        for nid in topological_order(self.graph):
+        for nid in self._layout.order:
             self._calibrate(nid)
 
     def step(self) -> None:
         """Advance one cycle, then attempt maintenance on every sink."""
         self._advance(1)
-        for s in self._sinks:
+        for s, _ in self._layout.sinks:
             self.maintain(s)
 
     def run(self) -> Run:
@@ -393,19 +435,25 @@ class Simulator:
         if not self._initialized:
             self.initial_calibration()
         total = self.cfg.total_cycles
+        due, sinks, maintain = self._sink_due, self._layout.sinks, self._maintain
         while self.t < total:
             # a demand pass at cycle s does work iff some node is due by s,
             # so jump straight to the first such cycle (strictly ahead:
             # a node turning due mid-pass waits for the next cycle)
-            target = max(self.t + 1, min(self._due.values(), default=total))
+            target = max(self.t + 1, min(due.values(), default=total))
             if target > total:
                 self._advance(total - self.t)
                 break
-            self._advance(target - self.t)
-            for s in self._sinks:
-                # an episode in which nothing is due emits nothing
-                if min(map(self._due.__getitem__, self._ancestry[s])) <= self.t:
-                    self.maintain(s)
+            self.t = target
+            if self._emits:
+                self._tracker.cover(target, self._emit)
+            for s, _ in sinks:
+                # an episode in which nothing is due emits nothing; the
+                # sink is known, so the episode skips maintain's lookup
+                if due[s] <= self.t:
+                    self._ep_pending = True
+                    maintain(s, set())
+                    self._ep_pending = False
         return self.finish()
 
     def run_stepwise(self) -> Run:
@@ -420,12 +468,14 @@ class Simulator:
         meta = RunMeta(
             run_id=self.run_id,
             seed=self.cfg.seed,
-            graph_hash=graph_hash(self.graph),
+            graph_hash=self._layout.hash,
             mode=self.cfg.mode,
             total_cycles=self.cfg.total_cycles,
         )
-        # events in time order, and in the order they were emitted within a cycle
-        return run_from_rows(meta, self._rows, by_time=True)
+        # events in time order, and in the order they were emitted within a
+        # cycle; only tracking emits events of a cycle that an operation's
+        # own event, stamped with its start, follows
+        return run_from_rows(meta, self._rows, by_time=self._emits)
 
 
 def _columns(objs, names) -> SimpleNamespace:
@@ -446,32 +496,47 @@ def _slots(rows) -> list:
     ``rows[r]`` lists the (column, weight, optimal) terms of sum r;
     ``optimal=None`` marks a disturbance, which enters undeviated. Slot j
     holds the j-th term of every sum that has one, so that adding the
-    slots in order adds each sum's terms in its own order.
+    slots in order adds each sum's terms in its own order. A slot's
+    ``live`` is None when every sum has its term, its weight None when
+    every weight is 1.0 and its optimal None when every optimum is +0.0:
+    multiplying by 1.0 and subtracting +0.0 change no bit.
     """
     out = []
     for j in range(max(map(len, rows), default=0)):
         live = [r for r, terms in enumerate(rows) if len(terms) > j]
         col, weight, optimal = zip(*(rows[r][j] for r in live))
+        weight = np.array(weight, dtype=float)
+        optimal = np.array([0.0 if x is None else x for x in optimal], dtype=float)
         out.append((
-            _index(live),
+            None if len(live) == len(rows) else _index(live),
             _index(list(col)),
-            np.array(weight, dtype=float),
-            None if optimal[0] is None else np.array(optimal, dtype=float),
+            None if (weight == 1.0).all() else weight,
+            None if not optimal.any() and not np.signbit(optimal).any() else optimal,
         ))
     return out
 
 
 def _slot_sum(slots, paths: np.ndarray, width: int):
-    """Per-cycle sums over stacked paths, each sum's terms added in order."""
-    total = np.zeros((len(paths), width)) if slots else 0.0
+    """Per-cycle sums over stacked paths, each sum's terms added in order
+    to 0.0."""
+    total = np.zeros((len(paths), width), order="F") if slots and slots[0][0] is not None else 0.0
     for live, col, weight, optimal in slots:
         x = paths[:, col]
-        total[:, live] += weight * (x if optimal is None else x - optimal)
+        if optimal is not None:
+            x = x - optimal
+        if weight is not None:
+            x = weight * x
+        if live is None:
+            total = total + x
+        else:
+            total[:, live] += x
     return total
 
 
 # cycles a block computes past the cycle it starts from
 _BLOCK = 512
+# rows of drift normals drawn at a time, ahead of the blocks that use them
+_NORMALS = 2048
 
 # the term fields of each observable family; the transfer family is
 # evaluated as gates, a transition being a gate whose phase error is zero
@@ -479,51 +544,61 @@ _BLOCK = 512
 _FAMILIES = {LINEAR: ("terms",), GATE: ("detuning_terms", "time_terms", "phase_terms", "background_terms")}
 
 
-class _Tracker:
-    """Drift, readings and ground truth of every state, a block ahead.
+class _Layout:
+    """What every run of one graph shares, worked out once per graph.
 
-    A block holds rows for cycles start .. start + ``_BLOCK``, row j
-    being cycle start + j: every state's value in ``paths`` (one drift
-    call per model, one column per state), every check's noiseless
-    reading in ``obs`` (one array expression per observable family),
-    every node's verdict in ``ok`` (one predicate per rule op) and, under
-    ground-truth tracking, the onset, recovery and grid events in trace
-    order. ``anchor`` holds each state's value at its last calibration
-    and ``csc`` + j its cycles since then at row j. The next block starts
-    from the last row. ``value`` reads a state; ``reset`` writes its row,
-    anchor and ``csc`` at cycle ``at`` and marks it ``changed``, and the
-    first read at another cycle redoes, from ``at`` to the block's end,
-    only the changed states' paths and the readings and verdicts of the
-    nodes that read them. Each logistic stream draws one normal per
-    cycle, in cycle order, once, so blocks of any length give the same
-    bits.
+    The scheduler's tables: each node's dependencies, the sinks with their
+    ancestry, each node's probes, one (reading column, noise, rule) per
+    check, and its parameters. The tracker's: one column per state,
+    logistic ones first, each check's terms, and the block plans, each
+    built the first time a calibration needs it. And the graph's hash.
     """
 
-    def __init__(self, sim: Simulator):
-        self.cfg = sim.cfg
-        self.emits = sim.cfg.oracle_ttf or sim.cfg.drift_sample_every > 0
+    def __init__(self, graph: GraphSpec):
+        validate_graph(graph)
+        self.hash = graph_hash(graph)
+        self.nodes: dict[str, NodeSpec] = {n.id: n for n in graph.nodes}
+        self.deps = {n.id: tuple(sorted(n.dependencies)) for n in graph.nodes}
+        self.order = topological_order(graph)
+        # a sink's episode does work only if it or an ancestor is due
+        ancestry: dict[str, frozenset] = {}
+        for nid in self.order:
+            ancestry[nid] = frozenset({nid}).union(*(ancestry[d] for d in self.deps[nid]))
+        self.sinks = [(s, tuple(ancestry[s])) for s in graph.sink_ids()]
+        self.sinks_of = {nid: [(s, a) for s, a in self.sinks if nid in a] for nid in self.nodes}
+        self.param_spec = {(n.id, pname): pspec for n in graph.nodes for pname, pspec in n.params}
+        dists = list(enumerate(graph.disturbances))
+        self.affecting = {n.id: [i for i, d in dists if n.id in d.affected] for n in graph.nodes}
+
         # one column per state, logistic ones first: each parameter, keyed
         # (node, name), starts at its optimum; each disturbance, keyed by
         # its index, at 0.0
-        states = [(k, p.drift, p.optimal, ("drift", _stream_tag(k, p))) for k, p in sim._param_spec.items()]
-        states += [(i, d.drift, 0.0, ("dist", d.tag)) for i, d in enumerate(sim.graph.disturbances)]
+        states = [(k, p.drift, p.optimal, ("drift", _stream_tag(k, p))) for k, p in self.param_spec.items()]
+        states += [(i, d.drift, 0.0, ("dist", d.tag)) for i, d in enumerate(graph.disturbances)]
         states.sort(key=lambda st: not isinstance(st[1], LogisticDriftCfg))
         self.column = {key: c for c, (key, _, _, _) in enumerate(states)}
         self.cfgs = [cfg for _, cfg, _, _ in states]
         self.n_log = n_log = sum(isinstance(cfg, LogisticDriftCfg) for cfg in self.cfgs)
-        self.rngs = [_substream(sim.cfg.seed, *labels) for _, _, _, labels in states[:n_log]]
+        self.streams = [labels for _, _, _, labels in states[:n_log]]
         self.anchor = np.array([value for _, _, value, _ in states], dtype=np.float64)
-        self.csc = np.zeros(len(states), dtype=np.int64)
-        self.ids = [n.id for n in sim.graph.nodes]
-        self.index = {nid: m for m, nid in enumerate(self.ids)}
-        self.checks = [(n.id, c) for n in sim.graph.nodes for c in n.checks]
+        self.ids = [n.id for n in graph.nodes]
+        self.checks = [(n.id, c) for n in graph.nodes for c in n.checks]
         # each node's check columns; a node is in spec iff all its checks pass
-        ends = np.cumsum([len(n.checks) for n in sim.graph.nodes]).tolist()
-        self.spans = [range(end - len(n.checks), end) for n, end in zip(sim.graph.nodes, ends)]
+        ends = np.cumsum([len(n.checks) for n in graph.nodes]).tolist()
+        self.spans = [range(end - len(n.checks), end) for n, end in zip(graph.nodes, ends)]
+        self.probes = {
+            n.id: tuple((col, c.observable.noise, c.rule) for col, c in zip(span, n.checks))
+            for n, span in zip(graph.nodes, self.spans)
+        }
+        # each node's parameters as (name, state column, optimum, calibration noise)
+        self.params = {
+            n.id: tuple((pname, self.column[(n.id, pname)], p.optimal, p.effective_cal_noise) for pname, p in n.params)
+            for n in graph.nodes
+        }
 
         def terms(nid: str, ts) -> list:
             keys = [(tm.node or nid, tm.param) for tm in ts]
-            return [(self.column[k], tm.weight, sim._param_spec[k].optimal) for k, tm in zip(keys, ts)]
+            return [(self.column[k], tm.weight, self.param_spec[k].optimal) for k, tm in zip(keys, ts)]
 
         # each check's sums as (state column, weight, optimal) terms per
         # term field of its family, and its disturbances as (column,
@@ -534,7 +609,7 @@ class _Tracker:
             fields = _FAMILIES[LINEAR if o.kind == LINEAR else GATE]
             skip = {"phase_terms"} if o.kind != GATE else set()
             self.terms.append({name: terms(nid, () if name in skip else getattr(o, name)) for name in fields})
-            self.dists.append([(self.column[i], sim.graph.disturbances[i].strength, None) for i in sim._affecting[nid]])
+            self.dists.append([(self.column[i], graph.disturbances[i].strength, None) for i in self.affecting[nid]])
         # the state columns each node's checks read
         self.reads = [
             {col for c in span for ts in (*self.terms[c].values(), self.dists[c]) for col, _, _ in ts}
@@ -542,10 +617,22 @@ class _Tracker:
         ]
         self.plans: dict[frozenset, SimpleNamespace] = {}
         self.all = self._plan(range(len(states)), range(len(self.ids)))
-        self.changed: set[int] = set()
-        self.paths = self.anchor[None]
-        self.start = self.end = 0
-        self._rebuild()
+
+    def plan(self, cols: frozenset) -> SimpleNamespace:
+        """The plan that redoes state columns ``cols`` and the nodes that
+        read them, built once."""
+        if cols not in self.plans:
+            self.plans[cols] = self._plan(cols)
+        return self.plans[cols]
+
+    def ramp(self, plan: SimpleNamespace, n: int) -> np.ndarray:
+        """The step-scale ramp of the plan's logistic states over the n
+        cycles after a calibration (tau 0 .. n - 1), built once per length,
+        column-major as the drift normals are."""
+        if n not in plan.ramps:
+            tau = np.asfortranarray(np.broadcast_to(np.arange(n, dtype=float)[:, None], (n, len(plan.logistic.sigma))))
+            plan.ramps[n] = logistic_rate(tau, plan.logistic)
+        return plan.ramps[n]
 
     def _plan(self, cols, nodes=None) -> SimpleNamespace:
         """How to redo the paths of state columns ``cols`` and the readings
@@ -579,6 +666,7 @@ class _Tracker:
             log=_index(log) if log else None,
             exp=_index(exp) if exp else None,
             logistic=_columns(cfgs[: len(log)], ("r_max", "tau_mid", "tau_scale", "sigma")),
+            ramps={},
             exponential=_columns(cfgs[len(log) :], ("rate", "limit")),
             families=families,
             rules=rules,
@@ -588,6 +676,71 @@ class _Tracker:
             first=np.cumsum([0] + [len(self.spans[m]) for m in nodes])[:-1] if len(checks) > len(nodes) else None,
         )
 
+
+# the layouts of the graphs simulated last, keyed by identity; an entry
+# holds its graph, so that no other graph takes the id while it stands
+_LAYOUTS: dict[int, tuple[GraphSpec, _Layout]] = {}
+
+
+def _layout(graph: GraphSpec) -> _Layout:
+    """The graph's layout, built on its first run."""
+    entry = _LAYOUTS.get(id(graph))
+    if entry is None:
+        if len(_LAYOUTS) >= 8:
+            del _LAYOUTS[next(iter(_LAYOUTS))]
+        entry = _LAYOUTS[id(graph)] = (graph, _Layout(graph))
+    return entry[1]
+
+
+class _Tracker:
+    """Drift, readings and ground truth of every state, a block ahead.
+
+    A block holds rows for cycles start .. start + ``_BLOCK``, row j
+    being cycle start + j: every state's value in ``paths`` (one drift
+    call per model, one column per state), every check's noiseless
+    reading in ``obs`` (one array expression per observable family) and,
+    under ground-truth tracking only, every node's verdict in ``ok`` (one
+    predicate per rule op) and the onset, recovery and grid events in
+    trace order; without tracking a verdict is taken from ``obs`` where it
+    is read. ``anchor`` holds each state's value at its last calibration
+    and ``csc`` + j its cycles since then at row j. The next block starts
+    from the last row. ``value`` reads a state; ``reset`` writes its row,
+    anchor and ``csc`` at cycle ``at`` and marks it ``changed``, and the
+    first read at another cycle redoes, from ``at`` to the block's end,
+    only the changed states' paths and the readings (and verdicts) of the
+    nodes that read them. Each logistic stream draws one normal per cycle,
+    in cycle order, once, ``_NORMALS`` cycles ahead, so blocks of any
+    length give the same bits.
+    """
+
+    def __init__(self, lay: _Layout, cfg: SimConfig):
+        self.cfg = cfg
+        self.emits = cfg.oracle_ttf or cfg.drift_sample_every > 0
+        self.lay = lay
+        self.column, self.ids, self.spans = lay.column, lay.ids, lay.spans
+        self.rngs = [_substream(cfg.seed, *labels) for labels in lay.streams]
+        # drift normals drawn and not yet used, one column per logistic stream
+        self.normals = np.empty((0, len(self.rngs)))
+        self.anchor = lay.anchor.copy()
+        self.csc = np.zeros(len(self.anchor), dtype=np.int64)
+        self.changed: set[int] = set()
+        self.paths = self.anchor[None]
+        self.start = self.end = 0
+        self._rebuild()
+
+    def _draw(self, n: int) -> np.ndarray:
+        """The next n rows of drift normals, for the block of n cycles that
+        starts now; each stream draws whole ``_NORMALS``-row chunks, and
+        none past the run's last block."""
+        short = n - len(self.normals)
+        if short > 0:
+            last = -(-(self.cfg.total_cycles - self.start) // n) * n
+            k = max(short, min(-(-short // _NORMALS) * _NORMALS, last - len(self.normals)))
+            fresh = np.stack([rng.standard_normal(k) for rng in self.rngs]).T  # column-major
+            self.normals = np.concatenate([self.normals, fresh]) if len(self.normals) else fresh
+        zs, self.normals = self.normals[:n], self.normals[n:]
+        return zs
+
     def _redo(self, plan: SimpleNamespace, j0: int) -> None:
         """Rows j0 + 1 .. of the plan's paths, and rows j0 .. of its readings
         and verdicts, from the states' row j0."""
@@ -595,7 +748,13 @@ class _Tracker:
         if plan.log is not None:
             log = plan.log
             zs = self.zs[j0:, log]
-            paths[j0 + 1 :, log] = logistic_drift_path(paths[j0, log], csc[log] + j0, plan.logistic, zs)
+            if plan is self.lay.all:
+                paths[j0 + 1 :, log] = logistic_drift_path(paths[j0, log], csc[log] + j0, plan.logistic, zs)
+            else:
+                # every state a partial redo walks was reset at row j0, so
+                # its ramp is the plan's, from tau 0
+                ramp = self.lay.ramp(plan, len(self.zs))[: len(zs)]
+                paths[j0 + 1 :, log] = drift_walk(paths[j0, log], zs * plan.logistic.sigma * ramp)
         if plan.exp is not None:
             taus = csc[plan.exp] + np.arange(j0 + 1, len(paths), dtype=float)[:, None]
             paths[j0 + 1 :, plan.exp] = exponential_decay_value(taus, plan.exponential, v0=self.anchor[plan.exp])
@@ -604,6 +763,8 @@ class _Tracker:
             self.obs[j0:, idx] = _observable(
                 o, lambda name: _slot_sum(slots[name], paths, width), _slot_sum(dist_slots, paths, width)
             )
+        if not self.emits:
+            return
         ok = np.empty((len(paths), plan.width), dtype=bool)
         for pos, idx, rule in plan.rules:
             ok[:, pos] = rule.in_spec(self.obs[j0:, idx])
@@ -621,12 +782,15 @@ class _Tracker:
         self.start = self.at = self.end
         self.end += n
         if self.rngs:
-            self.zs = np.stack([rng.standard_normal(n) for rng in self.rngs], axis=1)
-        self.paths = np.empty((n + 1, len(last)))
+            self.zs = self._draw(n)
+        # column-major, as the normals are: each column's cycles lie in one
+        # run, along which numpy broadcasts that column's constants
+        self.paths = np.empty((n + 1, len(last)), order="F")
         self.paths[0] = last
-        self.obs = np.empty((n + 1, len(self.checks)))
-        self.ok = np.empty((n + 1, len(self.ids)), dtype=bool)
-        self._redo(self.all, 0)
+        self.obs = np.empty((n + 1, len(self.lay.checks)), order="F")
+        if self.emits:
+            self.ok = np.empty((n + 1, len(self.ids)), dtype=bool, order="F")
+        self._redo(self.lay.all, 0)
 
     def _events(self, lo: int, hi: int) -> list[tuple]:
         """The ground-truth events of cycles lo + 1 .. hi, in trace order."""
@@ -653,12 +817,12 @@ class _Tracker:
     def cover(self, t: int, emit=None) -> int:
         """The block's row of cycle t, building blocks up to it; with
         ``emit``, passes it every block event up to t not yet passed."""
+        if t <= self.end and not self.changed and emit is None:
+            return t - self.start
         if self.changed:
             key = frozenset(self.changed)
-            if key not in self.plans:
-                self.plans[key] = self._plan(key)
             self.changed.clear()
-            self._redo(self.plans[key], self.at - self.start)
+            self._redo(self.lay.plan(key), self.at - self.start)
         while True:
             last = min(t, self.end)
             while emit:
@@ -698,7 +862,8 @@ class _Tracker:
         return self.obs[j]
 
     def verdicts(self, t: int) -> np.ndarray:
-        """Every node's ground-truth verdict at cycle t, in graph order."""
+        """Every node's ground-truth verdict at cycle t, in graph order;
+        kept under ground-truth tracking only."""
         j = self.cover(t)
         return self.ok[j]
 

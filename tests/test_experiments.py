@@ -7,14 +7,17 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import spaq.experiments
+import spaq.sim
 import spaq.trace
 from spaq.drift import LogisticDriftCfg
-from spaq.errors import NoSamplesError
+from spaq.errors import ConfigError, NoSamplesError
 from spaq.experiments import (
     EVIDENCE_DATASET,
     Exp1Config,
@@ -73,6 +76,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             cls(**{field: 0})
 
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [(Exp1Config, "hf_timeout", 0), (Exp2Config, "rel_shift", 0.0), (Exp3Config, "window", 0), (Exp3Config, "jobs", 0)],
+    )
+    def test_range_errors_are_config_errors(self, cls, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
+
     def test_batch_runs_the_seed_block(self):
         graph = load_graph(builtin_config_path("internode"))
         ds = Exp3Config(total_cycles=500, n_runs=2, seed=4).batch(graph, "x", oracle=False)
@@ -92,6 +103,21 @@ class TestRunBatch:
         one = run_batch(g, 500, range(2), jobs=1)
         two = run_batch(g, 500, range(2), jobs=2)
         assert one.runs == two.runs
+
+    def test_pool_start_method_is_named(self):
+        method = spaq.experiments._POOL_CONTEXT.get_start_method()
+        assert method == ("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+
+    def test_a_batch_hashes_its_graph_once(self, monkeypatch):
+        # the hash goes into every run's header; it is computed once per
+        # graph, not once per run
+        calls = []
+        real = spaq.sim.graph_hash
+        monkeypatch.setattr(spaq.sim, "graph_hash", lambda g: calls.append(g) or real(g))
+        g = make_graph(make_node("a", timeout=20), make_node("b", deps=("a",), timeout=30))
+        ds = run_batch(g, 300, range(6), oracle=False)
+        assert calls == [g]
+        assert {r.meta.graph_hash for r in ds.runs} == {real(g)}
 
     def test_mode_and_flags_propagate(self):
         g = make_graph(make_node("a", timeout=40))

@@ -581,6 +581,20 @@ class TestDriftEngine:
         cals = sum(1 for e in run.events if e.op == CALIBRATE)
         assert 0 < len(calls) <= cals + math.ceil(total / spaq.sim._BLOCK) + 1
 
+    def test_a_calibration_walks_from_the_ramp_without_a_drift_call(self, monkeypatch):
+        # deterministic cost guard: the drift path is computed once per
+        # block, and each calibration redoes its states by one walk over
+        # the ramp its plan keeps
+        paths, walks = [], []
+        real_path, real_walk = spaq.sim.logistic_drift_path, spaq.sim.drift_walk
+        monkeypatch.setattr(spaq.sim, "logistic_drift_path", lambda *a: paths.append(1) or real_path(*a))
+        monkeypatch.setattr(spaq.sim, "drift_walk", lambda *a: walks.append(1) or real_walk(*a))
+        total = 15_000
+        run = run_simulation(load_graph(builtin_config_path("xgate")), SimConfig(total_cycles=total, seed=0))
+        cals = sum(1 for e in run.events if e.op == CALIBRATE)
+        assert 0 < len(paths) <= math.ceil(total / spaq.sim._BLOCK) + 1
+        assert 0 < len(walks) <= cals
+
     def test_tracking_drift_calls_follow_blocks_not_advances(self, monkeypatch):
         # deterministic cost guard: one stacked drift call per block of
         # ground truth, rebuilt after each calibration or at the block's
@@ -596,6 +610,32 @@ class TestDriftEngine:
         )
         cals = sum(1 for e in run.events if e.op == CALIBRATE)
         assert 0 < len(calls) <= cals + math.ceil(total / spaq.sim._BLOCK) + 1
+
+
+class CountingEpisodes(Simulator):
+    """A simulator that counts the maintenance episodes it starts."""
+
+    started = depth = 0
+
+    def _maintain(self, nid, resolved):
+        self.started += self.depth == 0
+        self.depth += 1
+        try:
+            return super()._maintain(nid, resolved)
+        finally:
+            self.depth -= 1
+
+
+class TestRunLoopCost:
+    @pytest.mark.parametrize("config", ["xgate", "internode", "hidden"])
+    def test_the_run_loop_starts_only_episodes_that_work(self, config):
+        # deterministic cost guard: the loop wakes a sink only when a node
+        # of its ancestry is due, so every episode it starts emits events
+        # (the episode counter counts the episodes that emitted)
+        graph = load_graph(builtin_config_path(config))
+        sim = CountingEpisodes(graph, SimConfig(total_cycles=5000, seed=1))
+        run = sim.run()
+        assert sim.started == sim._ep == int(run.ep.max()) > 0
 
 
 class TestReferenceSimulator:
@@ -684,6 +724,48 @@ class TestBlockLength:
         monkeypatch.setattr(Simulator, "_reset_params", spy)
         assert with_block(monkeypatch, block, graph, cfg) == expected
         assert ((43, 43) in resets) == (block == 43)
+
+
+def with_chunks(monkeypatch, chunk, graph, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(spaq.sim, "_NOISE", chunk)
+        m.setattr(spaq.sim, "_NORMALS", chunk)
+        return run_simulation(graph, cfg)
+
+
+class TestChunkLength:
+    """Measurement and calibration noise, and the drift normals, are drawn
+    from each stream in chunks ahead of their use; a chunk's length may
+    change the cost of a run, never its trace. One normal per chunk is a
+    single draw, and a chunk longer than the run is one draw per stream."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("config", ["xgate", "internode", "hidden"])
+    def test_packaged_configs(self, monkeypatch, config, chunk):
+        graph = load_graph(builtin_config_path(config))
+        for seed in (0, 3):
+            for extra in ({}, {"oracle_ttf": True, "drift_sample_every": 37}):
+                cfg = SimConfig(total_cycles=1000, seed=seed, **extra)
+                expected = run_simulation(graph, cfg)
+                got = with_chunks(monkeypatch, chunk or cfg.total_cycles + 600, graph, cfg)
+                assert got == expected, (seed, extra)
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_fuzzed_graphs(self, monkeypatch, chunk):
+        for i, graph in enumerate([*fuzzed_graphs(), rich_graph(), noisy_graph()]):
+            for extra in ({}, {"oracle_ttf": True, "drift_sample_every": 7}):
+                cfg = SimConfig(total_cycles=400, seed=1000 + i, **extra)
+                expected = run_simulation(graph, cfg)
+                assert with_chunks(monkeypatch, chunk or cfg.total_cycles + 600, graph, cfg) == expected, (i, extra)
+
+    def test_short_blocks_use_the_normals_left_over(self, monkeypatch):
+        # blocks of 5 cycles from chunks of 7 normals: most blocks start
+        # from the rest of a chunk drawn for the block before
+        graph = load_graph(builtin_config_path("xgate"))
+        cfg = SimConfig(total_cycles=600, seed=2, oracle_ttf=True)
+        expected = run_simulation(graph, cfg)
+        monkeypatch.setattr(spaq.sim, "_BLOCK", 5)
+        assert with_chunks(monkeypatch, 7, graph, cfg) == expected
 
 
 class TestAvailability:
