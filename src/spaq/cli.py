@@ -55,7 +55,7 @@ from .graph import builtin_config_path, graph_hash, load_graph
 from .properties import parse_property
 from .extractors import evaluate_property
 from .sim import ADAPTIVE, BASELINE, HIGH_FREQUENCY, availability
-from .smc import DOES_NOT_HOLD, HOLDS, INSUFFICIENT_DATA, LOWER, TWO_SIDED, UPPER
+from .smc import DOES_NOT_HOLD, HOLDS, INSUFFICIENT_DATA, LOWER, TWO_SIDED, UPPER, SmcResult
 from .trace import atomic_write, load_dataset, write_trace
 
 _BUILTINS = ("xgate", "internode", "hidden")
@@ -204,26 +204,17 @@ def cmd_check(ns) -> int:
     ast = parse_property(text)
     files = _trace_files(ns.traces)
     dataset = load_dataset(files)
+    reason = ""
     try:
         result = evaluate_property(dataset, ast, delta=ns.delta, interval_side=ns.side)
     except (NoSamplesError, InsufficientDataError) as exc:
-        print(f"property: {text}")
-        print(f"verdict: {INSUFFICIENT_DATA} ({exc})")
-        _emit_json(
-            {
-                "command": "check",
-                "property": text,
-                "files": len(files),
-                "result": {"verdict": INSUFFICIENT_DATA, "n_used": 0},
-                "exit_code": 3,
-            }
-        )
-        return 3
+        result = SmcResult(verdict=INSUFFICIENT_DATA, n_used=0)
+        reason = f" ({exc})"
     code = _verdict_exit(result.verdict)
     print(f"property: {text}")
     print(f"runs: {len(dataset.runs)}  samples used: {result.n_used}")
     if result.verdict is not None:
-        line = f"verdict: {result.verdict}"
+        line = f"verdict: {result.verdict}{reason}"
         if result.p_value is not None:
             line += f"  (p-value {result.p_value:.4g})"
         print(line)

@@ -21,40 +21,32 @@ scheduler invariants can be asserted by scanning a trace alone.
 Where the strict checks live. The writer and the reader apply the same
 rules, so every file the writer produces reads back:
 
-* ``_check_event``, shared by both: the node, op and outcome are
-  strings, the op is known and allows the outcome, and ``t``, ``dur``
-  and ``ep`` are exact ints (``true`` is not 1, ``1.7`` is not a time),
-  ``t`` and ``dur`` in 0..2**63-1 and ``ep`` an int64. ``_number``
-  accepts only a finite number.
-* ``TraceEvent.validate``: the above, a finite ``value``, and on
-  calibrate events alone both parameter sets, finite and with no
-  repeated name. ``Run(meta, events)`` calls it on each event, and also
-  checks the run id and that time does not go back, so a run holds only
-  what a trace line can hold.
-* ``RunMeta.validate``, shared by both: every header field has its exact
-  JSON type, the schema is known, the run id is not empty, ``seed`` is an
+* ``_check_event``, for one event in memory or on a line: the node, op
+  and outcome are strings, the op is known and allows the outcome, and
+  ``t``, ``dur`` and ``ep`` are exact ints (``true`` is not 1, ``1.7`` is
+  not a time), ``t`` and ``dur`` in 0..2**63-1 and ``ep`` an int64.
+  ``TraceEvent.validate`` adds a finite ``value`` and, on calibrate
+  events alone, both parameter sets (``_check_params``: finite, no
+  repeated name). ``_event_from_line`` applies the same rules to one
+  line's JSON value, after it parses the line as ``json.loads`` would
+  and rejects unknown fields.
+* ``RunMeta.validate``, for the header: every field has its exact JSON
+  type, the schema is known, the run id is not empty, ``seed`` is an
   int64 and ``total_cycles`` is in 0..2**63-1.
-* ``write_trace`` calls ``RunMeta.validate``, and ``_column_text``, the
-  one formatter of event lines, checks the run's columns at once (time
-  order, times and durations not negative, finite values and params),
-  before a file is opened, so a refused run leaves no file.
+* ``_check_columns``, for a run's columns: time does not go back, times
+  and durations are not negative, values are finite, and each calibrate
+  event has both parameter sets, which ``_check_params`` accepts. It is
+  called by ``Run(meta, events)``, by the writer (``_column_text``,
+  before a file is opened, so a refused run leaves no file) and by the
+  reader's fast path.
 * The reader's fast path, ``_canonical_columns``, reads a file whose
   event lines are all the writer's own, in one pass of one regex,
-  ``_CANONICAL``, over their text. The regex takes the fields in the
-  writer's order, no whitespace, names without escapes, a known
-  (op, outcome), ints of at most 18 digits (so within int64) and
-  numbers in JSON's exact grammar, which a line may write another way
-  than the writer does (``1E2``, ``-0``). The pass then checks what the
-  regex leaves open: a finite value, params iff calibrate, each finite
-  and with no repeated name, and time order. A file with any line that
-  fails is read line by line through ``_event_from_line``, which finds
-  and reports the first fault.
-* ``_event_from_line`` checks one event line, once: it parses the line
-  as ``json.loads`` would, rejects unknown fields, then applies the same
-  rules to the JSON value with each field's exact JSON type.
-  ``_read_trace`` checks the header's field set and ``RunMeta.validate``,
-  then time order, and prefixes every event-line error with
-  ``path:lineno``.
+  ``_CANONICAL``, over their text: the fields in the writer's order, no
+  whitespace, names without escapes, a known (op, outcome), ints of at
+  most 18 digits (so within int64) and floats as ``float.__repr__``
+  writes them. Any other file is read line by line: ``_read_trace``
+  checks each line with ``_event_from_line`` and time order as it goes,
+  and prefixes every event-line error with ``path:lineno``.
 
 How events are laid out. A pooled analysis holds a million events or
 more, and reads them by node, op and time, so a run keeps them as
@@ -71,9 +63,6 @@ text. Nothing builds a ``TraceEvent`` until ``Run.events`` is asked for:
   keeps one string per parameter name for the whole file, so a run read
   back holds no more than the run that was simulated.
 * A run pickles as its arrays, a few buffers, and not as events.
-* ``TraceEvent`` has slots and no ``__dict__``. Its written-out
-  ``__init__`` sets each field through the slot's member descriptor,
-  bound once at import, instead of ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -84,7 +73,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from pathlib import Path
@@ -115,12 +104,12 @@ _ALLOWED_OUTCOMES = {
 Params = tuple[tuple[str, float], ...]
 
 
-def _sorted_params(params) -> Params:
+def _sorted_params(params) -> Params | None:
     # params are kept sorted by name so round-trips preserve equality
-    return tuple(sorted((str(k), float(v)) for k, v in params))
+    return None if params is None else tuple(sorted((str(k), float(v)) for k, v in params))
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     run_id: str
     time: int
@@ -133,27 +122,9 @@ class TraceEvent:
     params_before: Params | None = None
     params_after: Params | None = None
 
-    def __init__(self, run_id: str, time: int, node: str, op: str, outcome: str, duration: int = 0, ep: int = 0,
-                 value: float | None = None, params_before: Params | None = None,
-                 params_after: Params | None = None) -> None:
-        # Written out because events are built by the thousand: each field
-        # goes straight into its slot through the slot's own setter, where
-        # the frozen dataclass's __init__ calls object.__setattr__ per field
-        # and then __post_init__.
-        if params_before is not None:
-            params_before = _sorted_params(params_before)
-        if params_after is not None:
-            params_after = _sorted_params(params_after)
-        _set_run_id(self, run_id)
-        _set_time(self, time)
-        _set_node(self, node)
-        _set_op(self, op)
-        _set_outcome(self, outcome)
-        _set_duration(self, duration)
-        _set_ep(self, ep)
-        _set_value(self, value)
-        _set_params_before(self, params_before)
-        _set_params_after(self, params_after)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params_before", _sorted_params(self.params_before))
+        object.__setattr__(self, "params_after", _sorted_params(self.params_after))
 
     def validate(self) -> None:
         """Raise SchemaError unless ``read_trace`` reads the event's line
@@ -179,9 +150,27 @@ def _check_params(params: Params) -> None:
         _number(v)
 
 
-# each slot's setter, taken from the class that slots=True returned
-(_set_run_id, _set_time, _set_node, _set_op, _set_outcome, _set_duration, _set_ep, _set_value, _set_params_before,
- _set_params_after) = [TraceEvent.__dict__[f.name].__set__ for f in fields(TraceEvent)]
+def _check_columns(cols) -> None:
+    """The rules for a run's columns (keyed as in ``_COLUMNS``), which no
+    one line can show: raises ClockError when time goes back, and
+    SchemaError for a negative time or duration, a value that is not
+    finite, or a calibrate event that lacks a param set or has one that
+    ``_check_params`` refuses."""
+    time = cols["time"]
+    back = np.flatnonzero(time[1:] < time[:-1])
+    if back.size:
+        i = back[0]
+        raise ClockError(f"event time {time[i + 1]} precedes previous {time[i]}")
+    if (time < 0).any() or (cols["duration"] < 0).any():
+        raise SchemaError("event times and durations must be in 0..2**63-1")
+    if not np.isfinite(cols["value"][cols["has_value"]]).all():
+        raise SchemaError("event values must be finite")
+    for pair in cols["params"]:
+        if None in pair:
+            raise SchemaError("calibrate events carry both params_before and params_after")
+        for params in pair:
+            _check_params(params)
+
 
 # the exact JSON type of every header field; converting instead would
 # accept true as 1 and truncate 1.7 to 1. A header carries every field.
@@ -326,27 +315,26 @@ class Run:
 
     ``events`` gives the ``TraceEvent``s, built from the columns on first
     use. ``Run(meta, events)`` checks each event as a trace line must
-    hold it (``TraceEvent.validate``, the run's id, time order) and
-    raises ``SchemaError`` or ``ClockError`` otherwise; it keeps only the
-    columns, with each value as a float, so a run holds exactly what
-    writing its events and reading them back gives. Runs compare equal
-    when their headers and columns are equal.
+    hold it (``TraceEvent.validate``, the run's id) and the columns
+    they make (``_check_columns``), and raises ``SchemaError`` or
+    ``ClockError`` otherwise; it keeps only the columns, with each value
+    as a float, so a run holds exactly what writing its events and
+    reading them back gives. Runs compare equal when their headers and
+    columns are equal.
     """
 
     def __init__(self, meta: RunMeta, events) -> None:
         rows = []
-        last = 0
         for e in events:
             e.validate()
             if e.run_id != meta.run_id:
                 raise SchemaError(f"event run_id {e.run_id!r} does not match run {meta.run_id!r}")
-            if e.time < last:
-                raise ClockError(f"event time {e.time} precedes previous {last}")
-            last = e.time
             value = None if e.value is None else float(e.value)
             rows.append((e.time, e.node, _KIND_CODE[e.op][e.outcome], e.duration, e.ep, value, e.params_before,
                          e.params_after))
-        self.__dict__.update(_row_columns(rows), meta=meta)
+        cols = _row_columns(rows)
+        _check_columns(cols)
+        self.__dict__.update(cols, meta=meta)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -401,10 +389,6 @@ def _from_columns(meta: RunMeta, cols: dict) -> Run:
     return run
 
 
-def _sorted_or_none(params) -> Params | None:
-    return None if params is None else _sorted_params(params)
-
-
 def _columns(node, kind, time, duration, ep, value, calibrations) -> dict:
     """A run's columns, keyed as in ``_COLUMNS``, from one sequence per
     field in trace order: ``node`` holds names, ``value`` None where an
@@ -421,7 +405,7 @@ def _columns(node, kind, time, duration, ep, value, calibrations) -> dict:
         "ep": np.asarray(ep, np.int64),
         "value": np.array([0.0 if v is None else v for v in value], np.float64),
         "has_value": np.array([v is not None for v in value], np.bool_),
-        "params": tuple([(_sorted_or_none(b), _sorted_or_none(a)) for b, a in calibrations]),
+        "params": tuple([(_sorted_params(b), _sorted_params(a)) for b, a in calibrations]),
     }
 
 
@@ -466,28 +450,14 @@ def _params_text(params: Params) -> str:
 def _column_text(run: Run) -> str:
     """The run's event lines, each byte for byte what ``json.dumps``
     writes for its event: ints format as ``int.__repr__``, floats as
-    ``float.__repr__``, and the op and outcome need no escapes.
-
-    Raises ClockError when time goes back, and SchemaError for a negative
-    time or duration, a value that is not finite, or params that
-    ``TraceEvent.validate`` would refuse."""
-    time = run.time
-    if (time[1:] < time[:-1]).any():
-        raise ClockError(f"run {run.meta.run_id!r} has an event time that precedes the previous one")
-    if (time < 0).any() or (run.duration < 0).any():
-        raise SchemaError("event times and durations must be in 0..2**63-1")
-    if not np.isfinite(run.value[run.has_value]).all():
-        raise SchemaError("event values must be finite")
-    for pair in run.params:
-        if None in pair:
-            raise SchemaError("calibrate events carry both params_before and params_after")
-        for params in pair:
-            _check_params(params)
+    ``float.__repr__``, and the op and outcome need no escapes. Raises as
+    ``_check_columns`` does for columns that no file can hold."""
+    _check_columns(run.__dict__)
     nodes = [_quote(name) for name in run.names]
     kinds = [f'"op":"{op}","outcome":"{outcome}"' for op, outcome in _EVENT_KINDS]
     params = iter(run.params)
     lines = []
-    for n, k, t, dur, ep, v, has in zip(run.node.tolist(), run.kind.tolist(), time.tolist(),
+    for n, k, t, dur, ep, v, has in zip(run.node.tolist(), run.kind.tolist(), run.time.tolist(),
                                         run.duration.tolist(), run.ep.tolist(), run.value.tolist(),
                                         run.has_value.tolist()):
         line = f'{{"t":{t},"node":{nodes[n]},{kinds[k]},"dur":{dur},"ep":{ep}'
@@ -580,8 +550,11 @@ def _event_from_line(line: str, names: dict[str, str]) -> tuple:
 
 
 _KIND_TEXT = {f'{op}","outcome":"{outcome}': code for code, (op, outcome) in enumerate(_EVENT_KINDS)}
-# a JSON number in the exact grammar json.loads reads, ASCII digits only
-_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+# a float as float.__repr__ writes it, with a fraction or an exponent:
+# such text float() reads as json.loads does. An int literal is not one:
+# json.loads reads -0 as 0 and a long one as an int, so a line that
+# writes a number that way is read by the strict path
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
 # an int of at most 18 digits, so within int64; a longer one is read by
 # the strict path
 _INT = r"(?:0|[1-9][0-9]{0,17})"
@@ -589,9 +562,9 @@ _INT = r"(?:0|[1-9][0-9]{0,17})"
 # which json.loads reads as it stands
 _TEXT = r'[^"\\\x00-\x1f]*'
 _OBJECT = rf'(\{{(?:"{_TEXT}":{_NUMBER}(?:,"{_TEXT}":{_NUMBER})*)?\}})'
-# a line as _column_text writes it, or with its numbers written another
-# way; findall gives one row per line that matches: t, node, the op and
-# outcome as one text, dur, ep, value, before and after, "" where absent
+# a line as _column_text writes it; findall gives one row per line that
+# matches: t, node, the op and outcome as one text, dur, ep, value, before
+# and after, "" where absent
 _CANONICAL = re.compile(
     rf'^\{{"t":({_INT}),"node":"({_TEXT})","op":"({"|".join(map(re.escape, _KIND_TEXT))})",'
     rf'"dur":({_INT}),"ep":(-?{_INT})(?:,"value":({_NUMBER}))?(?:,"before":{_OBJECT},"after":{_OBJECT})?\}}$',
@@ -600,25 +573,8 @@ _CANONICAL = re.compile(
 _pairs = re.compile(rf'"({_TEXT})":({_NUMBER})').findall
 
 
-def _json_float(text: str) -> float:
-    """A number that matched ``_NUMBER``, as ``_number`` reads its JSON
-    value: an int literal goes through int, so that -0 reads as 0.0, and
-    gives inf when it overflows."""
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    try:
-        return float(int(text))
-    except OverflowError:
-        return math.inf
-
-
-def _object_params(text: str, names: dict[str, str]) -> list | None:
-    """The pairs of a matched params object, or None if a name repeats or
-    a number is not finite."""
-    params = [(names.setdefault(k, k), _json_float(v)) for k, v in _pairs(text)]
-    if len({k for k, _ in params}) < len(params) or not all(map(math.isfinite, [v for _, v in params])):
-        return None
-    return params
+def _object_params(text: str, names: dict[str, str]) -> list:
+    return [(names.setdefault(k, k), float(v)) for k, v in _pairs(text)]
 
 
 def _int64s(texts: tuple[str, ...]) -> np.ndarray:
@@ -629,27 +585,27 @@ def _int64s(texts: tuple[str, ...]) -> np.ndarray:
 def _canonical_columns(text: str, names: dict[str, str]) -> dict | None:
     """The columns of a file's event lines, read by one pass of
     ``_CANONICAL`` over their whole text, when every line that is not
-    blank matches and passes the checks that the regex leaves open, and
-    time never goes back; None otherwise, and the file is read line by
-    line."""
+    blank matches, params are on the calibrate lines alone, and the
+    columns pass ``_check_columns``; None otherwise, and the file is read
+    line by line."""
     rows = _CANONICAL.findall(text)
     # each match is a whole line; blank lines are skipped, as line by line
     if not rows or (len(rows) != text.count("\n") + (not text.endswith("\n"))
                     and len(rows) != sum(1 for line in text.split("\n") if line.strip())):
         return None
     t, node, kind, dur, ep, value, before, after = zip(*rows)
-    time = _int64s(t)
-    if (time[1:] < time[:-1]).any():
-        return None
     kind = np.array(list(map(_KIND_TEXT.__getitem__, kind)), np.int8)
     calibrate = np.flatnonzero(_is_calibrate(kind)).tolist()
     if before.count("") != len(before) - len(calibrate) or not all([before[i] for i in calibrate]):
         return None  # params on a line that is not calibrate, or none on one that is
     calibrations = [(_object_params(before[i], names), _object_params(after[i], names)) for i in calibrate]
-    values = [_json_float(v) if v else None for v in value]
-    if any(None in pair for pair in calibrations) or not all([math.isfinite(v) for v in values if v is not None]):
+    values = [float(v) if v else None for v in value]
+    cols = _columns(node, kind, _int64s(t), _int64s(dur), _int64s(ep), values, calibrations)
+    try:
+        _check_columns(cols)
+    except (ClockError, SchemaError):
         return None
-    return _columns(node, kind, time, _int64s(dur), _int64s(ep), values, calibrations)
+    return cols
 
 
 @contextmanager
@@ -714,7 +670,7 @@ def _read_trace(path: str | Path) -> Run:
         except SchemaError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
         if row[0] < last_t:
-            raise ClockError(f"{path}:{lineno}: time {row[0]} precedes previous {last_t}")
+            raise ClockError(f"{path}:{lineno}: event time {row[0]} precedes previous {last_t}")
         last_t = row[0]
         rows.append(row)
     return run_from_rows(meta, rows)

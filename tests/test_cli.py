@@ -206,12 +206,14 @@ class TestCheck:
         assert record["result"]["verdict"] == "does_not_hold"
 
     def test_insufficient_data_exits_three(self, capsys, trace_dir):
-        code, _, _, record = run_cli(
+        code, out, _, record = run_cli(
             capsys, "check", "--traces", str(trace_dir),
             "--property", "ci ttf(A) @ F=0.05 C=0.95",
         )
         assert code == 3
-        assert record["result"]["verdict"] == "insufficient_data"
+        assert record["result"] == {"verdict": "insufficient_data", "n_used": 0}
+        assert record["exit_code"] == 3
+        assert "verdict: insufficient_data (" in out
 
     def test_parse_error_exits_two_with_caret(self, capsys, trace_dir):
         code, _, err, _ = run_cli(

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_event_line, reference_read_trace
+from test_golden import CONFIGS, MODES
 from spaq import trace
 from spaq.errors import ClockError, SchemaError
 from spaq.graph import builtin_config_path, load_graph
@@ -144,9 +145,14 @@ class TestFileRoundTrip:
             write_trace(tmp_path / "new.trace", bad)
         assert [f.name for f in tmp_path.iterdir()] == ["run.trace"]
 
-    def test_writer_rejects_time_regression(self):
-        with pytest.raises(ClockError):
+    def test_writer_rejects_time_regression(self, tmp_path):
+        # one rule, one message, whether the run is built from events or
+        # from the simulator's rows
+        with pytest.raises(ClockError, match="event time 4 precedes previous 5"):
             Run(meta(), (ev(5), ev(4)))
+        rows = [(5, "a", 0, 1, 0, None, None, None), (4, "a", 0, 1, 0, None, None, None)]
+        with pytest.raises(ClockError, match="event time 4 precedes previous 5"):
+            write_trace(tmp_path / "t", trace.run_from_rows(meta(), rows))
 
     @pytest.mark.parametrize(
         "bad",
@@ -220,7 +226,7 @@ class TestFileRoundTrip:
             '{"t":1,"node":"a","op":"check_data","outcome":"pass","dur":1,"ep":0}',
         ]
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ClockError):
+        with pytest.raises(ClockError, match=":3: event time 1 precedes previous 3$"):
             read_trace(p)
 
     def test_reader_rejects_garbage_line(self, tmp_path):
@@ -349,6 +355,34 @@ class TestStrictReader:
         with pytest.raises(SchemaError, match=r":2:") as info:
             read_trace(p)
         assert str(info.value).startswith(f"{p}:2: ")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":-0}',
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":7}',
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":1E2}',
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":1e400}',
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":-1e400}',
+            '{"t":1,"node":"a","op":"drift_sample","outcome":"pass","dur":0,"ep":0,"value":' + "9" * 400 + "}",
+            '{"t":1,"node":"a","op":"calibrate","outcome":"success","dur":2,"ep":0,'
+            '"before":{"p":-0},"after":{"p":-0.0}}',
+            '{"t":1,"node":"a","op":"calibrate","outcome":"success","dur":2,"ep":0,'
+            '"before":{"p":1e400},"after":{"p":0.5}}',
+        ],
+    )
+    def test_numbers_written_another_way_read_as_json_loads_reads_them(self, tmp_path, line):
+        # the fast path reads only floats as the writer writes them; every
+        # other number, -0 above all, is read as json.loads reads it
+        p = tmp_path / "t"
+        p.write_text(HEADER + "\n" + line + "\n")
+        try:
+            expected = repr(reference_read_trace(p))
+        except SchemaError:
+            with pytest.raises(SchemaError):
+                read_trace(p)
+        else:
+            assert repr(read_trace(p)) == expected
 
     def test_rejects_invalid_utf8(self, tmp_path):
         p = tmp_path / "bad"
@@ -569,6 +603,57 @@ def test_perturbed_writer_lines_read_as_the_reference_reads_them(fuzz_dir, lines
         return
     assert expected is not None and _int64_safe(expected)
     assert run == expected and repr(run) == repr(expected)
+
+
+def _plain(name: str) -> str:
+    return "".join(c for c in name if " " <= c < "\x7f" and c not in '"\\')
+
+
+def _short(n: int) -> int:
+    return n if abs(n) < 10**18 else n // 10
+
+
+def _fast_form(e: TraceEvent) -> TraceEvent:
+    """``e`` with names that need no JSON escape and ints of at most 18
+    digits: the two things that the fast path leaves to the strict one."""
+    def params(pairs):
+        return None if pairs is None else tuple(dict((_plain(k), v) for k, v in pairs).items())
+
+    return replace(e, time=_short(e.time), node=_plain(e.node), duration=_short(e.duration), ep=_short(e.ep),
+                   params_before=params(e.params_before), params_after=params(e.params_after))
+
+
+def _read_on_the_fast_path(path) -> Run:
+    def strict(line, names):
+        raise AssertionError(f"read line by line: {line!r}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_event_from_line", strict)
+        return read_trace(path)
+
+
+@given(events=st.lists(_WRITABLE_EVENT.map(_fast_form), max_size=6))
+@settings(max_examples=300, deadline=None)
+@example(events=[ev(t, op=DRIFT_SAMPLE, dur=0, value=v) for t, v in enumerate([5e-324, 1e16, -0.0, 1.5e300, 3])])
+def test_writer_files_are_read_on_the_fast_path(fuzz_dir, events):
+    """Every number the writer writes, an int value held as a float among
+    them, is one that the fast path reads: the whole file is read by one
+    regex pass, never line by line."""
+    run = Run(meta=meta(), events=sorted(events, key=lambda e: e.time))
+    path = fuzz_dir / "fast.jsonl"
+    write_trace(path, run)
+    back = _read_on_the_fast_path(path)
+    assert back == run and repr(back) == repr(run)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("config", CONFIGS)
+def test_simulated_runs_are_read_on_the_fast_path(tmp_path, config, mode):
+    graph = load_graph(builtin_config_path(config))
+    run = run_simulation(graph, SimConfig(total_cycles=3_000, seed=3, **MODES[mode]))
+    path = tmp_path / "run.trace"
+    write_trace(path, run)
+    assert _read_on_the_fast_path(path) == run
 
 
 class TestColumnarRun:
