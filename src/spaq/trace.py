@@ -37,8 +37,9 @@ rules, so every file the writer produces reads back:
   and durations are not negative, values are finite, and each calibrate
   event has both parameter sets, which ``_check_params`` accepts. It is
   called by ``Run(meta, events)``, by the writer (``_column_text``,
-  before a file is opened, so a refused run leaves no file) and by the
-  reader's fast path.
+  before a file is opened, so a refused run leaves no file;
+  ``write_trace`` puts the path and run id in front of its message) and
+  by the reader's fast path.
 * The reader's fast path, ``_canonical_columns``, reads a file whose
   event lines are all the writer's own, in one pass of one regex,
   ``_CANONICAL``, over their text: the fields in the writer's order, no
@@ -573,10 +574,6 @@ _CANONICAL = re.compile(
 _pairs = re.compile(rf'"({_TEXT})":({_NUMBER})').findall
 
 
-def _object_params(text: str, names: dict[str, str]) -> list:
-    return [(names.setdefault(k, k), float(v)) for k, v in _pairs(text)]
-
-
 def _int64s(texts: tuple[str, ...]) -> np.ndarray:
     # each text matched _INT, so numpy's own parser reads it exactly
     return np.fromstring(" ".join(texts), dtype=np.int64, sep=" ")
@@ -598,7 +595,8 @@ def _canonical_columns(text: str, names: dict[str, str]) -> dict | None:
     calibrate = np.flatnonzero(_is_calibrate(kind)).tolist()
     if before.count("") != len(before) - len(calibrate) or not all([before[i] for i in calibrate]):
         return None  # params on a line that is not calibrate, or none on one that is
-    calibrations = [(_object_params(before[i], names), _object_params(after[i], names)) for i in calibrate]
+    calibrations = [[[(names.setdefault(k, k), float(v)) for k, v in _pairs(text)] for text in (before[i], after[i])]
+                    for i in calibrate]
     values = [float(v) if v else None for v in value]
     cols = _columns(node, kind, _int64s(t), _int64s(dur), _int64s(ep), values, calibrations)
     try:
@@ -678,9 +676,13 @@ def _read_trace(path: str | Path) -> Run:
 
 def write_trace(path: str | Path, run: Run) -> None:
     """Write one run's trace file, whole or not at all; a run that fails
-    a check raises before any file is opened."""
-    run.meta.validate()
-    text = _column_text(run)
+    a check raises before any file is opened, with the path and run id in
+    front of the check's message."""
+    try:
+        run.meta.validate()
+        text = _column_text(run)
+    except (ClockError, SchemaError) as exc:
+        raise type(exc)(f"{path}: run {run.meta.run_id!r}: {exc}") from None
     header = {key: getattr(run.meta, key) for key in _HEADER_TYPES}
     with atomic_write(path) as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")

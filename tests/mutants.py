@@ -4,8 +4,7 @@ Each mutant is one exact text edit of a file under ``src/spaq``, and names
 the tests that must fail once it is applied. Run it from the repository
 root:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py int64      # the mutants whose name contains "int64"
+    python tests/mutants.py
 
 The runner copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
 directory, checks that the named tests pass there unmutated, then applies
@@ -106,20 +105,19 @@ def _pytest(cwd: Path, tests) -> int:
     return subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         if _pytest(work, tests) != 0:
             print("the named tests fail without any mutant; fix them first", file=sys.stderr)
             return 2
         killed = 0
-        for m in chosen:
+        for m in MUTANTS:
             path = work / m.path
             original = path.read_text()
             if original.count(m.old) != 1:
@@ -135,9 +133,9 @@ def main(argv: list[str]) -> int:
             status = "killed" if code == 1 else "survived" if code == 0 else f"error (pytest exit {code})"
             killed += code == 1
             print(f"{m.name}: {status}")
-    print(f"killed {killed}/{len(chosen)}")
-    return 0 if killed == len(chosen) else 1
+    print(f"killed {killed}/{len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
@@ -151,8 +152,9 @@ class TestFileRoundTrip:
         with pytest.raises(ClockError, match="event time 4 precedes previous 5"):
             Run(meta(), (ev(5), ev(4)))
         rows = [(5, "a", 0, 1, 0, None, None, None), (4, "a", 0, 1, 0, None, None, None)]
-        with pytest.raises(ClockError, match="event time 4 precedes previous 5"):
-            write_trace(tmp_path / "t", trace.run_from_rows(meta(), rows))
+        path = tmp_path / "t"
+        with pytest.raises(ClockError, match=f"^{re.escape(str(path))}: run 'r0': event time 4 precedes previous 5$"):
+            write_trace(path, trace.run_from_rows(meta(), rows))
 
     @pytest.mark.parametrize(
         "bad",
