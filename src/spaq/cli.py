@@ -372,18 +372,20 @@ def _load_stored_dataset(doc: dict, label: str, root: Path):
     return load_dataset(paths)
 
 
-def _results_match(recorded: dict, fresh) -> bool:
+def _differences(recorded: dict, fresh) -> list[str]:
+    """Each field on which a recorded result and a fresh one differ, as
+    ``field: recorded != fresh``; floats compare to a relative 1e-9."""
     live = smc_result_to_dict(fresh)
-    for key in ("verdict", "n_used", "rank"):
-        if recorded.get(key) != live.get(key):
-            return False
-    for key in ("p_value", "bound", "coverage"):
+    out = []
+    for key in ("verdict", "n_used", "rank", "p_value", "bound", "coverage"):
         a, b = recorded.get(key), live.get(key)
-        if (a is None) != (b is None):
-            return False
-        if a is not None and not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12):
-            return False
-    return True
+        if key in ("verdict", "n_used", "rank") or a is None or b is None:
+            same = a == b
+        else:
+            same = math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+        if not same:
+            out.append(f"{key}: {a} != {b}")
+    return out
 
 
 def _reproduce(doc: dict, root: Path) -> list[str]:
@@ -407,10 +409,11 @@ def _reproduce(doc: dict, root: Path) -> list[str]:
                 return
             mismatches.append(f"{name}: fresh evaluation has no samples")
             return
-        if _results_match(recorded, fresh):
-            print(f"ok: {name}")
+        differences = _differences(recorded, fresh)
+        if differences:
+            mismatches.append(f"{name}: {'; '.join(differences)}")
         else:
-            mismatches.append(f"{name}: recorded {recorded} != fresh {smc_result_to_dict(fresh)}")
+            print(f"ok: {name}")
 
     for rec in doc.get("recommendations", []):
         check_one(f"recommendation {rec['kind']} {rec['target']}", rec["property"], rec["result"])
@@ -571,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="print a stored experiment report; optionally re-verify it")
     p.add_argument("path", help="report directory or report.json path")
     p.add_argument("--reproduce", action="store_true",
-                   help="re-evaluate every embedded property on the stored traces")
+                   help="re-evaluate every embedded property on the stored traces; a mismatch "
+                        "lists each differing field as 'field: recorded != fresh'")
     return parser
 
 

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
@@ -148,12 +146,20 @@ class Exp3Config(_SeedBlock):
 # --- batched simulation ---
 
 
-# workers fork where the platform allows it, as Linux pools did by default
-# before Python 3.14, and spawn elsewhere: named, the start method no
-# longer changes with the interpreter's default
-_POOL_CONTEXT = multiprocessing.get_context(
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-)
+def _pool_context():
+    """The start-method context of a parallel batch's workers.
+
+    Workers fork where the platform allows it, as Linux pools did by
+    default before Python 3.14, and spawn elsewhere: named, the start
+    method no longer changes with the interpreter's default. Only a
+    parallel batch calls it, and only such a batch imports the pool
+    machinery (``multiprocessing``, ``concurrent.futures.process``), so
+    a serial process never loads it.
+    """
+    import multiprocessing
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    return multiprocessing.get_context(method)
 
 
 def _sim_job(args: tuple[GraphSpec, SimConfig, str]) -> Run:
@@ -183,7 +189,9 @@ def run_batch(
     ]
     args = [(graph, c, f"{run_prefix}-{c.seed}") for c in cfgs]
     if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=_POOL_CONTEXT) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context()) as pool:
             runs = list(pool.map(_sim_job, args))
     else:
         runs = [_sim_job(a) for a in args]

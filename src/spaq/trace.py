@@ -43,11 +43,13 @@ rules, so every file the writer produces reads back:
 * The reader's fast path, ``_canonical_columns``, reads a file whose
   event lines are all the writer's own, in one pass of one regex,
   ``_CANONICAL``, over their text: the fields in the writer's order, no
-  whitespace, names without escapes, a known (op, outcome), ints of at
-  most 18 digits (so within int64) and floats as ``float.__repr__``
-  writes them. Any other file is read line by line: ``_read_trace``
-  checks each line with ``_event_from_line`` and time order as it goes,
-  and prefixes every event-line error with ``path:lineno``.
+  whitespace, escapes in names only as the writer writes them (each
+  distinct name decoded once, by ``json.loads``), a known (op, outcome),
+  ints of at most 18 digits (so within int64) and floats as
+  ``float.__repr__`` writes them. Any other file is read line by line:
+  ``_read_trace`` checks each line with ``_event_from_line`` and time
+  order as it goes, and prefixes every event-line error with
+  ``path:lineno``.
 
 How events are laid out. A pooled analysis holds a million events or
 more, and reads them by node, op and time, so a run keeps them as
@@ -559,9 +561,13 @@ _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
 # an int of at most 18 digits, so within int64; a longer one is read by
 # the strict path
 _INT = r"(?:0|[1-9][0-9]{0,17})"
-# the text of a JSON string with no escapes and no control characters,
-# which json.loads reads as it stands
-_TEXT = r'[^"\\\x00-\x1f]*'
+# the text of a JSON string with no control characters, and escapes only
+# as _quote writes them: a short one, or \u and four lowercase hex digits.
+# A text with no escape takes the first branch, which costs what a plain
+# character run costs; a text with escapes, the second, unrolled one
+_CHAR = r'[^"\\\x00-\x1f]'
+_ESCAPE = r'\\(?:["\\bfnrt]|u[0-9a-f]{4})'
+_TEXT = rf'(?:{_CHAR}*(?=")|{_CHAR}*(?:{_ESCAPE}{_CHAR}*)+)'
 _OBJECT = rf'(\{{(?:"{_TEXT}":{_NUMBER}(?:,"{_TEXT}":{_NUMBER})*)?\}})'
 # a line as _column_text writes it; findall gives one row per line that
 # matches: t, node, the op and outcome as one text, dur, ep, value, before
@@ -577,6 +583,22 @@ _pairs = re.compile(rf'"({_TEXT})":({_NUMBER})').findall
 def _int64s(texts: tuple[str, ...]) -> np.ndarray:
     # each text matched _INT, so numpy's own parser reads it exactly
     return np.fromstring(" ".join(texts), dtype=np.int64, sep=" ")
+
+
+class _JsonStrings(dict):
+    """The text between a JSON string's quotes, as ``_TEXT`` matches it,
+    mapped to the string that ``json.loads`` reads from it: each distinct
+    text with an escape is decoded once, and each string is the one that
+    ``names`` holds for it."""
+
+    def __init__(self, names: dict[str, str]):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, text: str) -> str:
+        name = json.loads(f'"{text}"') if "\\" in text else text
+        self[text] = name = self.names.setdefault(name, name)
+        return name
 
 
 def _canonical_columns(text: str, names: dict[str, str]) -> dict | None:
@@ -595,7 +617,10 @@ def _canonical_columns(text: str, names: dict[str, str]) -> dict | None:
     calibrate = np.flatnonzero(_is_calibrate(kind)).tolist()
     if before.count("") != len(before) - len(calibrate) or not all([before[i] for i in calibrate]):
         return None  # params on a line that is not calibrate, or none on one that is
-    calibrations = [[[(names.setdefault(k, k), float(v)) for k, v in _pairs(text)] for text in (before[i], after[i])]
+    strings = _JsonStrings(names)
+    if "\\" in text:  # a node name may have an escape
+        node = list(map(strings.__getitem__, node))
+    calibrations = [[[(strings[k], float(v)) for k, v in _pairs(text)] for text in (before[i], after[i])]
                     for i in calibrate]
     values = [float(v) if v else None for v in value]
     cols = _columns(node, kind, _int64s(t), _int64s(dur), _int64s(ep), values, calibrations)

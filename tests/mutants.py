@@ -1,4 +1,5 @@
-"""A table of mutants of the trace layer, and a runner that checks each is killed.
+"""A table of mutants of the simulator, the trace layer, the extractors and
+the statistics, and a runner that checks each is killed.
 
 Each mutant is one exact text edit of a file under ``src/spaq``, and names
 the tests that must fail once it is applied. Run it from the repository
@@ -6,9 +7,10 @@ root:
 
     python tests/mutants.py
 
-The runner copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
-directory, checks that the named tests pass there unmutated, then applies
-one mutant at a time and runs only its tests. It prints each mutant as
+The runner copies ``src``, ``tests``, ``perfbench`` (some tests import its
+workloads) and ``pyproject.toml`` to a temporary directory, checks that the
+named tests pass there unmutated, then applies one mutant at a time and
+runs only its tests. It prints each mutant as
 killed or survived, then killed/total, and exits 1 if any survived. It is
 not part of the test suite; ``tests/test_mutants.py`` checks only that
 each mutant's old text occurs exactly once in its file, so that a change
@@ -38,7 +40,10 @@ class Mutant:
 
 
 TRACE = "src/spaq/trace.py"
+SIM = "src/spaq/sim.py"
 TEST_TRACE = "tests/test_trace.py"
+TEST_SIM = "tests/test_sim.py"
+REFERENCE = f"{TEST_SIM}::TestReferenceSimulator::test_runs_and_trace_bytes_equal_the_reference"
 
 MUTANTS = (
     Mutant(
@@ -96,6 +101,84 @@ MUTANTS = (
         '_INT = r"(?:0|[1-9][0-9]{0,18})"',
         (f"{TEST_TRACE}::TestStrictReader::test_rejects_loose_event_fields",),
     ),
+    Mutant(
+        "fast_path_names_not_decoded",
+        TRACE,
+        """name = json.loads(f'"{text}"') if "\\\\" in text else text""",
+        "name = text",
+        (f"{TEST_TRACE}::test_writer_files_are_read_on_the_fast_path",),
+    ),
+    Mutant(
+        "drift_sample_grid_off_by_one",
+        SIM,
+        "grid = range((lo // every + 1) * every - t, hi - t + 1, every)",
+        "grid = range((lo // every + 1) * every - t + 1, hi - t + 1, every)",
+        (f"{TEST_SIM}::TestGroundTruthTracking::test_drift_sample_grid_is_unconditional", REFERENCE),
+    ),
+    Mutant(
+        "drift_walk_adds_the_value_last",
+        "src/spaq/drift.py",
+        "    increments[0] += value\n    return np.cumsum(increments, axis=0)",
+        "    return np.cumsum(increments, axis=0) + value",
+        ("tests/test_drift.py::TestLogistic::test_chained_splits_equal_one_call_bit_for_bit", REFERENCE),
+    ),
+    Mutant(
+        "reset_without_the_stale_mark",
+        SIM,
+        "        self.changed.add(col)\n",
+        "",
+        (f"{TEST_SIM}::TestEpisodeStructure::test_shared_dependency_calibrated_once", REFERENCE),
+    ),
+    Mutant(
+        "left_over_normals_dropped",
+        SIM,
+        "zs, self.normals = self.normals[:n], self.normals[n:]",
+        "zs, self.normals = self.normals[:n], self.normals[:0]",
+        (f"{TEST_SIM}::TestChunkLength::test_short_blocks_use_the_normals_left_over", REFERENCE),
+    ),
+    Mutant(
+        "block_events_sorted_by_row_kind_node",
+        SIM,
+        "for j, m, kind in sorted(marks):",
+        "for j, m, kind in sorted(marks, key=lambda mark: (mark[0], mark[2], mark[1])):",
+        (REFERENCE, "tests/test_golden.py::test_trace_bytes"),
+    ),
+    Mutant(
+        "sink_gate_lt",
+        SIM,
+        "                if due[s] <= self.t:",
+        "                if due[s] < self.t:",
+        (f"{TEST_SIM}::TestDeterminism::test_stepwise_execution_matches_batched_run", REFERENCE),
+    ),
+    Mutant(
+        "next_check_searchsorted_left",
+        "src/spaq/extractors.py",
+        'np.searchsorted(checks, t, side="right")',
+        'np.searchsorted(checks, t, side="left")',
+        ("tests/test_extractors.py::TestConditions::test_window_edges_agree_with_the_oracle",
+         "tests/test_extractors.py::TestOracleAgreement::test_conditions_agree_on_random_streams"),
+    ),
+    Mutant(
+        "availability_flips_sorted_by_time_and_status",
+        SIM,
+        'order = np.argsort(when, kind="stable")',
+        "order = np.lexsort((in_spec, when))",
+        (f"{TEST_SIM}::TestAvailability::test_matches_brute_force_oracle",),
+    ),
+    Mutant(
+        "run_columns_not_cached",
+        TRACE,
+        "    @cached_property\n    def columns(self)",
+        "    @property\n    def columns(self)",
+        ("tests/test_experiments.py::TestVerdictMatrix::test_suite_and_scan_build_each_runs_columns_once",),
+    ),
+    Mutant(
+        "upper_tail_skips_k",
+        "src/spaq/smc.py",
+        "for j in range(k, n + 1)",
+        "for j in range(k + 1, n + 1)",
+        ("tests/test_smc.py::TestBinomialTails::test_matches_scipy",),
+    ),
 )
 
 
@@ -109,7 +192,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
         tests = sorted({t for m in MUTANTS for t in m.tests})

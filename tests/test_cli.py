@@ -321,12 +321,15 @@ class TestReport:
         broken = tmp_path / "broken"
         shutil.copytree(exp2_dir, broken)
         doc = json.loads((broken / "report.json").read_text())
+        n_used = doc["shift_test"]["n_used"]
         doc["shift_test"]["n_used"] += 1
         (broken / "report.json").write_text(json.dumps(doc))
         code, _, err, record = run_cli(capsys, "report", str(broken), "--reproduce")
         assert code == 1
-        assert record["mismatches"]
-        assert "MISMATCH" in err
+        # one string per property, naming the field that differs and
+        # nothing else
+        assert record["mismatches"] == [f"shift_test: n_used: {n_used + 1} != {n_used}"]
+        assert f"MISMATCH shift_test: n_used: {n_used + 1} != {n_used}\n" in err
 
     def test_missing_report_exits_two(self, capsys, tmp_path):
         code, _, _, _ = run_cli(capsys, "report", str(tmp_path / "nowhere"))

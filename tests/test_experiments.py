@@ -8,6 +8,9 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,8 +108,22 @@ class TestRunBatch:
         assert one.runs == two.runs
 
     def test_pool_start_method_is_named(self):
-        method = spaq.experiments._POOL_CONTEXT.get_start_method()
+        method = spaq.experiments._pool_context().get_start_method()
         assert method == ("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+
+    def test_a_serial_batch_loads_no_pool_machinery(self):
+        # this module imports multiprocessing itself, so a fresh
+        # interpreter imports spaq and runs the batch
+        code = (
+            "import sys\n"
+            "import spaq\n"
+            "graph = spaq.load_graph(spaq.builtin_config_path('xgate'))\n"
+            "assert len(spaq.run_batch(graph, 300, range(2), jobs=1).runs) == 2\n"
+            "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(spaq.experiments.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == []
 
     def test_a_batch_hashes_its_graph_once(self, monkeypatch):
         # the hash goes into every run's header; it is computed once per
