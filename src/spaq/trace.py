@@ -27,19 +27,21 @@ rules, so every file the writer produces reads back:
   not a time), ``t`` and ``dur`` in 0..2**63-1 and ``ep`` an int64.
   ``TraceEvent.validate`` adds a finite ``value`` and, on calibrate
   events alone, both parameter sets (``_check_params``: finite, no
-  repeated name). ``_event_from_line`` applies the same rules to one
+  repeated name, and each name one that ``_check_name`` accepts: no high
+  surrogate followed by a low one, whose two escapes would read back as
+  one character). ``_event_from_line`` applies the same rules to one
   line's JSON value, after it parses the line as ``json.loads`` would
   and rejects unknown fields.
 * ``RunMeta.validate``, for the header: every field has its exact JSON
   type, the schema is known, the run id is not empty, ``seed`` is an
   int64 and ``total_cycles`` is in 0..2**63-1.
 * ``_check_columns``, for a run's columns: time does not go back, times
-  and durations are not negative, values are finite, and each calibrate
-  event has both parameter sets, which ``_check_params`` accepts. It is
-  called by ``Run(meta, events)``, by the writer (``_column_text``,
-  before a file is opened, so a refused run leaves no file;
-  ``write_trace`` puts the path and run id in front of its message) and
-  by the reader's fast path.
+  and durations are not negative, values are finite, ``_check_name``
+  accepts each node name, and each calibrate event has both parameter
+  sets, which ``_check_params`` accepts. It is called by ``Run(meta,
+  events)``, by the writer (``_column_text``, before a file is opened,
+  so a refused run leaves no file; ``write_trace`` puts the path and run
+  id in front of its message) and by the reader's fast path.
 * The reader's fast path, ``_canonical_columns``, reads a file whose
   event lines are all the writer's own, in one pass of one regex,
   ``_CANONICAL``, over their text: the fields in the writer's order, no
@@ -149,16 +151,28 @@ class TraceEvent:
 def _check_params(params: Params) -> None:
     if len({k for k, _ in params}) < len(params):
         raise SchemaError(f"repeated parameter name in {params!r}")
-    for _, v in params:
+    for k, v in params:
+        _check_name(k)
         _number(v)
+
+
+# a high surrogate followed by a low one: _quote writes them as two
+# escapes, which json.loads reads back as one character
+_surrogate_pair = re.compile("[\ud800-\udbff][\udc00-\udfff]").search
+
+
+def _check_name(name: str) -> None:
+    if _surrogate_pair(name):
+        raise SchemaError(f"name {name!r} holds a surrogate pair, which a trace file reads back as one character")
 
 
 def _check_columns(cols) -> None:
     """The rules for a run's columns (keyed as in ``_COLUMNS``), which no
     one line can show: raises ClockError when time goes back, and
     SchemaError for a negative time or duration, a value that is not
-    finite, or a calibrate event that lacks a param set or has one that
-    ``_check_params`` refuses."""
+    finite, a node name that ``_check_name`` refuses, or a calibrate
+    event that lacks a param set or has one that ``_check_params``
+    refuses."""
     time = cols["time"]
     back = np.flatnonzero(time[1:] < time[:-1])
     if back.size:
@@ -168,6 +182,8 @@ def _check_columns(cols) -> None:
         raise SchemaError("event times and durations must be in 0..2**63-1")
     if not np.isfinite(cols["value"][cols["has_value"]]).all():
         raise SchemaError("event values must be finite")
+    for name in cols["names"]:
+        _check_name(name)
     for pair in cols["params"]:
         if None in pair:
             raise SchemaError("calibrate events carry both params_before and params_after")
@@ -562,12 +578,10 @@ _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
 # the strict path
 _INT = r"(?:0|[1-9][0-9]{0,17})"
 # the text of a JSON string with no control characters, and escapes only
-# as _quote writes them: a short one, or \u and four lowercase hex digits.
-# A text with no escape takes the first branch, which costs what a plain
-# character run costs; a text with escapes, the second, unrolled one
+# as _quote writes them: a short one, or \u and four lowercase hex digits
 _CHAR = r'[^"\\\x00-\x1f]'
 _ESCAPE = r'\\(?:["\\bfnrt]|u[0-9a-f]{4})'
-_TEXT = rf'(?:{_CHAR}*(?=")|{_CHAR}*(?:{_ESCAPE}{_CHAR}*)+)'
+_TEXT = rf'{_CHAR}*(?:{_ESCAPE}{_CHAR}*)*'
 _OBJECT = rf'(\{{(?:"{_TEXT}":{_NUMBER}(?:,"{_TEXT}":{_NUMBER})*)?\}})'
 # a line as _column_text writes it; findall gives one row per line that
 # matches: t, node, the op and outcome as one text, dur, ep, value, before

@@ -199,6 +199,9 @@ class TestFileRoundTrip:
             ([(1, "a", 2, 1, 0, None, (("p", 0.0),), None)], SchemaError),
             ([(1, "a", 2, 1, 0, None, (("p", 0.0), ("p", 1.0)), (("p", 0.0),))], SchemaError),
             ([(1, "a", 2, 1, 0, None, (("p", 0.0),), (("p", math.inf),))], SchemaError),
+            # a high surrogate then a low one would read back as one character
+            ([(1, "a\ud83d\ude00", 0, 1, 0, None, None, None)], SchemaError),
+            ([(1, "a", 2, 1, 0, None, (("\ud83d\ude00", 0.0),), (("p", 0.0),))], SchemaError),
             ([(5, "a", 0, 1, 0, None, None, None), (4, "a", 0, 1, 0, None, None, None)], ClockError),
         ],
     )
@@ -500,8 +503,11 @@ def test_any_bytes_round_trip_or_raise_typed_error(fuzz_dir, raw):
 
 
 # names with quotes, backslashes, control characters, non-ASCII and
-# lone surrogates, and floats at the edges of their range
-_NAME = st.text(st.characters(blacklist_categories=()), max_size=6)
+# surrogates, but no high surrogate followed by a low one, which the
+# writer refuses; and floats at the edges of their range
+_NAME = st.text(st.characters(blacklist_categories=()), max_size=6).filter(
+    lambda name: not any("\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff" for a, b in zip(name, name[1:]))
+)
 _FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1e16, 1e-7]))
 _VALUE = st.one_of(_FLOAT, st.integers(-(2**70), 2**70))
@@ -611,20 +617,10 @@ def _short(n: int) -> int:
     return n if abs(n) < 10**18 else n // 10
 
 
-def _unpaired(name: str) -> str:
-    # json.loads reads the escapes of two surrogates in a row as one
-    # character, so such a name would not read back as itself
-    return "".join(c for c in name if not "\ud800" <= c <= "\udfff")
-
-
 def _fast_form(e: TraceEvent) -> TraceEvent:
     """``e`` with ints of at most 18 digits, which the fast path leaves
-    to the strict one, and names without surrogates."""
-    def params(pairs):
-        return None if pairs is None else tuple(dict((_unpaired(k), v) for k, v in pairs).items())
-
-    return replace(e, time=_short(e.time), node=_unpaired(e.node), duration=_short(e.duration), ep=_short(e.ep),
-                   params_before=params(e.params_before), params_after=params(e.params_after))
+    to the strict one."""
+    return replace(e, time=_short(e.time), duration=_short(e.duration), ep=_short(e.ep))
 
 
 def _read_on_the_fast_path(path) -> Run:
@@ -640,7 +636,7 @@ def _read_on_the_fast_path(path) -> Run:
 @settings(max_examples=300, deadline=None)
 @example(events=[ev(t, op=DRIFT_SAMPLE, dur=0, value=v) for t, v in enumerate([5e-324, 1e16, -0.0, 1.5e300, 3])])
 @example(events=[ev(0, node="x_gaté"), ev(1, node='q"\\'), ev(2, node="\x00\b\t\n\x0c\r\x1f\x7f"),
-                 ev(3, node="x_gaté"), ev(4, node="😀 ∆"),
+                 ev(3, node="x_gaté"), ev(4, node="😀 ∆"), ev(4, node="\ud83d"), ev(4, node="\ude00\ud83d"),
                  TraceEvent("r0", 5, "x_gaté", CALIBRATE, SUCCESS, 2, params_before=(("ω", 1.0), ("a\\u00e9", 2.0)),
                             params_after=(("ω", 1.5), ("a\\u00e9", 2.5)))])
 def test_writer_files_are_read_on_the_fast_path(fuzz_dir, events):
