@@ -34,6 +34,7 @@ from .errors import (
     InsufficientDataError,
     NoSamplesError,
     PropertySyntaxError,
+    SchemaError,
     SpaqError,
 )
 from .experiments import (
@@ -41,22 +42,26 @@ from .experiments import (
     Exp1Config,
     Exp2Config,
     Exp3Config,
+    _SeedBlock,
     matrix_rows,
+    mutual_pairs,
     pairwise_cofailure_scan,
-    run_batch,
+    param_shift_failure_test,
+    report_to_dict,
     run_delayed_checks_experiment,
     run_hidden_dependency_experiment,
     run_internode_experiment,
     smc_result_to_dict,
+    write_json,
     write_matrix_csv,
     write_report,
 )
 from .graph import builtin_config_path, graph_hash, load_graph
-from .properties import parse_property
+from .properties import CondQuery, parse_property
 from .extractors import evaluate_property
-from .sim import ADAPTIVE, BASELINE, HIGH_FREQUENCY, availability
+from .sim import _MODES, BASELINE, availability
 from .smc import DOES_NOT_HOLD, HOLDS, INSUFFICIENT_DATA, LOWER, TWO_SIDED, UPPER, SmcResult
-from .trace import atomic_write, load_dataset, write_trace
+from .trace import load_dataset, write_trace
 
 _BUILTINS = ("xgate", "internode", "hidden")
 
@@ -120,11 +125,15 @@ def _apply_overrides(cfg, pairs):
     return replace(cfg, **kwargs)
 
 
-def _experiment_cfg(cls, ns, **own):
-    """Experiment config from the shared run flags, the command's own
-    flags and its ``--set`` overrides."""
-    cfg = cls(total_cycles=ns.cycles, n_runs=ns.runs, seed=_resolve_seed(ns.seed), jobs=ns.jobs, **own)
-    return _apply_overrides(cfg, ns.overrides)
+def _seed_block(cls, ns, *, seeded: bool = True):
+    """A ``cls`` config from the flags given, named by its fields (a flag
+    not given takes its field's default), then the ``--set`` overrides.
+    Unless ``seeded`` nothing reads the seed, nor ``$SPAQ_SEED``."""
+    names = {f.name for f in fields(cls)} - {"seed"}
+    given = {key: value for key, value in vars(ns).items() if key in names}
+    if seeded:
+        given["seed"] = _resolve_seed(ns.seed)
+    return _apply_overrides(cls(**given), getattr(ns, "overrides", None))
 
 
 def _emit_json(record: dict) -> None:
@@ -146,17 +155,8 @@ def _verdict_exit(verdict: str | None) -> int:
 
 def cmd_simulate(ns) -> int:
     graph = _load_graph_arg(ns.config, ns.builtin)
-    seed = _resolve_seed(ns.seed)
-    seeds = range(seed, seed + ns.runs)
-    ds = run_batch(
-        graph,
-        ns.cycles,
-        seeds,
-        mode=ns.mode,
-        hf_timeout=ns.hf_timeout,
-        oracle=not ns.no_oracle,
-        jobs=ns.jobs,
-    )
+    block = _seed_block(_SeedBlock, ns)
+    ds = block.batch(graph, "run", mode=ns.mode, hf_timeout=ns.hf_timeout, oracle=ns.oracle)
     outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -174,7 +174,7 @@ def cmd_simulate(ns) -> int:
             }
         )
         print(
-            f"{run.meta.run_id}: {ns.cycles} cycles, {len(run.time)} events, "
+            f"{run.meta.run_id}: {block.total_cycles} cycles, {len(run.time)} events, "
             f"availability {rep.availability:.4f}"
         )
     mean = fmean(r["availability"] for r in rows)
@@ -183,13 +183,12 @@ def cmd_simulate(ns) -> int:
         "command": "simulate",
         "graph_hash": graph_hash(graph),
         "mode": ns.mode,
-        "cycles": ns.cycles,
+        "cycles": block.total_cycles,
         "outdir": str(outdir),
         "runs": rows,
         "availability_mean": mean,
     }
-    with atomic_write(outdir / "summary.json") as fh:
-        fh.write(json.dumps(record, indent=2) + "\n")
+    write_json(outdir / "summary.json", record)
     _emit_json(record)
     return 0
 
@@ -239,23 +238,23 @@ def cmd_check(ns) -> int:
 
 
 def cmd_scan(ns) -> int:
+    # the scan half of exp3: its window, p0 and confidence, and its runs
+    # when no traces are given
+    cfg = _seed_block(Exp3Config, ns, seeded=not ns.traces)
     if ns.traces:
         dataset = load_dataset(_trace_files(ns.traces))
         source = {"traces": [str(p) for p in ns.traces]}
     else:
         graph = _load_graph_arg(ns.config, ns.builtin)
-        seed = _resolve_seed(ns.seed)
-        dataset = run_batch(
-            graph, ns.cycles, range(seed, seed + ns.runs), jobs=ns.jobs
-        )
-        source = {"graph_hash": graph_hash(graph), "cycles": ns.cycles, "seed": seed, "runs": ns.runs}
-    matrix = pairwise_cofailure_scan(dataset, ns.window, ns.p0, ns.confidence)
+        dataset = cfg.batch(graph, "run")
+        source = {"graph_hash": graph_hash(graph), "cycles": cfg.total_cycles, "seed": cfg.seed, "runs": cfg.n_runs}
+    matrix = pairwise_cofailure_scan(dataset, cfg.window, cfg.p0, cfg.confidence)
 
     holds = [list(pair) for pair, cell in sorted(matrix.cells.items()) if cell.verdict == HOLDS]
     for y, z in holds:
         cell = matrix.cells[(y, z)]
         print(
-            f"holds: fail({z}) -> fail({y}) within {ns.window}  "
+            f"holds: fail({z}) -> fail({y}) within {cfg.window}  "
             f"(n={cell.result.n_used}, p={cell.result.p_value:.3g})"
         )
     if not holds:
@@ -267,17 +266,16 @@ def cmd_scan(ns) -> int:
     write_matrix_csv(matrix, outdir / "matrix.csv")
     record = {
         "command": "scan",
-        "window": ns.window,
-        "p0": ns.p0,
-        "confidence": ns.confidence,
+        "window": cfg.window,
+        "p0": cfg.p0,
+        "confidence": cfg.confidence,
         "source": source,
         "holds": holds,
         "mutual": [list(p) for p in matrix.mutual_holds()],
         "matrix_csv": str(outdir / "matrix.csv"),
         "cells": matrix_rows(matrix),
     }
-    with atomic_write(outdir / "scan.json") as fh:
-        fh.write(json.dumps(record, indent=2) + "\n")
+    write_json(outdir / "scan.json", record)
     _emit_json(record)
     return 0
 
@@ -285,71 +283,96 @@ def cmd_scan(ns) -> int:
 # --- experiments ---
 
 
-def _print_report_summary(report) -> None:
-    print(f"scenario: {report.scenario}")
-    print(
-        f"availability: {report.availability_before:.4f} -> "
-        f"{report.availability_after:.4f} "
-        f"({(report.availability_after - report.availability_before) * 100:+.2f} pp)"
-    )
-    for label, values in report.availability_per_run.items():
+def _print_summary(doc: dict) -> None:
+    """The summary of a report document, as ``report_to_dict`` builds it."""
+    before, after = doc["availability_before"], doc["availability_after"]
+    print(f"scenario: {doc['scenario']}")
+    print(f"availability: {before:.4f} -> {after:.4f} ({(after - before) * 100:+.2f} pp)")
+    for label, values in doc["availability_per_run"].items():
         print(f"  {label}: mean {fmean(values):.4f} over {len(values)} run(s)")
-    if report.shift_test is not None:
-        st = report.shift_test
-        print(f"shift test: {st.verdict} (n={st.n_used}, p={st.p_value:.3g})")
-        if st.control is not None:
-            print(f"  control: {st.control.verdict} (n={st.control.n_used})")
-    if report.matrix is not None:
-        print(f"mutual co-failure pairs: {report.matrix.mutual_holds() or 'none'}")
-    if report.recommendations:
-        for rec in report.recommendations:
-            print(f"recommendation: {rec.kind} {rec.target} {rec.payload}")
-    else:
+    st = doc.get("shift_test")
+    if st is not None:
+        print(f"shift test: {st['verdict']} (n={st['n_used']}, p={st['p_value']:.3g})")
+        if "control" in st:
+            print(f"  control: {st['control']['verdict']} (n={st['control']['n_used']})")
+    if "matrix" in doc:
+        held = [(c["response"], c["trigger"]) for c in doc["matrix"] if c["verdict"] == HOLDS]
+        print(f"mutual co-failure pairs: {mutual_pairs(held) or 'none'}")
+    for rec in doc["recommendations"]:
+        print(f"recommendation: {rec['kind']} {rec['target']} {rec['payload']}")
+    if not doc["recommendations"]:
         print("recommendation: none")
 
 
-def _finish_experiment(report, outdir: str, command: str) -> int:
-    paths = write_report(report, outdir)
-    _print_report_summary(report)
+def _report_record(command: str, doc: dict, **extra) -> dict:
+    """The final JSON record of a command that prints a report document."""
+    return {
+        "command": command,
+        "scenario": doc["scenario"],
+        "availability_before": doc["availability_before"],
+        "availability_after": doc["availability_after"],
+        "recommendations": [{"kind": r["kind"], "target": r["target"]} for r in doc["recommendations"]],
+        **extra,
+    }
+
+
+def cmd_experiment(ns) -> int:
+    cls, builtin, run, *_ = _EXPERIMENTS[ns.subcommand]
+    report = run(_seed_block(cls, ns), _load_graph_arg(ns.config, builtin))
+    paths = write_report(report, ns.outdir)
+    doc = report_to_dict(report)
+    _print_summary(doc)
     print(f"report: {paths['report']}")
-    _emit_json(
-        {
-            "command": command,
-            "scenario": report.scenario,
-            "outdir": str(outdir),
-            "report": str(paths["report"]),
-            "availability_before": report.availability_before,
-            "availability_after": report.availability_after,
-            "recommendations": [
-                {"kind": r.kind, "target": r.target} for r in report.recommendations
-            ],
-        }
-    )
+    _emit_json(_report_record(ns.subcommand, doc, outdir=str(ns.outdir), report=str(paths["report"])))
     return 0
 
 
-def cmd_exp1(ns) -> int:
-    graph = _load_graph_arg(ns.config, "xgate")
-    cfg = _experiment_cfg(Exp1Config, ns, hf_timeout=ns.hf_timeout, confidence=ns.confidence)
-    return _finish_experiment(run_delayed_checks_experiment(graph, cfg), ns.outdir, "exp1")
-
-
-def cmd_exp2(ns) -> int:
-    graph = load_graph(ns.config) if ns.config is not None else None
-    cfg = _experiment_cfg(
-        Exp2Config, ns,
-        rel_shift=ns.rel_shift, p0=ns.p0, confidence=ns.confidence, coupling=not ns.no_coupling,
-    )
-    return _finish_experiment(run_internode_experiment(cfg, graph=graph), ns.outdir, "exp2")
-
-
-def cmd_exp3(ns) -> int:
-    graph = load_graph(ns.config) if ns.config is not None else None
-    cfg = _experiment_cfg(Exp3Config, ns, window=ns.window, p0=ns.p0, confidence=ns.confidence)
-    return _finish_experiment(run_hidden_dependency_experiment(cfg, graph=graph), ns.outdir, "exp3")
-
-
 # --- report ---
+
+
+# what ``spaq report`` reads of a report document, as JSON types: a dict
+# is an object with those fields ("?" marks one that may be absent),
+# ``{str: X}`` an object of Xs, and a one-item list an array of its item;
+# a number (float) may be written as an integer
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+_VERDICT = (str, type(None))
+_SMC = {"verdict": _VERDICT, "n_used": int, "p_value?": float, "bound?": float, "rank?": int, "coverage?": float}
+_RESULT = {**_SMC, "control?": _SMC}
+_REPORT = {
+    "scenario": str,
+    "availability_before": float,
+    "availability_after": float,
+    "availability_per_run": {str: [float]},
+    "recommendations": [{"kind": str, "target": str, "payload": dict, "property": str, "result": _RESULT}],
+    "datasets": {str: [{"trace?": str}]},
+    "matrix?": [{"response": str, "trigger": str, "verdict": _VERDICT, "property": str, "result": _RESULT}],
+    "shift_test?": {"verdict": _VERDICT, "n_used": int, "p_value": float, "property": str, "control?": _SMC},
+}
+
+
+def _check_doc(value, spec, path: Path, where: str = "") -> None:
+    """SchemaError, naming ``path`` and the field at ``where``, unless
+    ``value`` has the shape of ``spec`` (see ``_REPORT``)."""
+    at = f"{path}: {where}" if where else str(path)
+    kinds = dict if isinstance(spec, dict) else list if isinstance(spec, list) else spec
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if type(value) not in kinds and not (float in kinds and type(value) is int):
+        expected = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise SchemaError(f"{at}: expected {expected}, got {_JSON_NAMES[type(value)]}")
+    if isinstance(spec, list):
+        for i, item in enumerate(value):
+            _check_doc(item, spec[0], path, f"{where}[{i}]")
+    elif isinstance(spec, dict) and str in spec:
+        for key, item in value.items():
+            _check_doc(item, spec[str], path, f"{where}.{key}")
+    elif isinstance(spec, dict):
+        for field, item_spec in spec.items():
+            name = field.rstrip("?")
+            if name in value:
+                _check_doc(value[name], item_spec, path, f"{where}.{name}" if where else name)
+            elif name == field:
+                raise SchemaError(f"{at}: missing field {name!r}")
 
 
 def _load_report(path: Path) -> tuple[dict, Path]:
@@ -357,11 +380,13 @@ def _load_report(path: Path) -> tuple[dict, Path]:
         path = path / "report.json"
     if not path.is_file():
         raise FileNotFoundError(f"no report document at {path}")
-    return json.loads(path.read_text()), path.parent
+    doc = json.loads(path.read_text())
+    _check_doc(doc, _REPORT, path)
+    return doc, path.parent
 
 
 def _load_stored_dataset(doc: dict, label: str, root: Path):
-    rows = doc.get("datasets", {}).get(label)
+    rows = doc["datasets"].get(label)
     if not rows:
         raise ValueError(f"report has no stored dataset {label!r}")
     paths = []
@@ -388,9 +413,21 @@ def _differences(recorded: dict, fresh) -> list[str]:
     return out
 
 
+def _shift_test(dataset, ast, name: str):
+    """The shift test, with its small-shift control group, of a property
+    ``shift(A, param=P, by=X) -> fail(B) within next_check`` at ``> p0``."""
+    query = ast.body
+    if not (isinstance(query, CondQuery) and query.trigger.kind == "shift"):
+        raise SchemaError(f"{name}: only a shift test has a control group")
+    trigger = query.trigger
+    return param_shift_failure_test(
+        dataset, trigger.node, trigger.arg("param"), trigger.arg("by"), query.response.node, query.probability, ast.C
+    )
+
+
 def _reproduce(doc: dict, root: Path) -> list[str]:
     """Re-evaluate every embedded property on the stored traces."""
-    scenario = doc.get("scenario")
+    scenario = doc["scenario"]
     label = EVIDENCE_DATASET.get(scenario)
     if label is None:
         raise ValueError(f"unknown scenario {scenario!r} in report")
@@ -402,20 +439,25 @@ def _reproduce(doc: dict, root: Path) -> list[str]:
         # a recorded bare bound means the one-sided lower form was used
         side = LOWER if "bound" in recorded and "interval" not in recorded else TWO_SIDED
         try:
-            fresh = evaluate_property(dataset, ast, interval_side=side)
+            if "control" in recorded:
+                fresh = _shift_test(dataset, ast, name)
+            else:
+                fresh = evaluate_property(dataset, ast, interval_side=side)
         except (NoSamplesError, InsufficientDataError):
             if recorded.get("verdict") == INSUFFICIENT_DATA:
                 print(f"ok: {name}")
                 return
             mismatches.append(f"{name}: fresh evaluation has no samples")
             return
-        differences = _differences(recorded, fresh)
-        if differences:
-            mismatches.append(f"{name}: {'; '.join(differences)}")
-        else:
+        found = [(name, _differences(recorded, fresh))]
+        if "control" in recorded:
+            found.append((f"{name}.control", _differences(recorded["control"], fresh.control)))
+        found = [f"{where}: {'; '.join(diffs)}" for where, diffs in found if diffs]
+        mismatches.extend(found)
+        if not found:
             print(f"ok: {name}")
 
-    for rec in doc.get("recommendations", []):
+    for rec in doc["recommendations"]:
         check_one(f"recommendation {rec['kind']} {rec['target']}", rec["property"], rec["result"])
     for cell in doc.get("matrix", []):
         check_one(
@@ -429,19 +471,7 @@ def _reproduce(doc: dict, root: Path) -> list[str]:
 
 def cmd_report(ns) -> int:
     doc, root = _load_report(Path(ns.path))
-    print(f"scenario: {doc.get('scenario')}")
-    print(
-        f"availability: {doc.get('availability_before'):.4f} -> "
-        f"{doc.get('availability_after'):.4f}"
-    )
-    for label, values in doc.get("availability_per_run", {}).items():
-        print(f"  {label}: mean {fmean(values):.4f} over {len(values)} run(s)")
-    recs = doc.get("recommendations", [])
-    for rec in recs:
-        print(f"recommendation: {rec['kind']} {rec['target']} {rec.get('payload', {})}")
-    if not recs:
-        print("recommendation: none")
-
+    _print_summary(doc)
     mismatches: list[str] = []
     if ns.reproduce:
         mismatches = _reproduce(doc, root)
@@ -449,20 +479,7 @@ def cmd_report(ns) -> int:
             print(f"MISMATCH {m}", file=sys.stderr)
         print("reproduction: " + ("ok" if not mismatches else f"{len(mismatches)} mismatch(es)"))
     code = 1 if mismatches else 0
-    _emit_json(
-        {
-            "command": "report",
-            "scenario": doc.get("scenario"),
-            "availability_before": doc.get("availability_before"),
-            "availability_after": doc.get("availability_after"),
-            "recommendations": [
-                {"kind": r["kind"], "target": r["target"]} for r in recs
-            ],
-            "reproduced": ns.reproduce,
-            "mismatches": mismatches,
-            "exit_code": code,
-        }
-    )
+    _emit_json(_report_record("report", doc, reproduced=ns.reproduce, mismatches=mismatches, exit_code=code))
     return code
 
 
@@ -501,11 +518,33 @@ _probability = _open_interval(0.0, 1.0)
 _confidence = _open_interval(0.5, 1.0)
 
 
-def _add_sim_args(p, *, runs_default: int, cycles_default: int) -> None:
-    p.add_argument("--cycles", type=_positive_int, default=cycles_default, help="cycles per run")
-    p.add_argument("--runs", type=_positive_int, default=runs_default, help="number of independent runs")
+# each experiment command: its config class, packaged graph, runner, help
+# line and own flags; a flag's dest is the config field it sets, and
+# scan takes exp3's scan flags
+_SET = {"dest": "overrides", "action": "append", "metavar": "KEY=VALUE"}
+_P0, _CONFIDENCE = ("--p0", {"type": _probability}), ("--confidence", {"type": _confidence})
+_SCAN_FLAGS = (("--window", {"type": _positive_int}), _P0, _CONFIDENCE)
+_EXPERIMENTS = {
+    "exp1": (Exp1Config, "xgate", lambda cfg, graph: run_delayed_checks_experiment(graph, cfg),
+             "delayed-checks experiment (baseline/hf/adaptive)",
+             (("--hf-timeout", {"type": _positive_int}), _CONFIDENCE,
+              ("--set", {**_SET, "help": "config field override, repeatable"}))),
+    "exp2": (Exp2Config, "internode", run_internode_experiment,
+             "inter-node coupling experiment (shift test + merge)",
+             (("--rel-shift", {"type": float}), _P0, _CONFIDENCE,
+              ("--no-coupling", {"dest": "coupling", "action": "store_false", "help": "strip cross-node observable terms"}),
+              ("--set", _SET))),
+    "exp3": (Exp3Config, "hidden", run_hidden_dependency_experiment,
+             "hidden-dependency experiment (scan + added edge)", (*_SCAN_FLAGS, ("--set", _SET))),
+}
+
+
+def _add_sim_args(p) -> None:
+    """The seed block's flags; their dests are its field names."""
+    p.add_argument("--cycles", dest="total_cycles", metavar="CYCLES", type=_positive_int, help="cycles per run")
+    p.add_argument("--runs", dest="n_runs", metavar="RUNS", type=_positive_int, help="number of independent runs")
     p.add_argument("--seed", type=int, default=None, help="base seed; runs use seed..seed+N-1 (default: $SPAQ_SEED or 0)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for independent runs")
+    p.add_argument("--jobs", type=_positive_int, help="parallel workers for independent runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,14 +554,18 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="The last stdout line of every subcommand is a JSON record.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # a command that builds a seed block takes a config field's default
+    # for each flag it is not given
+    seeded = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("simulate", help="run the scheduler simulator and write traces")
-    p.add_argument("--config", help="graph config YAML (default: packaged --builtin)")
+    p = sub.add_parser("simulate", help="run the scheduler simulator and write traces", **seeded)
+    p.add_argument("--config", default=None, help="graph config YAML (default: packaged --builtin)")
     p.add_argument("--builtin", choices=_BUILTINS, default="xgate", help="packaged graph config")
-    _add_sim_args(p, runs_default=1, cycles_default=10_000)
-    p.add_argument("--mode", choices=(BASELINE, HIGH_FREQUENCY, ADAPTIVE), default=BASELINE)
+    _add_sim_args(p)
+    p.set_defaults(n_runs=1)
+    p.add_argument("--mode", choices=_MODES, default=BASELINE)
     p.add_argument("--hf-timeout", type=_positive_int, default=4, help="timeout override in high_frequency mode")
-    p.add_argument("--no-oracle", action="store_true", help="skip ground-truth oracle events")
+    p.add_argument("--no-oracle", dest="oracle", action="store_false", default=True, help="skip ground-truth oracle events")
     p.add_argument("-o", "--outdir", default="spaq_traces", help="trace output directory")
 
     p = sub.add_parser("check", help="evaluate one property against trace files")
@@ -533,43 +576,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None, help="indifference half-width (sequential test)")
     p.add_argument("--side", choices=(LOWER, UPPER, TWO_SIDED), default=TWO_SIDED, help="ci-mode bound side")
 
-    p = sub.add_parser("scan", help="pairwise co-failure scan over traces or fresh runs")
+    p = sub.add_parser("scan", help="pairwise co-failure scan over traces or fresh runs", **seeded)
     p.add_argument("--traces", nargs="*", default=(), help="existing trace files or directories")
-    p.add_argument("--config", help="graph config YAML to simulate when no traces given")
+    p.add_argument("--config", default=None, help="graph config YAML to simulate when no traces given")
     p.add_argument("--builtin", choices=_BUILTINS, default="hidden")
-    _add_sim_args(p, runs_default=5, cycles_default=10_000)
-    p.add_argument("--window", type=_positive_int, default=25)
-    p.add_argument("--p0", type=_probability, default=0.33)
-    p.add_argument("--confidence", type=_confidence, default=0.90)
+    _add_sim_args(p)
+    p.set_defaults(n_runs=5)
+    for flag, kwargs in _SCAN_FLAGS:
+        p.add_argument(flag, **kwargs)
     p.add_argument("-o", "--outdir", default="spaq_scan", help="output directory")
 
-    p = sub.add_parser("exp1", help="delayed-checks experiment (baseline/hf/adaptive)")
-    p.add_argument("--config", help="graph config YAML (default: packaged xgate)")
-    _add_sim_args(p, runs_default=20, cycles_default=10_000)
-    p.add_argument("--hf-timeout", type=_positive_int, default=4)
-    p.add_argument("--confidence", type=_confidence, default=0.95)
-    p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
-                   help="config field override, repeatable")
-    p.add_argument("-o", "--outdir", default="spaq_exp1")
-
-    p = sub.add_parser("exp2", help="inter-node coupling experiment (shift test + merge)")
-    p.add_argument("--config", help="graph config YAML (default: packaged internode)")
-    _add_sim_args(p, runs_default=20, cycles_default=10_000)
-    p.add_argument("--rel-shift", type=float, default=0.10)
-    p.add_argument("--p0", type=_probability, default=0.33)
-    p.add_argument("--confidence", type=_confidence, default=0.95)
-    p.add_argument("--no-coupling", action="store_true", help="strip cross-node observable terms")
-    p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
-    p.add_argument("-o", "--outdir", default="spaq_exp2")
-
-    p = sub.add_parser("exp3", help="hidden-dependency experiment (scan + added edge)")
-    p.add_argument("--config", help="graph config YAML (default: packaged hidden)")
-    _add_sim_args(p, runs_default=20, cycles_default=10_000)
-    p.add_argument("--window", type=_positive_int, default=25)
-    p.add_argument("--p0", type=_probability, default=0.33)
-    p.add_argument("--confidence", type=_confidence, default=0.90)
-    p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
-    p.add_argument("-o", "--outdir", default="spaq_exp3")
+    for name, (_, builtin, _, summary, flags) in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=summary, **seeded)
+        p.add_argument("--config", default=None, help=f"graph config YAML (default: packaged {builtin})")
+        _add_sim_args(p)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("-o", "--outdir", default=f"spaq_{name}")
 
     p = sub.add_parser("report", help="print a stored experiment report; optionally re-verify it")
     p.add_argument("path", help="report directory or report.json path")
@@ -583,9 +606,7 @@ _HANDLERS = {
     "simulate": cmd_simulate,
     "check": cmd_check,
     "scan": cmd_scan,
-    "exp1": cmd_exp1,
-    "exp2": cmd_exp2,
-    "exp3": cmd_exp3,
+    **dict.fromkeys(_EXPERIMENTS, cmd_experiment),
     "report": cmd_report,
 }
 

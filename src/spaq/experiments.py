@@ -243,13 +243,13 @@ class VerdictMatrix:
 
     def mutual_holds(self) -> list[tuple[str, str]]:
         """Unordered pairs flagged in both directions, sorted."""
-        out = []
-        for x, y in self.cells:
-            if x < y and self.cells[(x, y)].verdict == HOLDS:
-                rev = self.cells.get((y, x))
-                if rev is not None and rev.verdict == HOLDS:
-                    out.append((x, y))
-        return sorted(out)
+        return mutual_pairs(pair for pair, cell in self.cells.items() if cell.verdict == HOLDS)
+
+
+def mutual_pairs(held) -> list[tuple[str, str]]:
+    """The pairs ``(x, y)``, ``x < y``, held in both directions, sorted."""
+    held = set(held)
+    return sorted((x, y) for x, y in held if x < y and (y, x) in held)
 
 
 @dataclass(frozen=True)
@@ -634,6 +634,12 @@ def report_to_dict(report: ExperimentReport, trace_paths: dict[str, dict[str, st
     return out
 
 
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write a JSON document, indented, as one atomic replace."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def write_report(report: ExperimentReport, outdir: str | Path) -> dict[str, Path]:
     """Write the report document, its traces, and plot-ready CSV tables.
 
@@ -655,10 +661,8 @@ def write_report(report: ExperimentReport, outdir: str | Path) -> dict[str, Path
             write_trace(p, run)
             trace_paths.setdefault(label, {})[run.meta.run_id] = str(p.relative_to(outdir))
 
-    report_path = outdir / "report.json"
-    with atomic_write(report_path) as fh:
-        fh.write(json.dumps(report_to_dict(report, trace_paths), indent=2) + "\n")
-    paths["report"] = report_path
+    paths["report"] = outdir / "report.json"
+    write_json(paths["report"], report_to_dict(report, trace_paths))
 
     avail_path = outdir / "availability.csv"
     with atomic_write(avail_path, newline="") as fh:

@@ -56,6 +56,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -475,7 +476,8 @@ class Simulator:
         # events in time order, and in the order they were emitted within a
         # cycle; only tracking emits events of a cycle that an operation's
         # own event, stamped with its start, follows
-        return run_from_rows(meta, self._rows, by_time=self._emits)
+        rows = sorted(self._rows, key=itemgetter(0)) if self._emits else self._rows
+        return run_from_rows(meta, rows)
 
 
 def _columns(objs, names) -> SimpleNamespace:

@@ -80,7 +80,6 @@ import re
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -428,25 +427,23 @@ def _columns(node, kind, time, duration, ep, value, calibrations) -> dict:
     }
 
 
-def _row_columns(rows: list[tuple], by_time: bool = False) -> dict:
+def _row_columns(rows: list[tuple]) -> dict:
     """The columns (see ``_columns``) of events given as rows, ``(time,
     node, code, duration, ep, value, before, after)``, where ``code``
     indexes ``_EVENT_KINDS``, ``value`` is None when the event carries
     none, and ``before`` and ``after`` are a calibrate event's (name,
     value) pairs, None on any other event. The columns keep the rows'
-    order, or with ``by_time`` are sorted stably by time."""
-    if by_time:
-        rows = sorted(rows, key=itemgetter(0))
+    order."""
     time, node, kind, duration, ep, value, before, after = zip(*rows) if rows else ((),) * 8
     kind = np.array(kind, np.int8)
     calibrations = [(before[i], after[i]) for i in np.flatnonzero(_is_calibrate(kind)).tolist()]
     return _columns(node, kind, time, duration, ep, value, calibrations)
 
 
-def run_from_rows(meta: RunMeta, rows: list[tuple], by_time: bool = False) -> Run:
+def run_from_rows(meta: RunMeta, rows: list[tuple]) -> Run:
     """The run of events given as rows (see ``_row_columns``): how the
     simulator and the reader build theirs."""
-    return _from_columns(meta, _row_columns(rows, by_time))
+    return _from_columns(meta, _row_columns(rows))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""A table of mutants of the simulator, the trace layer, the extractors and
-the statistics, and a runner that checks each is killed.
+"""A table of mutants of the simulator, the trace layer, the extractors, the
+statistics, the graph config reader and ``spaq report``, and a runner that
+checks each is killed.
 
 Each mutant is one exact text edit of a file under ``src/spaq``, and names
 the tests that must fail once it is applied. Run it from the repository
@@ -44,6 +45,11 @@ SIM = "src/spaq/sim.py"
 TEST_TRACE = "tests/test_trace.py"
 TEST_SIM = "tests/test_sim.py"
 REFERENCE = f"{TEST_SIM}::TestReferenceSimulator::test_runs_and_trace_bytes_equal_the_reference"
+GRAPH = "src/spaq/graph.py"
+ROUND_TRIP = "tests/test_graph.py::TestConfigRoundTrip"
+WRITER_KEYS = f"{ROUND_TRIP}::test_every_key_the_writer_emits_reads_back"
+MALFORMED = f"{ROUND_TRIP}::test_malformed_entries_are_rejected_with_their_path"
+CORRUPTED = "tests/test_graph.py::test_corrupted_configs_round_trip_or_raise_a_typed_error"
 
 MUTANTS = (
     Mutant(
@@ -178,6 +184,74 @@ MUTANTS = (
         "for j in range(k, n + 1)",
         "for j in range(k + 1, n + 1)",
         ("tests/test_smc.py::TestBinomialTails::test_matches_scipy",),
+    ),
+    Mutant(
+        "config_offset_not_always_written",
+        GRAPH,
+        '*((ObservableSpec, name) for name in ("kind", "offset", "terms", "omega")),',
+        '*((ObservableSpec, name) for name in ("kind", "terms", "omega")),',
+        (WRITER_KEYS,),
+    ),
+    Mutant(
+        "config_type_check_takes_bools",
+        GRAPH,
+        "if type(raw) not in ((int, float) if tp is float else (tp,)) or raw != raw:",
+        "if not isinstance(raw, (int, float) if tp is float else tp) or raw != raw:",
+        (f"{ROUND_TRIP}::test_integer_node_fields_must_be_exact_ints", MALFORMED),
+    ),
+    Mutant(
+        "config_kind_without_the_linear_default",
+        GRAPH,
+        'keys = _keys(cls, raw.get("kind", LINEAR))',
+        'keys = _keys(cls, raw.get("kind"))',
+        (CORRUPTED,),
+    ),
+    Mutant(
+        "config_observable_keys_not_per_kind",
+        GRAPH,
+        "    if cls is ObservableSpec and isinstance(kind, str) and kind in _OBSERVABLE_KEYS:\n"
+        "        return _OBSERVABLE_KEYS[kind]\n",
+        "",
+        (WRITER_KEYS, MALFORMED),
+    ),
+    Mutant(
+        "config_writer_omits_every_default",
+        GRAPH,
+        "if value == default and (cls, key) not in _ALWAYS:",
+        "if value == default:",
+        (WRITER_KEYS,),
+    ),
+    Mutant(
+        "config_parameter_names_unchecked",
+        GRAPH,
+        "            if type(name) is not str:\n"
+        '                raise ConfigError(f"{where}: parameter name {name!r} is not a string")\n',
+        "            pass\n",
+        (MALFORMED,),
+    ),
+    Mutant(
+        "config_range_check_catches_type_errors",
+        GRAPH,
+        "    except ValueError as exc:\n"
+        '        raise ConfigError(f"{where}: {exc}") from None',
+        "    except TypeError as exc:\n"
+        '        raise ConfigError(f"{where}: {exc}") from None',
+        (MALFORMED, CORRUPTED),
+    ),
+    Mutant(
+        "report_missing_field_not_refused",
+        "src/spaq/cli.py",
+        "            elif name == field:\n"
+        '                raise SchemaError(f"{at}: missing field {name!r}")\n',
+        "",
+        ("tests/test_cli.py::TestReport::test_malformed_report_exits_two",),
+    ),
+    Mutant(
+        "reproduce_skips_the_control_group",
+        "src/spaq/cli.py",
+        '        if "control" in recorded:\n            found.append(',
+        "        if False:\n            found.append(",
+        ("tests/test_cli.py::TestReport::test_tampered_control_group_fails_reproduction",),
     ),
 )
 

@@ -4,12 +4,14 @@ resolution, overrides, and report reproduction."""
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import shutil
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from spaq.cli import main
+from spaq.cli import _EXPERIMENTS, _seed_block, build_parser, main
+from spaq.experiments import Exp1Config, Exp2Config, Exp3Config
 from spaq.graph import builtin_config_path
 from spaq.trace import read_trace
 
@@ -316,8 +318,6 @@ class TestReport:
         assert "scenario: internode_coupling" in out
 
     def test_tampered_report_fails_reproduction(self, capsys, exp2_dir, tmp_path):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(exp2_dir, broken)
         doc = json.loads((broken / "report.json").read_text())
@@ -334,3 +334,88 @@ class TestReport:
     def test_missing_report_exits_two(self, capsys, tmp_path):
         code, _, _, _ = run_cli(capsys, "report", str(tmp_path / "nowhere"))
         assert code == 2
+
+    def test_tampered_control_group_fails_reproduction(self, capsys, exp2_dir, tmp_path):
+        # a control that holds withholds the merge, so the control is
+        # evidence that reproduction must check too
+        broken = tmp_path / "broken"
+        shutil.copytree(exp2_dir, broken)
+        doc = json.loads((broken / "report.json").read_text())
+        control = doc["shift_test"]["control"]
+        verdict, n_used = control["verdict"], control["n_used"]
+        assert verdict != "holds"
+        control["verdict"], control["n_used"] = "holds", n_used + 5
+        (broken / "report.json").write_text(json.dumps(doc))
+        code, _, err, record = run_cli(capsys, "report", str(broken), "--reproduce")
+        assert code == 1
+        line = f"shift_test.control: verdict: holds != {verdict}; n_used: {n_used + 5} != {n_used}"
+        assert record["mismatches"] == [line]
+        assert f"MISMATCH {line}\n" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [1, 2], "expected an object, got an array"),
+            (lambda doc: {"scenario": "delayed_checks"}, "missing field 'availability_before'"),
+            (lambda doc: {**doc, "recommendations": [3]}, "recommendations[0]: expected an object, got an integer"),
+        ],
+        ids=["not_an_object", "missing_field", "recommendation_not_an_object"],
+    )
+    def test_malformed_report_exits_two(self, capsys, exp2_dir, tmp_path, edit, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(edit(json.loads((exp2_dir / "report.json").read_text()))))
+        code, out, err, _ = run_cli(capsys, "report", str(path), "--reproduce")
+        assert code == 2
+        assert err == f"error: {path}: {message}\n"
+        assert out == ""
+
+
+def config_of(*argv):
+    """The config a command builds from its flags; nothing is run."""
+    ns = build_parser().parse_args(argv)
+    return _seed_block(_EXPERIMENTS[ns.subcommand][0], ns)
+
+
+class TestDefaults:
+    """A flag not given takes its config field's default."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_seed(self, monkeypatch):
+        monkeypatch.delenv("SPAQ_SEED", raising=False)
+
+    @pytest.mark.parametrize("command, cls", [("exp1", Exp1Config), ("exp2", Exp2Config), ("exp3", Exp3Config)])
+    def test_no_flags_give_the_config_class_at_seed_0(self, command, cls):
+        cfg = config_of(command)
+        assert type(cfg) is cls and cfg == cls() and cfg.seed == 0
+
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            (("exp1", "--cycles", "123"), "total_cycles", 123),
+            (("exp1", "--runs", "3"), "n_runs", 3),
+            (("exp1", "--seed", "5"), "seed", 5),
+            (("exp1", "--jobs", "2"), "jobs", 2),
+            (("exp1", "--hf-timeout", "9"), "hf_timeout", 9),
+            (("exp1", "--confidence", "0.9"), "confidence", 0.9),
+            (("exp2", "--rel-shift", "0.2"), "rel_shift", 0.2),
+            (("exp2", "--p0", "0.4"), "p0", 0.4),
+            (("exp2", "--confidence", "0.99"), "confidence", 0.99),
+            (("exp2", "--no-coupling"), "coupling", False),
+            (("exp3", "--window", "7"), "window", 7),
+            (("exp3", "--p0", "0.2"), "p0", 0.2),
+            (("exp3", "--confidence", "0.8"), "confidence", 0.8),
+        ],
+    )
+    def test_a_flag_sets_its_field(self, argv, field, value):
+        assert config_of(*argv) == replace(config_of(argv[0]), **{field: value})
+
+    def test_an_override_wins_over_a_flag(self):
+        assert config_of("exp3", "--window", "7", "--set", "window=5").window == 5
+
+    def test_scan_takes_the_scan_settings_of_exp3(self, capsys, trace_dir, tmp_path):
+        code, _, _, record = run_cli(capsys, "scan", "--traces", str(trace_dir), "-o", str(tmp_path / "s"))
+        assert code == 0
+        defaults = Exp3Config()
+        assert (record["window"], record["p0"], record["confidence"]) == (
+            defaults.window, defaults.p0, defaults.confidence,
+        )
