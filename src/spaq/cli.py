@@ -449,10 +449,10 @@ def _reproduce(doc: dict, root: Path) -> list[str]:
                 return
             mismatches.append(f"{name}: fresh evaluation has no samples")
             return
-        found = [(name, _differences(recorded, fresh))]
+        compared = [(name, _differences(recorded, fresh))]
         if "control" in recorded:
-            found.append((f"{name}.control", _differences(recorded["control"], fresh.control)))
-        found = [f"{where}: {'; '.join(diffs)}" for where, diffs in found if diffs]
+            compared.append((f"{name}.control", _differences(recorded["control"], fresh.control)))
+        found = [f"{where}: {'; '.join(diffs)}" for where, diffs in compared if diffs]
         mismatches.extend(found)
         if not found:
             print(f"ok: {name}")

@@ -249,8 +249,8 @@ MUTANTS = (
     Mutant(
         "reproduce_skips_the_control_group",
         "src/spaq/cli.py",
-        '        if "control" in recorded:\n            found.append(',
-        "        if False:\n            found.append(",
+        '        if "control" in recorded:\n            compared.append(',
+        "        if False:\n            compared.append(",
         ("tests/test_cli.py::TestReport::test_tampered_control_group_fails_reproduction",),
     ),
 )
