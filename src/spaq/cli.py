@@ -382,6 +382,9 @@ def _load_report(path: Path) -> tuple[dict, Path]:
         raise FileNotFoundError(f"no report document at {path}")
     doc = json.loads(path.read_text())
     _check_doc(doc, _REPORT, path)
+    for label, values in doc["availability_per_run"].items():
+        if not values:
+            raise SchemaError(f"{path}: availability_per_run.{label}: expected a non-empty array")
     return doc, path.parent
 
 
@@ -433,17 +436,25 @@ def _reproduce(doc: dict, root: Path) -> list[str]:
         raise ValueError(f"unknown scenario {scenario!r} in report")
     dataset = _load_stored_dataset(doc, label, root)
     mismatches: list[str] = []
+    # each distinct evaluation's fresh result, None when it has no samples:
+    # exp2's merge recommendation and its shift test store one property
+    results: dict[tuple[str, str, bool], object] = {}
 
     def check_one(name: str, text: str, recorded: dict) -> None:
-        ast = parse_property(text)
         # a recorded bare bound means the one-sided lower form was used
         side = LOWER if "bound" in recorded and "interval" not in recorded else TWO_SIDED
-        try:
-            if "control" in recorded:
-                fresh = _shift_test(dataset, ast, name)
-            else:
-                fresh = evaluate_property(dataset, ast, interval_side=side)
-        except (NoSamplesError, InsufficientDataError):
+        key = (text, side, "control" in recorded)
+        if key not in results:
+            ast = parse_property(text)
+            try:
+                if "control" in recorded:
+                    results[key] = _shift_test(dataset, ast, name)
+                else:
+                    results[key] = evaluate_property(dataset, ast, interval_side=side)
+            except (NoSamplesError, InsufficientDataError):
+                results[key] = None
+        fresh = results[key]
+        if fresh is None:
             if recorded.get("verdict") == INSUFFICIENT_DATA:
                 print(f"ok: {name}")
                 return

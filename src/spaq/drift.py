@@ -6,10 +6,11 @@ operations:
 * ``logistic``: a random walk whose per-cycle step scale follows a
   logistic ramp in the time since the last calibration. Freshly
   calibrated parameters are quiet; stale ones random-walk at full rate.
-* ``exponential``: deterministic relaxation of the parameter toward a
-  limit value, ``limit + (v0 - limit) * exp(-rate * tau)``. With the
-  limit below the anchor value this is a decay; with the limit above it
-  is the mirrored rising mode.
+* ``exponential``: deterministic relaxation of the parameter from its
+  value ``v0`` at the last calibration toward a limit value,
+  ``limit + (v0 - limit) * exp(-rate * tau)``. With the limit below the
+  anchor value this is a decay; with the limit above it is the mirrored
+  rising mode.
 
 :func:`transfer_probability` is the closed-form physics of the
 transition and gate observables that check_data experiments measure:
@@ -56,16 +57,12 @@ class LogisticDriftCfg:
 class ExponentialDriftCfg:
     """Deterministic relaxation toward ``limit`` at unit-cycle ``rate``.
 
-    ``v0`` is the anchor of :func:`exponential_decay_value` when called
-    without one. The simulator never reads it: a parameter starts at its
-    ``ParamSpec.optimal`` (a disturbance at 0.0) and relaxes from its
-    value at its last calibration. ``v0`` is still saved with a graph and
-    changes its ``graph_hash``.
+    A parameter starts at its ``ParamSpec.optimal`` (a disturbance at 0.0)
+    and relaxes from its value at its last calibration.
     """
 
     rate: float = 0.0
     limit: float = 0.0
-    v0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rate < 0.0:
@@ -114,17 +111,16 @@ def drift_walk(value, increments: np.ndarray) -> np.ndarray:
     return np.cumsum(increments, axis=0)
 
 
-def exponential_decay_value(cycles_since_cal, cfg: ExponentialDriftCfg, v0: float | None = None):
-    """Value after ``cycles_since_cal`` cycles of relaxation. Accepts arrays.
+def exponential_decay_value(cycles_since_cal, cfg: ExponentialDriftCfg, v0):
+    """Value after ``cycles_since_cal`` cycles of relaxation from the anchor
+    ``v0``, the value at the last calibration. Accepts arrays.
 
-    ``v0`` overrides the configured anchor value; the simulator passes
-    the value the parameter actually had at its last calibration. The
-    value at each tau depends on tau alone, so the fields of ``cfg`` and
-    ``v0`` may also be arrays that broadcast against ``cycles_since_cal``.
+    The value at each tau depends on tau alone, so the fields of ``cfg``
+    and ``v0`` may also be arrays that broadcast against
+    ``cycles_since_cal``.
     """
-    anchor = cfg.v0 if v0 is None else v0
     tau = np.asarray(cycles_since_cal, dtype=float)
-    out = cfg.limit + (anchor - cfg.limit) * np.exp(-cfg.rate * tau)
+    out = cfg.limit + (v0 - cfg.limit) * np.exp(-cfg.rate * tau)
     return float(out) if out.ndim == 0 else out
 
 

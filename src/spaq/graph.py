@@ -228,18 +228,10 @@ class GraphSpec:
                 return n
         raise UnknownNodeError(f"no node {node_id!r} in graph")
 
-    def dependents(self) -> dict[str, tuple[str, ...]]:
-        """node id -> sorted ids of nodes that depend on it."""
-        out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for d in n.dependencies:
-                out[d].append(n.id)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
     def sink_ids(self) -> tuple[str, ...]:
         """Demand roots: nodes nothing else depends on, sorted."""
-        deps = self.dependents()
-        return tuple(sorted(n.id for n in self.nodes if not deps[n.id]))
+        depended = {d for n in self.nodes for d in n.dependencies}
+        return tuple(sorted(n.id for n in self.nodes if n.id not in depended))
 
 
 def validate_graph(graph: GraphSpec) -> None:

@@ -49,6 +49,12 @@ it or one of its ancestors is due (an episode with nothing due emits
 nothing); ``run_stepwise`` executes literal one-cycle steps, asking every
 sink every cycle, and produces the identical trace (asserted in tests),
 so the batching is an optimization, not a semantic choice.
+
+Every row carries an episode number. The initial calibration is episode
+0. A maintenance or diagnosis episode takes the next number when it
+starts and gives it back if it emitted no row, so a trace numbers its
+episodes without gaps; rows emitted between episodes (ground-truth events
+as the clock passes) carry the number of the episode before them.
 """
 
 from __future__ import annotations
@@ -106,6 +112,8 @@ VERIFIED = "verified"
 RECALIBRATED = "recalibrated"
 
 _U64 = (1 << 64) - 1
+# calibration attempts before a node backs off for a timeout
+_MAX_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,6 @@ class SimConfig:
     hf_timeout: int | None = None
     oracle_ttf: bool = False
     drift_sample_every: int = 0
-    max_retries: int = 3
 
     def __post_init__(self) -> None:
         if self.total_cycles < 1:
@@ -135,8 +142,6 @@ class SimConfig:
             raise ValueError(f"hf_timeout must be >= 1, got {self.hf_timeout}")
         if self.drift_sample_every < 0:
             raise ValueError(f"drift_sample_every must be >= 0, got {self.drift_sample_every}")
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
 
 
 def _substream(seed: int, *labels: str) -> np.random.Generator:
@@ -194,11 +199,9 @@ class Simulator:
         self.calibration_failures: list[tuple[int, str]] = []
         self._rows: list[tuple] = []  # one per event emitted, as run_from_rows takes them
         self._ep = 0
-        self._ep_pending = False
         self._initialized = False
 
         self._nodes, self._deps, self._sinks_of = lay.nodes, lay.deps, lay.sinks_of
-        self._param_spec, self._affecting = lay.param_spec, lay.affecting
         hf = cfg.hf_timeout if cfg.mode == HIGH_FREQUENCY else None
         self._timeout = {nid: n.timeout if hf is None else hf for nid, n in lay.nodes.items()}
         self._last_verified = {nid: 0 for nid in lay.nodes}
@@ -247,25 +250,9 @@ class Simulator:
                 sink_due[s] = min(map(due.__getitem__, ancestry))
 
     def _emit(self, time, node, op, outcome, dur=0, value=None, before=None, after=None):
-        if self._ep_pending:
-            self._ep += 1
-            self._ep_pending = False
         self._rows.append((time, node, _KIND_CODE[op][outcome], dur, self._ep, value, before, after))
 
     # --- ground truth ---
-
-    def _get_now(self, owner: str, pname: str) -> float:
-        """A parameter's value at the current cycle."""
-        return self._tracker.value(self._tracker.column[(owner, pname)], self.t)
-
-    def _set_now(self, owner: str, pname: str, value: float) -> None:
-        """Calibrate a parameter to ``value`` at the current cycle."""
-        self._tracker.reset(self._tracker.column[(owner, pname)], value, self.t)
-
-    def _dist_now(self, nid: str):
-        """The disturbances' contribution to ``nid``'s observables now."""
-        tr, dists = self._tracker, self.graph.disturbances
-        return sum(dists[i].strength * tr.value(tr.column[i], self.t) for i in self._affecting[nid])
 
     def _in_spec(self, nid: str) -> bool:
         """Whether every check of ``nid`` passes on its noiseless reading
@@ -285,10 +272,11 @@ class Simulator:
         """Emit, in node id order, the ground-truth transitions a calibration
         caused, from every node's verdicts ``was`` just before its reset."""
         tr = self._tracker
-        now, readings = tr.verdicts(self.t), tr.readings(self.t)
+        j = tr.cover(self.t)
+        now = tr.ok[j]
         for m in sorted(np.flatnonzero(now != was).tolist(), key=tr.ids.__getitem__):
             if now[m]:
-                self._emit(self.t, tr.ids[m], DRIFT_SAMPLE, PASS, value=float(readings[tr.spans[m].start]))
+                self._emit(self.t, tr.ids[m], DRIFT_SAMPLE, PASS, value=tr.obs.item(j, tr.spans[m].start))
             else:
                 self._emit(self.t, tr.ids[m], ORACLE_OUT_OF_SPEC, FAIL)
 
@@ -306,13 +294,8 @@ class Simulator:
                 obs += next(noise_draws) * noise
             if not rule.in_spec(obs):
                 ok = False
-        if self._ep_pending:
-            self._ep += 1
-            self._ep_pending = False
         self._rows.append((start, nid, _CHECK_CODE[ok], cost, self._ep, None, None, None))
-        self.t = start + cost
-        if self._emits:
-            tr.cover(self.t, self._emit)
+        self._advance(cost)
         if ok:
             self._last_verified[nid] = self.t
             self._update_due(nid)
@@ -320,39 +303,27 @@ class Simulator:
 
     def _reset_params(self, nid: str) -> None:
         tr = self._tracker
+        t = self.t
         for pname, col, optimal, cal_noise in self._layout.params[nid]:
-            tr.reset(col, optimal + next(self._cal[(nid, pname)]) * cal_noise, self.t)
-        for check in self._nodes[nid].checks:
-            o = check.observable
-            if o.kind != LINEAR or o.compensate is None:
-                continue
-            weight = next(
-                t.weight for t in o.terms if t.param == o.compensate and (t.node is None or t.node == nid)
-            )
-            # cancel everything except the compensating knob itself:
-            # disturbances, cross-node terms, and other own terms at
-            # their freshly reset values
-            external = self._dist_now(nid)
-            comp_seen = False
-            for tm in o.terms:
-                owner = tm.node or nid
-                if not comp_seen and owner == nid and tm.param == o.compensate:
-                    comp_seen = True
-                    continue
-                spec = self._param_spec[(owner, tm.param)]
-                external += tm.weight * (self._get_now(owner, tm.param) - spec.optimal)
-            self._set_now(nid, o.compensate, self._get_now(nid, o.compensate) - external / weight)
+            tr.reset(col, optimal + next(self._cal[(nid, pname)]) * cal_noise, t)
+        # a compensating knob cancels everything else its check reads, at
+        # the freshly reset values
+        for knob, weight, terms in self._layout.compensate[nid]:
+            external = 0.0
+            for col, w, optimal in terms:
+                external += w * (tr.value(col, t) - optimal)
+            tr.reset(knob, tr.value(knob, t) - external / weight, t)
 
     def _calibrate(self, nid: str) -> bool:
         node = self._nodes[nid]
         tr = self._tracker
         params = self._layout.params[nid]
-        for _ in range(self.cfg.max_retries):
+        for _ in range(_MAX_RETRIES):
             start = self.t
             before = [(pname, tr.value(col, start)) for pname, col, _, _ in params]
             self._advance(node.calibrate_cost)
             # every node's verdicts are read only to flag the changes
-            was = tr.verdicts(self.t).copy() if self.cfg.oracle_ttf else None
+            was = tr.ok[tr.cover(self.t)].copy() if self.cfg.oracle_ttf else None
             self._reset_params(nid)
             ok = self._in_spec(nid)
             after = [(pname, tr.value(col, self.t)) for pname, col, _, _ in params]
@@ -405,11 +376,12 @@ class Simulator:
 
     def _episode(self, work, node_id: str):
         self._node(node_id)
-        self._ep_pending = True
-        try:
-            return work(node_id, set())
-        finally:
-            self._ep_pending = False
+        self._ep += 1
+        emitted = len(self._rows)
+        result = work(node_id, set())
+        if len(self._rows) == emitted:
+            self._ep -= 1
+        return result
 
     def maintain(self, node_id: str) -> str:
         """One demand-triggered maintenance episode rooted at ``node_id``."""
@@ -442,19 +414,15 @@ class Simulator:
             # so jump straight to the first such cycle (strictly ahead:
             # a node turning due mid-pass waits for the next cycle)
             target = max(self.t + 1, min(due.values(), default=total))
+            self._advance(min(target, total) - self.t)
             if target > total:
-                self._advance(total - self.t)
                 break
-            self.t = target
-            if self._emits:
-                self._tracker.cover(target, self._emit)
             for s, _ in sinks:
-                # an episode in which nothing is due emits nothing; the
-                # sink is known, so the episode skips maintain's lookup
+                # an episode in which nothing is due would emit nothing;
+                # one with a node due checks it, so it keeps its number
                 if due[s] <= self.t:
-                    self._ep_pending = True
+                    self._ep += 1
                     maintain(s, set())
-                    self._ep_pending = False
         return self.finish()
 
     def run_stepwise(self) -> Run:
@@ -551,9 +519,10 @@ class _Layout:
 
     The scheduler's tables: each node's dependencies, the sinks with their
     ancestry, each node's probes, one (reading column, noise, rule) per
-    check, and its parameters. The tracker's: one column per state,
-    logistic ones first, each check's terms, and the block plans, each
-    built the first time a calibration needs it. And the graph's hash.
+    check, its parameters and its compensated checks. The tracker's: one
+    column per state, logistic ones first, each check's terms, and the
+    block plans, each built the first time a calibration needs it. And the
+    graph's hash.
     """
 
     def __init__(self, graph: GraphSpec):
@@ -569,8 +538,6 @@ class _Layout:
         self.sinks = [(s, tuple(ancestry[s])) for s in graph.sink_ids()]
         self.sinks_of = {nid: [(s, a) for s, a in self.sinks if nid in a] for nid in self.nodes}
         self.param_spec = {(n.id, pname): pspec for n in graph.nodes for pname, pspec in n.params}
-        dists = list(enumerate(graph.disturbances))
-        self.affecting = {n.id: [i for i, d in dists if n.id in d.affected] for n in graph.nodes}
 
         # one column per state, logistic ones first: each parameter, keyed
         # (node, name), starts at its optimum; each disturbance, keyed by
@@ -604,14 +571,24 @@ class _Layout:
 
         # each check's sums as (state column, weight, optimal) terms per
         # term field of its family, and its disturbances as (column,
-        # strength, None); a transition reads no phase terms
+        # strength, None); a transition reads no phase terms. Each node's
+        # compensated linear checks as (knob column, knob weight, every
+        # other term the check reads): its disturbances, undeviated, then
+        # its terms in order but the knob's first
         self.terms, self.dists = [], []
+        self.compensate = {nid: [] for nid in self.ids}
+        dists = list(enumerate(graph.disturbances))
         for nid, c in self.checks:
             o = c.observable
             fields = _FAMILIES[LINEAR if o.kind == LINEAR else GATE]
             skip = {"phase_terms"} if o.kind != GATE else set()
             self.terms.append({name: terms(nid, () if name in skip else getattr(o, name)) for name in fields})
-            self.dists.append([(self.column[i], graph.disturbances[i].strength, None) for i in self.affecting[nid]])
+            self.dists.append([(self.column[i], d.strength, None) for i, d in dists if nid in d.affected])
+            if o.kind == LINEAR and o.compensate is not None:
+                own = self.terms[-1]["terms"]
+                i = [col for col, _, _ in own].index(self.column[(nid, o.compensate)])
+                others = [(col, strength, 0.0) for col, strength, _ in self.dists[-1]] + own[:i] + own[i + 1 :]
+                self.compensate[nid].append((*own[i][:2], others))
         # the state columns each node's checks read
         self.reads = [
             {col for c in span for ts in (*self.terms[c].values(), self.dists[c]) for col, _, _ in ts}
@@ -857,17 +834,6 @@ class _Tracker:
         self.paths[j, col] = self.anchor[col] = value
         self.csc[col] = -j
         self.changed.add(col)
-
-    def readings(self, t: int) -> np.ndarray:
-        """Every check's noiseless reading at cycle t, one column per check."""
-        j = self.cover(t)
-        return self.obs[j]
-
-    def verdicts(self, t: int) -> np.ndarray:
-        """Every node's ground-truth verdict at cycle t, in graph order;
-        kept under ground-truth tracking only."""
-        j = self.cover(t)
-        return self.ok[j]
 
 
 def run_simulation(graph: GraphSpec, cfg: SimConfig, run_id: str | None = None) -> Run:

@@ -1,6 +1,6 @@
 """A table of mutants of the simulator, the trace layer, the extractors, the
-statistics, the graph config reader and ``spaq report``, and a runner that
-checks each is killed.
+statistics, the property parser, the graph config reader and ``spaq
+report``, and a runner that checks each is killed.
 
 Each mutant is one exact text edit of a file under ``src/spaq``, and names
 the tests that must fail once it is applied. Run it from the repository
@@ -50,6 +50,9 @@ ROUND_TRIP = "tests/test_graph.py::TestConfigRoundTrip"
 WRITER_KEYS = f"{ROUND_TRIP}::test_every_key_the_writer_emits_reads_back"
 MALFORMED = f"{ROUND_TRIP}::test_malformed_entries_are_rejected_with_their_path"
 CORRUPTED = "tests/test_graph.py::test_corrupted_configs_round_trip_or_raise_a_typed_error"
+PROPERTIES = "src/spaq/properties.py"
+PARSE_ERRORS = "tests/test_properties.py::TestParseErrors"
+SMC = "src/spaq/smc.py"
 
 MUTANTS = (
     Mutant(
@@ -157,6 +160,20 @@ MUTANTS = (
         (f"{TEST_SIM}::TestDeterminism::test_stepwise_execution_matches_batched_run", REFERENCE),
     ),
     Mutant(
+        "episode_number_kept_when_nothing_emitted",
+        SIM,
+        "        if len(self._rows) == emitted:\n            self._ep -= 1\n",
+        "",
+        (f"{TEST_SIM}::TestDeterminism::test_stepwise_execution_matches_batched_run",),
+    ),
+    Mutant(
+        "compensation_without_the_disturbances",
+        SIM,
+        "others = [(col, strength, 0.0) for col, strength, _ in self.dists[-1]] + own[:i] + own[i + 1 :]",
+        "others = own[:i] + own[i + 1 :]",
+        (REFERENCE,),
+    ),
+    Mutant(
         "next_check_searchsorted_left",
         "src/spaq/extractors.py",
         'np.searchsorted(checks, t, side="right")',
@@ -184,6 +201,66 @@ MUTANTS = (
         "for j in range(k, n + 1)",
         "for j in range(k + 1, n + 1)",
         ("tests/test_smc.py::TestBinomialTails::test_matches_scipy",),
+    ),
+    Mutant(
+        "lower_bound_coverage_strictly_above_C",
+        SMC,
+        "if 1.0 - cdf[r - 1] >= C:",
+        "if 1.0 - cdf[r - 1] > C:",
+        ("tests/test_smc.py::TestQuantileBound::test_a_coverage_equal_to_C_is_enough",),
+    ),
+    Mutant(
+        "upper_bound_coverage_strictly_above_C",
+        SMC,
+        "if cdf[s - 1] >= C:",
+        "if cdf[s - 1] > C:",
+        ("tests/test_smc.py::TestQuantileBound::test_a_coverage_equal_to_C_is_enough",),
+    ),
+    Mutant(
+        "interval_sweep_passes_a_coverage_equal_to_C",
+        SMC,
+        "while s <= n and coverage(r, s) < C:",
+        "while s <= n and coverage(r, s) <= C:",
+        ("tests/test_smc.py::TestQuantileInterval::test_a_coverage_equal_to_C_is_enough",),
+    ),
+    Mutant(
+        "interval_key_without_the_centring_term",
+        SMC,
+        "key = (width, asym, r, s)",
+        "key = (width, 0.0, r, s)",
+        ("tests/test_smc.py::TestQuantileInterval::test_frozen_ranks_median",
+         "tests/test_smc.py::TestQuantileInterval::test_brute_force_agreement"),
+    ),
+    Mutant(
+        "number_token_without_an_exponent",
+        PROPERTIES,
+        r"(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)",
+        r"(?P<number>-?\d+(?:\.\d+)?)",
+        (f"{PARSE_ERRORS}::test_range_errors",),
+    ),
+    Mutant(
+        "window_digit_check_dropped",
+        PROPERTIES,
+        "            if not tok.isdigit():\n"
+        '                raise PropertySyntaxError("window must be a positive integer", self.text, pos)\n',
+        "",
+        (f"{PARSE_ERRORS}::test_rejects",),
+    ),
+    Mutant(
+        "missing_argument_check_dropped",
+        PROPERTIES,
+        "    if missing:\n"
+        "        raise syntax_error(-1, f\"{name} is missing required argument(s): {', '.join(missing)}\")\n",
+        "",
+        (f"{PARSE_ERRORS}::test_missing_required_arg",),
+    ),
+    Mutant(
+        "parser_leaves_f_on_a_prob_test_to_the_ast",
+        PROPERTIES,
+        "            if isinstance(body, CondQuery):\n"
+        "                raise PropertySyntaxError(_F_ON_PROB, self.text, pos, (\"C\",))\n",
+        "",
+        (f"{PARSE_ERRORS}::test_rejects",),
     ),
     Mutant(
         "config_offset_not_always_written",

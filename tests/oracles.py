@@ -422,7 +422,7 @@ class ReferenceSimulator:
 
     def calibrate(self, nid):
         node = self.nodes[nid]
-        for _ in range(self.cfg.max_retries):
+        for _ in range(3):  # attempts before the node backs off
             start = self.t
             before = {p: self.params[nid, p].value for p, _ in node.params}
             self.wait(node.calibrate_cost)

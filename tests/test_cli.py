@@ -10,8 +10,9 @@ from dataclasses import replace
 import pytest
 import yaml
 
+import spaq.cli
 from spaq.cli import _EXPERIMENTS, _seed_block, build_parser, main
-from spaq.experiments import Exp1Config, Exp2Config, Exp3Config
+from spaq.experiments import Exp1Config, Exp2Config, Exp3Config, param_shift_failure_test
 from spaq.graph import builtin_config_path
 from spaq.trace import read_trace
 
@@ -331,6 +332,21 @@ class TestReport:
         assert record["mismatches"] == [f"shift_test: n_used: {n_used + 1} != {n_used}"]
         assert f"MISMATCH shift_test: n_used: {n_used + 1} != {n_used}\n" in err
 
+    def test_reproduce_runs_each_shift_test_once(self, capsys, exp2_dir, monkeypatch):
+        # the merge recommendation and the shift test store one property
+        doc = json.loads((exp2_dir / "report.json").read_text())
+        assert [r["property"] for r in doc["recommendations"]] == [doc["shift_test"]["property"]]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return param_shift_failure_test(*args)
+
+        monkeypatch.setattr(spaq.cli, "param_shift_failure_test", counted)
+        code, _, _, record = run_cli(capsys, "report", str(exp2_dir), "--reproduce")
+        assert code == 0 and record["mismatches"] == []
+        assert len(calls) == 1
+
     def test_missing_report_exits_two(self, capsys, tmp_path):
         code, _, _, _ = run_cli(capsys, "report", str(tmp_path / "nowhere"))
         assert code == 2
@@ -358,8 +374,10 @@ class TestReport:
             (lambda doc: [1, 2], "expected an object, got an array"),
             (lambda doc: {"scenario": "delayed_checks"}, "missing field 'availability_before'"),
             (lambda doc: {**doc, "recommendations": [3]}, "recommendations[0]: expected an object, got an integer"),
+            (lambda doc: {**doc, "availability_per_run": {**doc["availability_per_run"], "unmerged": []}},
+             "availability_per_run.unmerged: expected a non-empty array"),
         ],
-        ids=["not_an_object", "missing_field", "recommendation_not_an_object"],
+        ids=["not_an_object", "missing_field", "recommendation_not_an_object", "empty_availability"],
     )
     def test_malformed_report_exits_two(self, capsys, exp2_dir, tmp_path, edit, message):
         path = tmp_path / "report.json"

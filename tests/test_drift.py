@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,8 @@ from spaq.drift import (
     logistic_rate,
     transfer_probability,
 )
-from spaq.graph import DisturbanceSpec, graph_from_dict, graph_to_dict
+from spaq.errors import ConfigError
+from spaq.graph import DisturbanceSpec, graph_from_dict, graph_to_dict, load_graph
 
 from oracles import logistic_drift_step
 from tests.conftest import make_graph, make_node
@@ -115,27 +117,23 @@ class TestLogistic:
 
 class TestExponential:
     def test_anchor_at_zero(self):
-        cfg = ExponentialDriftCfg(rate=0.01, limit=2.0, v0=0.5)
-        assert exponential_decay_value(0, cfg) == pytest.approx(0.5)
+        cfg = ExponentialDriftCfg(rate=0.01, limit=2.0)
+        assert exponential_decay_value(0, cfg, v0=0.5) == pytest.approx(0.5)
 
     def test_approaches_limit(self):
-        cfg = ExponentialDriftCfg(rate=0.05, limit=2.0, v0=0.5)
-        assert exponential_decay_value(1e5, cfg) == pytest.approx(2.0)
+        cfg = ExponentialDriftCfg(rate=0.05, limit=2.0)
+        assert exponential_decay_value(1e5, cfg, v0=0.5) == pytest.approx(2.0)
 
     def test_decay_mode(self):
-        cfg = ExponentialDriftCfg(rate=0.1, limit=0.0, v0=1.0)
-        vals = exponential_decay_value(np.arange(50), cfg)
+        cfg = ExponentialDriftCfg(rate=0.1, limit=0.0)
+        vals = exponential_decay_value(np.arange(50), cfg, v0=1.0)
         assert np.all(np.diff(vals) < 0)
         assert vals[0] == 1.0
 
     def test_rising_mirror(self):
-        cfg = ExponentialDriftCfg(rate=0.1, limit=1.0, v0=0.0)
-        vals = exponential_decay_value(np.arange(50), cfg)
+        cfg = ExponentialDriftCfg(rate=0.1, limit=1.0)
+        vals = exponential_decay_value(np.arange(50), cfg, v0=0.0)
         assert np.all(np.diff(vals) > 0)
-
-    def test_anchor_override(self):
-        cfg = ExponentialDriftCfg(rate=0.1, limit=0.0, v0=1.0)
-        assert exponential_decay_value(0, cfg, v0=3.0) == pytest.approx(3.0)
 
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 2000), st.floats(0.0, 0.2))
     @settings(max_examples=150, deadline=None)
@@ -202,7 +200,7 @@ class TestCfgSerialisation:
         "cfg",
         [
             LogisticDriftCfg(r_max=0.2, tau_mid=40.0, tau_scale=8.0, sigma=0.01),
-            ExponentialDriftCfg(rate=0.003, limit=1.5, v0=0.2),
+            ExponentialDriftCfg(rate=0.003, limit=1.5),
         ],
     )
     def test_round_trip(self, cfg):
@@ -214,3 +212,13 @@ class TestCfgSerialisation:
         )
         assert graph_from_dict(graph_to_dict(graph)) == graph
 
+    def test_a_config_that_gives_an_exponential_anchor_is_refused(self, tmp_path):
+        # the anchor is the value at the last calibration, never a config key
+        node = make_node("a")
+        cfg = ExponentialDriftCfg(rate=0.003, limit=1.5)
+        raw = graph_to_dict(make_graph(replace(node, params=(("p", replace(node.params[0][1], drift=cfg)),))))
+        raw["nodes"][0]["params"]["p"]["drift"]["v0"] = 0.2
+        path = tmp_path / "graph.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=r"^nodes\[0\]\.params\.p\.drift: unknown key 'v0'$"):
+            load_graph(path)

@@ -220,6 +220,9 @@ class TestParseErrors:
             ("test ttf(a) > 1 @ F=0.5 D=1", "expected 'C', found 'D'", 24, ("C",)),
             ("ci ttf(a) @", "expected 'F' or 'C', found 'end of input'", 11, ("F", "C")),
             ("test prob[fail(a) -> fail(b) within 5] 0.2", "expected '>' or '<', found '0.2'", 39, (">", "<")),
+            # the caret sits in the text as written, not in its canonical form
+            ("test  prob[ fail(a)->fail(b) within 5 ]>0.20@F=0.5 C=0.9",
+             "F= belongs to metric properties; a prob test's threshold is its probability", 45, ("C",)),
         ],
     )
     def test_rejects(self, text, message, pos, expected):

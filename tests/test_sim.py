@@ -85,7 +85,8 @@ def set_now(sim, nid, pname, value):
     the parameter's row, anchor and cycles since calibration at the
     current cycle, and the next read recomputes the block from there.
     """
-    sim._set_now(nid, pname, value)
+    tr = sim._tracker
+    tr.reset(tr.column[(nid, pname)], value, sim.t)
 
 
 def emitted(sim):
@@ -536,12 +537,12 @@ class TestDriftEngine:
             expected = run_simulation(graph, cfg)
             sim = Simulator(graph, cfg)
             sim.initial_calibration()
-            keys = list(sim._param_spec)
+            tr = sim._tracker
+            cols = list(tr.column.values())
             while sim.t < cfg.total_cycles:
                 sim.step()
-                for owner, pname in rng.sample(keys, rng.randint(0, len(keys))):
-                    sim._get_now(owner, pname)
-                sim._dist_now(rng.choice([n.id for n in graph.nodes]))
+                for col in rng.sample(cols, rng.randint(0, len(cols))):
+                    tr.value(col, sim.t)
             assert sim.finish() == expected, i
 
     def test_tracked_paths_equal_readings_at_every_cycle(self):
@@ -845,8 +846,6 @@ class TestConfigValidation:
             SimConfig(total_cycles=10, seed=1, hf_timeout=0)
         with pytest.raises(ValueError):
             SimConfig(total_cycles=10, seed=1, drift_sample_every=-1)
-        with pytest.raises(ValueError):
-            SimConfig(total_cycles=10, seed=1, max_retries=0)
 
     def test_run_metadata(self):
         graph = GraphSpec(nodes=(simple_node("a"),))

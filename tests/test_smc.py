@@ -184,6 +184,13 @@ class TestQuantileBound:
         assert res.rank == 59
         assert res.bound == max(xs)
 
+    @pytest.mark.parametrize("side, F, C, rank", [(LOWER, 0.5, 0.75, 1), (UPPER, 0.2, 0.96, 2)])
+    def test_a_coverage_equal_to_C_is_enough(self, side, F, C, rank):
+        # n=2: P(Bin(2, 0.5) >= 1) = 1 - 0.25 and P(Bin(2, 0.2) <= 1) =
+        # 1 - 0.04 come out exactly C
+        res = quantile_confidence_bound([3.0, 1.0], F, C, side)
+        assert (res.rank, res.coverage) == (rank, C)
+
     def test_insufficient_below_min_samples(self):
         xs = [1.0] * 58
         res = quantile_confidence_bound(xs, 0.05, 0.95, LOWER)
@@ -234,6 +241,12 @@ class TestQuantileInterval:
             true_q = math.log(2.0)
             hits += lo <= true_q <= hi
         assert hits / trials >= 0.9 - 0.04
+
+    def test_a_coverage_equal_to_C_is_enough(self):
+        # n=7, F=0.7: P(4 <= Bin <= 5) comes out exactly 0.5445468, and no
+        # pair of width 1 covers that much
+        res = quantile_confidence_interval([float(x) for x in range(7)], 0.7, 0.5445468)
+        assert (res.ranks, res.coverage) == ((4, 6), 0.5445468)
 
     def test_insufficient_raises(self):
         with pytest.raises(InsufficientDataError):
